@@ -31,7 +31,6 @@ from .predictors import (
     critical_points,
     gauss_tstat,
     iid_pvalue,
-    iidgauss_region,
     iidgauss_sample_conditional,
     mva_residual_affine,
     open_solution_set,
@@ -89,7 +88,6 @@ __all__ = [
     "open_solution_set",
     "IidGaussPredictor",
     "iidgauss_sample_conditional",
-    "iidgauss_region",
     "WilksPredictor",
     "wilks_region",
     "PREDICTOR_KINDS",

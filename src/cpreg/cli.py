@@ -4,7 +4,8 @@ Subcommands: ``generate`` (synthetic benchmark data), ``run`` (on-line
 prediction, emitting a ledger), ``validate`` (seed-replicated validity
 batteries), and ``report`` (plot-ready curves from a ledger).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure,
+4 validity batteries failed (``validate`` only).
 Progress goes to standard error; data goes to files or standard output.
 """
 
@@ -187,7 +188,7 @@ def cmd_validate(args) -> int:
     for name, c in counts.items():
         print(f"{name}: {c}/{args.seeds} pass")
     print(f"overall: {'PASS' if overall else 'FAIL'}")
-    return 0
+    return 0 if overall else 4
 
 
 def cmd_report(args) -> int:

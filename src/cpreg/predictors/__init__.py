@@ -3,7 +3,7 @@
 from .base import OnlinePredictor, check_epsilon, check_tau
 from .gauss import GaussPredictor, gauss_tstat
 from .iid import IidPredictor, critical_points, iid_pvalue
-from .iid_gauss import IidGaussPredictor, iidgauss_region, iidgauss_sample_conditional
+from .iid_gauss import IidGaussPredictor, iidgauss_sample_conditional
 from .mva import MvaPredictor, mva_residual_affine, open_solution_set
 from .wilks import WilksPredictor, wilks_region
 
@@ -21,7 +21,6 @@ __all__ = [
     "open_solution_set",
     "IidGaussPredictor",
     "iidgauss_sample_conditional",
-    "iidgauss_region",
     "WilksPredictor",
     "wilks_region",
 ]

@@ -23,16 +23,26 @@ Two regimes:
   informativeness threshold.
 * d >= 2: genuine Monte Carlo over ``mc_samples`` draws, shared across the
   candidate grid, every epsilon, and the bisection refinement of the step
-  (common random numbers keep the region boundaries well defined).
+  (common random numbers keep the region boundaries well defined).  A draw
+  needs only the slot-s coordinate of a uniform unit vector in the null
+  space of Z', which has the law of sqrt(1 - h_ss) * g / sqrt(g^2 + c) with
+  h_ss the leverage of slot s, g standard normal and c chi-square with
+  d - 1 degrees of freedom; so a step costs a slot, a normal and a
+  chi-square variate per draw rather than a projected n-vector.
 
 Region computation evaluates the (exact or estimated) p-value on a 201-point
 grid anchored at the classical interval when available, refines the two
-boundary crossings by bisection, and reports the convex hull.
+boundary crossings by bisection, and reports the convex hull.  The running
+sums Z'Z and Z'y kept by ``observe`` make the anchor O(K^2); it is computed
+from the state as of ``begin_step`` only when a region is first requested,
+and the grid p-values are computed once per (step, tau) and thresholded at
+every epsilon.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,8 +81,67 @@ class IidGaussStepContext:
     slot_base: np.ndarray | None = None
     slot_slope: np.ndarray | None = None
     slot_mix: np.ndarray | None = None
-    grid: tuple[float, float] = (-1.0, 1.0)
-    grid_unit: float = 1.0
+    # grid anchor inputs as of begin_step: new design row (1, x_new), Z'Z and
+    # Z'y of the past, sum y^2 and the (min, max) past response
+    zn: np.ndarray | None = None
+    gram: np.ndarray | None = None
+    zty: np.ndarray | None = None
+    syy: float = 0.0
+    y_range: tuple[float, float] = (0.0, 0.0)
+    # grid p-values of the step, one array per tau
+    sweeps: dict[float, np.ndarray] = field(default_factory=dict)
+
+    @cached_property
+    def _anchor(self) -> tuple[tuple[float, float], float]:
+        return _grid_anchor(self)
+
+    @property
+    def grid(self) -> tuple[float, float]:
+        """Candidate grid extent (computed on first use)."""
+        return self._anchor[0]
+
+    @property
+    def grid_unit(self) -> float:
+        """Length scale of the grid, the unit of the bisection tolerance."""
+        return self._anchor[1]
+
+
+def _grid_anchor(ctx: IidGaussStepContext) -> tuple[tuple[float, float], float]:
+    """Candidate grid extent: classical interval if estimable, else y-range."""
+    n, k = ctx.n, ctx.k
+    if n >= k + 3:
+        try:
+            solved = spd_solve(ctx.gram, np.column_stack((ctx.zty, ctx.zn)))
+            beta, w = solved[:, 0], solved[:, 1]
+            lev = max(float(ctx.zn @ w), 0.0)
+            rss = max(ctx.syy - float(ctx.zty @ beta), 0.0)
+            scale = np.sqrt(rss / (n - k - 2) * (1.0 + lev))
+            if scale > 0.0:
+                center = float(ctx.zn @ beta)
+                # half-width at the widest default level; the same grid
+                # serves every epsilon of the step
+                half = t_upper_point(0.025, n - k - 2) * scale
+                return (center - GRID_HALFWIDTHS * half, center + GRID_HALFWIDTHS * half), half
+        except NumericalError:
+            pass
+    lo, hi = ctx.y_range
+    spread = max(hi - lo, 1.0)
+    return (lo - GRID_SPREADS * spread, hi + GRID_SPREADS * spread), spread
+
+
+def null_slot_coordinates(rng: RandomStream, leverage: np.ndarray, d: int) -> np.ndarray:
+    """Slot coordinates of uniform unit vectors in a ``d``-dim null space.
+
+    Draw i is the coordinate, at a slot of hat-matrix diagonal
+    ``leverage[i]``, of a uniform unit vector in the null space of Z'
+    (``d >= 2``).  That slot's unit vector projects onto the null space with
+    norm sqrt(1 - h), and one coordinate of a uniform unit d-vector is
+    g / sqrt(g^2 + c) with g standard normal and c chi-square(d - 1).
+    Consumes ``leverage.size`` normal then as many chi-square variates.
+    """
+    g = rng.gaussian(leverage.size)
+    rest = rng.chisquare(d - 1, leverage.size)
+    return np.sqrt(np.maximum(1.0 - leverage, 0.0)) * g / np.sqrt(g * g + rest)
 
 
 class IidGaussPredictor(OnlinePredictor):
@@ -91,9 +160,11 @@ class IidGaussPredictor(OnlinePredictor):
         self._rng = rng if rng is not None else RandomStream(0, substream=1)
         self._x: list[np.ndarray] = []
         self._y: list[float] = []
-        self._sy = 0.0
-        self._sxy: np.ndarray | None = None
+        # running Z'Z and Z'y over design rows z = (1, x); Z'y is (sum y, sum y*x)
+        self._gram: np.ndarray | None = None
+        self._zty: np.ndarray | None = None
         self._syy = 0.0
+        self._y_range = (0.0, 0.0)
 
     @property
     def count(self) -> int:
@@ -109,8 +180,9 @@ class IidGaussPredictor(OnlinePredictor):
     @property
     def response_sums(self) -> tuple[float, np.ndarray, float]:
         """(sum y, sum y*x, sum y^2) of the stored responses."""
-        sxy = np.zeros(0) if self._sxy is None else self._sxy.copy()
-        return self._sy, sxy, self._syy
+        if self._zty is None:
+            return 0.0, np.zeros(0), self._syy
+        return float(self._zty[0]), self._zty[1:].copy(), self._syy
 
     def begin_step(self, x_new) -> IidGaussStepContext:
         x_new = np.asarray(x_new, dtype=float)
@@ -122,7 +194,8 @@ class IidGaussPredictor(OnlinePredictor):
         k = x_new.size
         xs = np.vstack(self._x + [x_new]) if self._x else x_new[None, :]
         design = np.column_stack((np.ones(n), xs))  # full constraint design Z
-        t0 = np.concatenate(([self._sy], self._sxy if self._sxy is not None else np.zeros(k)))
+        gram = self._gram if self._gram is not None else np.zeros((k + 1, k + 1))
+        t0 = self._zty if self._zty is not None else np.zeros(k + 1)
         zn = np.concatenate(([1.0], x_new))
 
         rmap = RidgeResidualMap(xs, n, self.schedule)
@@ -143,7 +216,18 @@ class IidGaussPredictor(OnlinePredictor):
             -2.0 * float(v00 @ v01),
             self._syy - float(v00 @ v00),
         )
-        ctx = IidGaussStepContext(n=n, k=k, ea=ea, exact=d <= 1, rad2=rad2)
+        ctx = IidGaussStepContext(
+            n=n,
+            k=k,
+            ea=ea,
+            exact=d <= 1,
+            rad2=rad2,
+            zn=zn,
+            gram=gram.copy(),
+            zty=t0.copy(),
+            syy=self._syy,
+            y_range=self._y_range,
+        )
 
         if ctx.exact:
             ctx.ev_base = rmap.apply(v00)
@@ -154,49 +238,12 @@ class IidGaussPredictor(OnlinePredictor):
                 ctx.null_dir = full_left[:, rank]
         else:
             ev_base, ev_slope = rmap.apply(v00), rmap.apply(v01)
-            basis = left[:, :rank]  # orthonormal column space of Z
             slots = self._rng.integers(0, n, self.mc_samples)
-            draws = self._rng.gaussian_matrix(self.mc_samples, n)
-            draws -= (draws @ basis) @ basis.T
-            norms = np.linalg.norm(draws, axis=1)
-            norms[norms == 0.0] = 1.0
-            rows = np.arange(self.mc_samples)
-            ctx.slot_mix = draws[rows, slots] / norms
+            leverage = np.sum(left[slots, :rank] ** 2, axis=1)
+            ctx.slot_mix = null_slot_coordinates(self._rng, leverage, d)
             ctx.slot_base = ev_base[slots]
             ctx.slot_slope = ev_slope[slots]
-
-        ctx.grid, ctx.grid_unit = self._grid_anchor(n, k, zn)
         return ctx
-
-    def _grid_anchor(self, n: int, k: int, zn: np.ndarray) -> tuple[tuple[float, float], float]:
-        """Candidate grid extent: classical interval if estimable, else y-range."""
-        if n >= k + 3:
-            try:
-                gram = np.zeros((k + 1, k + 1))
-                zty = np.zeros(k + 1)
-                for x, y in zip(self._x, self._y):
-                    z = np.concatenate(([1.0], x))
-                    gram += np.outer(z, z)
-                    zty += y * z
-                solved = spd_solve(gram, np.column_stack((zty, zn)))
-                beta, w = solved[:, 0], solved[:, 1]
-                lev = max(float(zn @ w), 0.0)
-                rss = max(self._syy - float(zty @ beta), 0.0)
-                scale = np.sqrt(rss / (n - k - 2) * (1.0 + lev))
-                if scale > 0.0:
-                    center = float(zn @ beta)
-                    # half-width at the widest default level; the same grid
-                    # serves every epsilon of the step
-                    half = t_upper_point(0.025, n - k - 2) * scale
-                    return (center - GRID_HALFWIDTHS * half, center + GRID_HALFWIDTHS * half), half
-            except NumericalError:
-                pass
-        if self._y:
-            lo, hi = min(self._y), max(self._y)
-        else:
-            lo = hi = 0.0
-        spread = max(hi - lo, 1.0)
-        return (lo - GRID_SPREADS * spread, hi + GRID_SPREADS * spread), spread
 
     def _pvalues(self, ctx: IidGaussStepContext, ys: np.ndarray, tau: float) -> np.ndarray:
         """Conditional p-value (exact or Monte-Carlo) at each candidate y."""
@@ -237,7 +284,10 @@ class IidGaussPredictor(OnlinePredictor):
         if ctx.n < min(np.ceil(1.0 / eps), ctx.k + 3):
             return PredictionRegion.real_line()
         grid = np.linspace(ctx.grid[0], ctx.grid[1], GRID_POINTS)
-        keep = self._pvalues(ctx, grid, tau) > eps
+        sweep = ctx.sweeps.get(tau)
+        if sweep is None:
+            sweep = ctx.sweeps[tau] = self._pvalues(ctx, grid, tau)
+        keep = sweep > eps
         if not keep.any():
             return PredictionRegion.empty()
         if keep.all():
@@ -281,13 +331,17 @@ class IidGaussPredictor(OnlinePredictor):
     def observe(self, obs: Observation) -> None:
         if self._x and obs.x.size != self._x[0].size:
             raise ValueError(f"observation has {obs.x.size} features, expected {self._x[0].size}")
-        if self._sxy is None:
-            self._sxy = np.zeros(obs.x.size)
+        if self._gram is None:
+            self._gram = np.zeros((obs.x.size + 1, obs.x.size + 1))
+            self._zty = np.zeros(obs.x.size + 1)
+            self._y_range = (obs.y, obs.y)
+        z = np.concatenate(([1.0], obs.x))
+        self._gram += np.outer(z, z)
+        self._zty += obs.y * z
+        self._syy += obs.y * obs.y
+        self._y_range = (min(self._y_range[0], obs.y), max(self._y_range[1], obs.y))
         self._x.append(obs.x)
         self._y.append(obs.y)
-        self._sy += obs.y
-        self._sxy += obs.y * obs.x
-        self._syy += obs.y * obs.y
 
 
 def iidgauss_sample_conditional(
@@ -308,11 +362,3 @@ def iidgauss_sample_conditional(
     rhs = np.concatenate(([sy], sxy))
     ys = sample_sphere_in_affine_slice(rng, constraints, rhs, syy)
     return xs, ys
-
-
-def iidgauss_region(
-    state: IidGaussPredictor, x_new, epsilon: float, tau: float = 1.0
-) -> PredictionRegion:
-    """Hulled prediction region at one significance level (one-shot helper)."""
-    ctx = state.begin_step(x_new)
-    return state.region(ctx, epsilon, tau)

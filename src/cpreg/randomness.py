@@ -55,6 +55,14 @@ class RandomStream:
             raise ValueError("matrix dimensions must be >= 0")
         return self._gen.standard_normal((rows, cols))
 
+    def chisquare(self, df: float, count: int) -> NDArray[np.float64]:
+        """``count`` independent chi-square draws with ``df`` degrees of freedom."""
+        if df <= 0:
+            raise ValueError(f"df must be > 0, got {df}")
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        return self._gen.chisquare(df, count)
+
     def uniform(self) -> float:
         """One uniform draw from [0, 1)."""
         return float(self._gen.random())

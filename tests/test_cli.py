@@ -123,6 +123,18 @@ def test_validate_synthetic_passes(capsys):
     assert lines[-1] == "overall: PASS"
 
 
+def test_validate_failure_exits_4(tmp_path, capsys):
+    # a steadily rising response is never exchangeable: every new y is the
+    # largest so far, so the p-values pile up at the bottom
+    data = tmp_path / "trend.csv"
+    write_stream(data, [Observation(np.array([0.0]), float(i)) for i in range(150)])
+    code = main(["validate", "--data", str(data), "--predictor", "wilks", "--seeds", "1"])
+    assert code == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert "uniformity: 0/1 pass" in lines
+    assert lines[-1] == "overall: FAIL"
+
+
 def test_report_round_trip(tmp_path):
     data = tmp_path / "data.csv"
     ledger_path = tmp_path / "ledger.csv"

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from cpreg import (
     IidGaussPredictor,
@@ -10,6 +11,7 @@ from cpreg import (
     PredictionRegion,
     iidgauss_sample_conditional,
 )
+from cpreg.predictors.iid_gauss import null_slot_coordinates
 from cpreg.randomness import RandomStream
 
 
@@ -196,3 +198,88 @@ def test_dimension_bookkeeping():
         pred.begin_step(np.array([[1.0]]))
     with pytest.raises(ValueError):
         iidgauss_sample_conditional(fresh(), RandomStream(0, substream=0))
+
+
+@pytest.mark.parametrize("n, k", [(5, 2), (12, 3), (40, 5)])
+def test_slot_marginal_draws_match_projected_gaussians(n, k):
+    # the slot coordinate of a uniform unit vector in the null space of Z',
+    # drawn from its marginal law, against the full construction: project an
+    # n-vector of Gaussians off the column space of Z and normalize
+    draws = 20_000
+    rng = np.random.default_rng(n)
+    design = np.column_stack((np.ones(n), rng.normal(size=(n, k))))
+    design[0, 1:] *= 4.0  # one high-leverage row
+    left, sing, _ = np.linalg.svd(design, full_matrices=False)
+    rank = int(np.sum(sing > 1e-12 * sing[0]))
+    assert n - rank >= 2
+    basis = left[:, :rank]
+    full = RandomStream(3, substream=n).gaussian_matrix(draws, n)
+    full -= (full @ basis) @ basis.T
+    full /= np.linalg.norm(full, axis=1)[:, None]
+    marginal_rng = RandomStream(4, substream=n)
+    for slot in (0, n - 1):
+        leverage = np.full(draws, np.sum(basis[slot] ** 2))
+        marginal = null_slot_coordinates(marginal_rng, leverage, n - rank)
+        assert ks_2samp(marginal, full[:, slot]).pvalue > 1e-3, slot
+
+
+def _stream(size, k, seed):
+    rng = np.random.default_rng(seed)
+    xs = rng.normal(size=(size, k))
+    ys = 1.0 + xs @ np.arange(1.0, k + 1.0) + rng.normal(size=size)
+    return xs, ys
+
+
+@pytest.mark.parametrize("past", [3, 12])  # y-range fallback, classical anchor
+def test_grid_is_fixed_at_begin_step(past):
+    xs, ys = _stream(past + 1, 2, 8)
+    ys[-1] = 50.0  # widens the y-range and shifts the fit once observed
+    before, after = fresh(), fresh()
+    feed(before, xs[:past], ys[:past])
+    feed(after, xs[:past], ys[:past])
+    ctx_before = before.begin_step(xs[past])
+    grid, unit = ctx_before.grid, ctx_before.grid_unit
+    ctx_after = after.begin_step(xs[past])
+    after.observe(Observation(xs[past], ys[past]))
+    assert ctx_after.grid == grid
+    assert ctx_after.grid_unit == unit
+
+
+@pytest.mark.parametrize("past", [3, 14])  # exact and Monte-Carlo steps
+def test_region_does_not_depend_on_level_order(past):
+    xs, ys = _stream(past + 1, 2, 9)
+    levels = (0.3, 0.2, 0.1)
+
+    def regions(order, tau):
+        pred = fresh(6, mc_samples=300)
+        feed(pred, xs[:past], ys[:past])
+        ctx = pred.begin_step(xs[past])
+        return {eps: pred.raw_region(ctx, eps, tau).pieces for eps in order}
+
+    for tau in (1.0, 0.37):
+        forward = regions(levels, tau)
+        assert regions(levels[::-1], tau) == forward
+        for eps in levels:
+            assert regions((eps,), tau) == {eps: forward[eps]}
+    # one context serves several taus without mixing their grid sweeps
+    pred = fresh(6, mc_samples=300)
+    feed(pred, xs[:past], ys[:past])
+    ctx = pred.begin_step(xs[past])
+    for tau in (1.0, 0.37):
+        assert {eps: pred.raw_region(ctx, eps, tau).pieces for eps in levels} == regions(levels, tau)
+
+
+def test_running_moments_equal_the_from_scratch_sums():
+    xs, ys = _stream(50, 3, 10)
+    pred = fresh(mc_samples=10)
+    for step, (x, y) in enumerate(zip(xs, ys)):
+        ctx = pred.begin_step(x)
+        gram = np.zeros((4, 4))
+        zty = np.zeros(4)
+        for xp, yp in zip(xs[:step], ys[:step]):
+            z = np.concatenate(([1.0], xp))
+            gram += np.outer(z, z)
+            zty += yp * z
+        assert np.array_equal(ctx.gram, gram), step
+        assert np.array_equal(ctx.zty, zty), step
+        pred.observe(Observation(x, y))
