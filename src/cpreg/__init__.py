@@ -42,8 +42,6 @@ from .protocol import (
     RunConfig,
     binomial_band,
     error_frequency_check,
-    first_bounded_step,
-    first_finite_median_step,
     independence_test,
     make_predictor,
     run_online,
@@ -53,7 +51,7 @@ from .protocol import (
 from .randomness import RandomStream, sample_sphere_in_affine_slice, slice_geometry
 from .regions import Interval, PredictionRegion, check_nested, point
 from .residuals import AffineResiduals, FeatureSchedule, RidgeResidualMap, ridge_residual_affine
-from .stream import Observation, check_stream, stream_arrays
+from .stream import Observation, check_stream
 from .studentt import regularized_incomplete_beta, t_cdf, t_density, t_sf, t_upper_point
 
 __version__ = "0.1.0"
@@ -62,7 +60,6 @@ __all__ = [
     "__version__",
     "Observation",
     "check_stream",
-    "stream_arrays",
     "Interval",
     "PredictionRegion",
     "point",
@@ -100,8 +97,6 @@ __all__ = [
     "independence_test",
     "error_frequency_check",
     "binomial_band",
-    "first_bounded_step",
-    "first_finite_median_step",
     "SyntheticSpec",
     "beta_vector",
     "generate",

@@ -1,9 +1,9 @@
 """Dense linear-algebra helpers for the regression predictors.
 
 Everything here is a thin, contract-checked layer over numpy/scipy
-factorizations.  No routine ever forms an explicit matrix inverse; ridge
-and least-squares systems go through Cholesky/QR, and rank decisions use
-a relative singular-value cutoff.
+factorizations.  No routine ever forms an explicit matrix inverse; SPD
+systems go through Cholesky, and rank decisions use a relative
+singular-value cutoff.
 """
 
 from __future__ import annotations
@@ -56,73 +56,3 @@ def spd_solve(gram: Matrix, rhs) -> Vector | Matrix:
     if diag.min() < RANK_RTOL * diag.max():
         raise NumericalError("matrix is numerically singular")
     return cho_solve(factor, np.asarray(rhs, dtype=float), check_finite=False)
-
-
-def ridge_solve(design: Matrix, response: Vector, ridge: float) -> Vector:
-    """Ridge coefficients ``(U'U + aI)^{-1} U'y`` via a Cholesky solve.
-
-    Parameters
-    ----------
-    design : (l, m) matrix U.
-    response : (l,) vector y.
-    ridge : penalty a; must be > 0 (the regularized Gram is then SPD).
-    """
-    u = _as_matrix(design, "design")
-    y = _as_vector(response, "response")
-    if u.shape[0] != y.shape[0]:
-        raise ValueError(f"design has {u.shape[0]} rows but response has {y.shape[0]}")
-    if not ridge > 0.0:
-        raise ValueError(f"ridge coefficient must be positive, got {ridge}")
-    gram = u.T @ u
-    gram[np.diag_indices_from(gram)] += ridge
-    return spd_solve(gram, u.T @ y)
-
-
-def least_squares(design: Matrix, response: Vector) -> Vector:
-    """Ordinary least-squares coefficients of ``response`` on ``design``.
-
-    Solved by QR (numpy ``lstsq``).  Raises :class:`NumericalError` when the
-    design is rank deficient relative to :data:`RANK_RTOL`.
-    """
-    z = _as_matrix(design, "design")
-    y = _as_vector(response, "response")
-    if z.shape[0] != y.shape[0]:
-        raise ValueError(f"design has {z.shape[0]} rows but response has {y.shape[0]}")
-    if z.shape[0] < z.shape[1]:
-        raise NumericalError(
-            f"need at least {z.shape[1]} rows for a unique fit, got {z.shape[0]}"
-        )
-    coef, _, rank, _ = np.linalg.lstsq(z, y, rcond=RANK_RTOL)
-    if rank < z.shape[1]:
-        raise NumericalError(f"design is rank deficient (rank {rank} < {z.shape[1]})")
-    return coef
-
-
-def residual_variance(design: Matrix, response: Vector, coef: Vector) -> float:
-    """Unbiased residual variance of a fitted regression.
-
-    With l rows and m columns this is ``||y - Z c||^2 / (l - m)``; the
-    denominator must be positive, i.e. l >= m + 1.
-    """
-    z = _as_matrix(design, "design")
-    y = _as_vector(response, "response")
-    c = _as_vector(coef, "coef")
-    dof = z.shape[0] - z.shape[1]
-    if dof < 1:
-        raise ValueError(
-            f"need more than {z.shape[1]} rows to estimate the noise, got {z.shape[0]}"
-        )
-    resid = y - z @ c
-    return float(resid @ resid) / dof
-
-
-def leverage(design: Matrix, row: Vector) -> float:
-    """Leverage ``z'(Z'Z)^{-1}z`` of a candidate row against a past design."""
-    z = _as_matrix(design, "design")
-    v = _as_vector(row, "row")
-    if z.shape[1] != v.shape[0]:
-        raise ValueError(f"row has length {v.shape[0]}, design has {z.shape[1]} columns")
-    value = float(v @ spd_solve(z.T @ z, v))
-    if value < 0.0:
-        raise NumericalError(f"negative leverage {value}: design is ill conditioned")
-    return value

@@ -6,7 +6,9 @@ only where some |e_i(y)| crosses |e_n(y)|, i.e. where e_i(y) = +-e_n(y).
 The region {y : p(y) > eps} is assembled by sweeping those critical
 points: the p-value is constant on each open interval between them, so
 one probe per interval (plus one per critical point) determines the
-region exactly.
+region exactly.  The probes partition the line in order, so each run of
+consecutive kept probes is one connected piece of the region, and the
+region is built from one interval per run.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ..regions import Interval, PredictionRegion, point
+from ..regions import Interval, PredictionRegion
 from ..residuals import AffineResiduals, FeatureSchedule, ridge_residual_affine
 from ..stream import Observation
 from .base import OnlinePredictor, check_epsilon, check_tau
@@ -58,8 +60,11 @@ def critical_points(residuals: AffineResiduals) -> NDArray[np.float64]:
             points.append((sign * cn - c[:-1][keep]) / denom[keep])
     if not points:
         return np.empty(0)
+    ordered = np.sort(np.concatenate(points))
+    if np.all(np.diff(ordered) > MERGE_TOL):
+        return ordered
     merged: list[float] = []
-    for t in np.sort(np.concatenate(points)):
+    for t in ordered:
         if not merged or t - merged[-1] > MERGE_TOL:
             merged.append(float(t))
     return np.asarray(merged)
@@ -78,32 +83,39 @@ class IidStepContext:
     def sweep(self) -> None:
         """Probe the score comparison on every piece of the critical grid.
 
-        Probe layout: [left ray, crit_0, mid_01, crit_1, ..., crit_last,
+        Probe layout: [left ray, crit_0, gap_01, crit_1, ..., crit_last,
         right ray], or a single probe when there are no critical points.
+        Ties get a relative tolerance only at the critical points; between
+        them the comparison is exact.
         """
         if self.crit is not None:
             return
         crit = critical_points(self.residuals)
-        if crit.size == 0:
-            probes = np.zeros(1)
-            at_crit = np.zeros(1, dtype=bool)
+        m = crit.size
+        # Scored gap probes first (rays included), then the critical points.
+        probes = np.empty(2 * m + 1)
+        if m == 0:
+            probes[0] = 0.0
         else:
-            probes = np.empty(2 * crit.size + 1)
             probes[0] = crit[0] - 1.0
-            probes[1::2] = crit
-            probes[2:-1:2] = 0.5 * (crit[:-1] + crit[1:])
-            probes[-1] = crit[-1] + 1.0
-            at_crit = np.zeros(probes.size, dtype=bool)
-            at_crit[1::2] = True
-        scores = np.abs(
-            self.residuals.intercepts[:, None] + self.residuals.slopes[:, None] * probes[None, :]
-        )
-        own = scores[-1]
-        rest = scores[:-1]
-        tol = np.where(at_crit, TIE_RTOL * np.maximum(1.0, own), 0.0)
+            probes[1:m] = 0.5 * (crit[:-1] + crit[1:])
+            probes[m] = crit[-1] + 1.0
+            probes[m + 1 :] = crit
+        scores = np.multiply.outer(self.residuals.slopes, probes)
+        scores += self.residuals.intercepts[:, None]
+        np.abs(scores, out=scores)
+        own, rest = scores[-1], scores[:-1]
+        greater = np.empty(2 * m + 1, dtype=np.int64)
+        ties = np.empty(2 * m + 1, dtype=np.int64)
+        greater[0::2] = np.count_nonzero(rest[:, : m + 1] > own[: m + 1], axis=0)
+        ties[0::2] = np.count_nonzero(rest[:, : m + 1] == own[: m + 1], axis=0)
+        own_crit = own[m + 1 :]
+        tol = TIE_RTOL * np.maximum(1.0, own_crit)
+        greater[1::2] = np.count_nonzero(rest[:, m + 1 :] > own_crit + tol, axis=0)
+        ties[1::2] = np.count_nonzero(np.abs(rest[:, m + 1 :] - own_crit) <= tol, axis=0)
         self.crit = crit
-        self.greater = np.sum(rest > own + tol, axis=0)
-        self.ties = np.sum(np.abs(rest - own) <= tol, axis=0) + 1
+        self.greater = greater
+        self.ties = ties + 1
 
 
 class IidPredictor(OnlinePredictor):
@@ -133,20 +145,21 @@ class IidPredictor(OnlinePredictor):
         check_tau(tau)
         ctx.sweep()
         keep = (ctx.greater + tau * ctx.ties) / ctx.n > eps
-        crit = ctx.crit
-        if crit.size == 0:
-            return PredictionRegion.real_line() if keep[0] else PredictionRegion.empty()
-        pieces: list[Interval] = []
-        if keep[0]:
-            pieces.append(Interval(-np.inf, crit[0], False, False))
-        for j, t in enumerate(crit):
-            if keep[1 + 2 * j]:
-                pieces.append(point(t))
-            if j + 1 < crit.size and keep[2 + 2 * j]:
-                pieces.append(Interval(t, crit[j + 1], False, False))
-        if keep[-1]:
-            pieces.append(Interval(crit[-1], np.inf, False, False))
-        return PredictionRegion(pieces)
+        # Probe i spans (bounds[(i + 1) // 2], bounds[i // 2 + 1]) and is the
+        # closed point there when i is odd.
+        padded = np.concatenate(([False], keep, [False]))
+        edges = np.flatnonzero(padded[1:] != padded[:-1])
+        first, last = edges[0::2], edges[1::2] - 1
+        bounds = np.concatenate(([-np.inf], ctx.crit, [np.inf]))
+        return PredictionRegion(
+            Interval(lo, hi, lo_closed, hi_closed)
+            for lo, hi, lo_closed, hi_closed in zip(
+                bounds[(first + 1) // 2].tolist(),
+                bounds[last // 2 + 1].tolist(),
+                (first % 2 == 1).tolist(),
+                (last % 2 == 1).tolist(),
+            )
+        )
 
     def pvalue(self, ctx: IidStepContext, y: float, tau: float) -> float:
         return iid_pvalue(np.abs(ctx.residuals.at(float(y))), tau)

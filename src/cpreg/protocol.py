@@ -268,19 +268,3 @@ def error_frequency_check(
         upper=upper,
         passed=lower <= count <= upper,
     )
-
-
-def first_bounded_step(ledger, eps: float) -> int | None:
-    """Smallest step whose reported region had finite length, if any.
-
-    Accepts a live ledger or a deserialized table; both expose the query.
-    """
-    return ledger.first_bounded_step(eps)
-
-
-def first_finite_median_step(ledger, eps: float) -> int | None:
-    """Smallest step whose running median length was finite, if any.
-
-    Accepts a live ledger or a deserialized table; both expose the query.
-    """
-    return ledger.first_finite_median_step(eps)

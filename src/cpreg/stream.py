@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
-from numpy.typing import NDArray
 
 
 class Observation:
@@ -58,12 +57,3 @@ def check_stream(stream: Sequence[Observation]) -> int:
                 f"observation {i + 1} has {obs.x.shape[0]} features, expected {dim}"
             )
     return max(dim, 0)
-
-
-def stream_arrays(stream: Iterable[Observation]) -> tuple[NDArray, NDArray]:
-    """Stack a stream into an (n, K) feature matrix and an (n,) response."""
-    xs = [obs.x for obs in stream]
-    ys = [obs.y for obs in stream]
-    if not xs:
-        return np.empty((0, 0)), np.empty(0)
-    return np.vstack(xs), np.asarray(ys, dtype=float)

@@ -37,7 +37,6 @@ from cpreg import (
     write_plot_data,
 )
 from cpreg.ledger import running_median
-from cpreg.protocol import first_bounded_step, first_finite_median_step
 
 EPS = (0.05, 0.01, 0.005)
 TABLE_SEEDS = range(5)
@@ -68,18 +67,18 @@ def test_criterion_1_first_bounded_thresholds(table_ledgers):
     ok = True
     for seed in TABLE_SEEDS:
         for eps in EPS:
-            fb = first_bounded_step(table_ledgers["iid", seed], eps)
+            fb = table_ledgers["iid", seed].first_bounded_step(eps)
             ok &= fb is not None and fb >= math.ceil(1.0 / eps)
-        fb05 = first_bounded_step(table_ledgers["iid", seed], 0.05)
+        fb05 = table_ledgers["iid", seed].first_bounded_step(0.05)
         ok &= 20 <= fb05 <= 25
         for eps in EPS:
-            ok &= first_bounded_step(table_ledgers["gauss", seed], eps) == 103
-            fb = first_bounded_step(table_ledgers["mva", seed], eps)
+            ok &= table_ledgers["gauss", seed].first_bounded_step(eps) == 103
+            fb = table_ledgers["mva", seed].first_bounded_step(eps)
             ok &= fb is not None and fb >= 3
         # the quadratic becomes bounded almost immediately at the loosest level
-        ok &= first_bounded_step(table_ledgers["mva", seed], 0.05) <= 10
+        ok &= table_ledgers["mva", seed].first_bounded_step(0.05) <= 10
     for eps in EPS:
-        fb = first_bounded_step(table_ledgers["iid-gauss", 0], eps)
+        fb = table_ledgers["iid-gauss", 0].first_bounded_step(eps)
         ok &= fb is not None and fb >= min(math.ceil(1.0 / eps), 103)
     report("1 (first informative step per model)", ok)
     assert ok
@@ -88,10 +87,10 @@ def test_criterion_1_first_bounded_thresholds(table_ledgers):
 def test_criterion_2_median_accuracy_transitions(table_ledgers):
     ok = True
     for seed in TABLE_SEEDS:
-        ffm = first_finite_median_step(table_ledgers["iid", seed], 0.005)
+        ffm = table_ledgers["iid", seed].first_finite_median_step(0.005)
         ok &= ffm is not None and abs(ffm - 399) <= 2
         for eps in EPS:
-            ok &= first_finite_median_step(table_ledgers["gauss", seed], eps) == 205
+            ok &= table_ledgers["gauss", seed].first_finite_median_step(eps) == 205
     report("2 (median-length transitions)", ok)
     assert ok
 

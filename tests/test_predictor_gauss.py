@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from oracles import least_squares, leverage, residual_variance
 
 from cpreg import (
     GaussPredictor,
@@ -12,7 +13,6 @@ from cpreg import (
     t_sf,
     t_upper_point,
 )
-from cpreg.linalg import least_squares, leverage, residual_variance
 
 
 def feed(predictor, xs, ys):

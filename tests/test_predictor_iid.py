@@ -1,17 +1,25 @@
 """Exchangeability predictor: counting p-values and the critical-point sweep."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from oracles import iid_per_probe_region
 
 from cpreg import (
     FeatureSchedule,
     IidPredictor,
     Observation,
     PredictionRegion,
+    RunConfig,
+    SyntheticSpec,
     critical_points,
+    generate,
     iid_pvalue,
     ridge_residual_affine,
+    run_online,
 )
+from cpreg.predictors.iid import PARALLEL_TOL
 
 
 def test_pvalue_counting_rules():
@@ -156,3 +164,108 @@ def test_observe_rejects_dimension_change():
     pred.observe(Observation(np.array([1.0, 2.0]), 0.0))
     with pytest.raises(ValueError):
         pred.observe(Observation(np.array([1.0]), 0.0))
+
+
+def tie_heavy_stream(n=40):
+    """Three distinct x rows and two y values: repeated residual lines give
+    merged critical points and isolated closed points in the regions."""
+    rng = np.random.default_rng(1)
+    rows = rng.integers(-1, 2, (3, 2)).astype(float)
+    xs = rows[rng.integers(0, 3, n)]
+    ys = rng.integers(0, 2, n).astype(float)
+    return [Observation(xs[i], float(ys[i])) for i in range(n)]
+
+
+def run_digest(config, stream):
+    """sha256 of a run's ledger and trace, every number as ``float.hex``."""
+    ledger, trace = run_online(config, stream)
+    h = hashlib.sha256()
+    for eps in config.epsilons:
+        for seq in (
+            ledger.errors(eps),
+            ledger.raw_errors(eps),
+            ledger.widths(eps),
+            ledger.medians(eps),
+        ):
+            h.update(" ".join(float(v).hex() for v in seq).encode() + b"\n")
+    for seq in (trace.pvalues, trace.taus):
+        h.update(" ".join(float(v).hex() for v in seq).encode() + b"\n")
+    return h.hexdigest()
+
+
+GOLDEN_RUNS = [
+    (
+        RunConfig(predictor="iid", smoothed=False, seed=0),
+        lambda: generate(SyntheticSpec(k=20, n=120, seed=0)),
+        "c6c80d19b49730c3baf690cfd0f95213a0b940c1994498b159968d716e6fef89",
+    ),
+    (
+        RunConfig(predictor="iid", smoothed=True, seed=1),
+        lambda: generate(SyntheticSpec(k=20, n=120, seed=1)),
+        "59d316d9b27c3f316d0dc3db37157846ac02407828febf3c6c6e44451cb2bb80",
+    ),
+    (
+        RunConfig(predictor="iid", epsilons=(0.3, 0.05, 0.01), smoothed=True, seed=2),
+        tie_heavy_stream,
+        "cb9728415a5a96c98ce2d5b5a70bb8e3a91cb4e9cb50de1b94227ebcd9e71ce0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "config, make_stream, digest",
+    GOLDEN_RUNS,
+    ids=["k20-seed0-deterministic", "k20-seed1-smoothed", "tie-heavy-smoothed"],
+)
+def test_golden_ledger_and_trace(config, make_stream, digest):
+    """Ledgers and traces pinned bit for bit on three streams."""
+    assert run_digest(config, make_stream()) == digest
+
+
+def test_tie_heavy_stream_exercises_merges_and_points():
+    pred = IidPredictor()
+    merged = points = 0
+    for obs in tie_heavy_stream():
+        ctx = pred.begin_step(obs.x)
+        b, c = ctx.residuals.slopes, ctx.residuals.intercepts
+        crossing = [np.abs(b[:-1] - s * b[-1]) >= PARALLEL_TOL for s in (1.0, -1.0)]
+        merged += sum(map(np.count_nonzero, crossing)) - critical_points(ctx.residuals).size
+        for eps in (0.3, 0.05, 0.01):
+            for tau in (0.0, 0.37, 1.0):
+                region = pred.raw_region(ctx, eps, tau)
+                points += sum(p.lo == p.hi for p in region.pieces)
+        pred.observe(obs)
+    assert merged > 0 and points > 0
+
+
+def degenerate_point_steps():
+    """The one-zero-response setup of test_degenerate_point_region_survives."""
+    pred = IidPredictor()
+    pred.observe(Observation(np.empty(0), 0.0))
+    yield pred, pred.begin_step(np.empty(0))
+
+
+def stream_steps(stream):
+    pred = IidPredictor()
+    for obs in stream:
+        yield pred, pred.begin_step(obs.x)
+        pred.observe(obs)
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [
+        degenerate_point_steps,
+        lambda: stream_steps(tie_heavy_stream()),
+        lambda: stream_steps(generate(SyntheticSpec(k=3, n=60, seed=4))),
+        lambda: stream_steps(generate(SyntheticSpec(k=20, n=40, seed=5))),
+    ],
+    ids=["degenerate-point", "tie-heavy", "k3", "k20-leading-block"],
+)
+def test_region_equals_per_probe_oracle(steps):
+    for pred, ctx in steps():
+        for eps in (0.3, 0.05, 0.01):
+            for tau in (0.0, 0.37, 1.0):
+                got = pred.raw_region(ctx, eps, tau)
+                want = iid_per_probe_region(ctx, eps, tau)
+                assert got == want, (ctx.n, eps, tau)

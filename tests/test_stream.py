@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from cpreg import Observation, check_stream, stream_arrays
+from oracles import stream_arrays
+
+from cpreg import Observation, check_stream
 
 
 def test_observation_normalizes_inputs():
