@@ -21,22 +21,32 @@ Two regimes:
   provably coincides with the plain exchangeability predictor; Monte Carlo
   would only blur the atoms and (at tail candidates) destroy the n >= 1/eps
   informativeness threshold.
-* d >= 2: genuine Monte Carlo over ``mc_samples`` draws, shared across the
-  candidate grid, every epsilon, and the bisection refinement of the step
-  (common random numbers keep the region boundaries well defined).  A draw
+* d >= 2: genuine Monte Carlo over ``mc_samples`` draws, shared across
+  every candidate y and every epsilon of the step (common random numbers
+  keep the region boundaries well defined).  A draw
   needs only the slot-s coordinate of a uniform unit vector in the null
   space of Z', which has the law of sqrt(1 - h_ss) * g / sqrt(g^2 + c) with
   h_ss the leverage of slot s, g standard normal and c chi-square with
   d - 1 degrees of freedom; so a step costs a slot, a normal and a
   chi-square variate per draw rather than a projected n-vector.
 
-Region computation evaluates the (exact or estimated) p-value on a 201-point
-grid anchored at the classical interval when available, refines the two
-boundary crossings by bisection, and reports the convex hull.  The running
-sums Z'Z and Z'y kept by ``observe`` make the anchor O(K^2); it is computed
-from the state as of ``begin_step`` only when a region is first requested,
-and the grid p-values are computed once per (step, tau) and thresholded at
-every epsilon.
+Regions.  On a Monte-Carlo step the estimated p-value is a step function
+of the candidate y: it changes only where a draw's score
+|a + b*y + m*r(y)| crosses the observed score |e0*y + e1|, with r(y) the
+slice radius.  Squaring m*r(y) = +-(e0*y + e1) - a - b*y gives two
+quadratics per draw, so at most four crossings; with the zeros of the two
+right-hand sides (where rounding can hide a root) they are the draw's
+candidates.  Each draw's score comparison is evaluated once inside every
+gap between its sorted candidates, which drops the spurious roots that
+squaring adds, and the flips of all draws, sorted and summed, give the
+exact draw count on every open segment between crossings.  That sweep runs
+once per step and serves every epsilon and tau; the region is the union of
+the segments whose count clears the level, each finite endpoint closed when
+the p-value there does.  Exact steps (d <= 1) compare atoms within a
+relative tie tolerance, which has no exact crossing points, so they keep a
+201-point grid over the observed response range, refine the two boundary
+crossings by bisection and report the hull; the grid p-values are computed
+once per (step, tau).
 """
 
 from __future__ import annotations
@@ -46,18 +56,15 @@ from functools import cached_property
 
 import numpy as np
 
-from ..linalg import RANK_RTOL, NumericalError, spd_solve
+from ..linalg import RANK_RTOL
 from ..randomness import RandomStream, sample_sphere_in_affine_slice
 from ..regions import Interval, PredictionRegion
 from ..residuals import FeatureSchedule, RidgeResidualMap
 from ..stream import Observation
-from ..studentt import t_upper_point
 from .base import OnlinePredictor, check_epsilon, check_tau
 
 GRID_POINTS = 201
-# Grid extent: classical center +- this many classical half-widths.
-GRID_HALFWIDTHS = 8.0
-# Fallback extent: observed response range +- this many ranges.
+# Grid extent: observed response range +- this many ranges.
 GRID_SPREADS = 3.0
 # Bisection stops when the bracket is this fraction of the grid unit.
 REFINE_RTOL = 1e-3
@@ -81,52 +88,96 @@ class IidGaussStepContext:
     slot_base: np.ndarray | None = None
     slot_slope: np.ndarray | None = None
     slot_mix: np.ndarray | None = None
-    # grid anchor inputs as of begin_step: new design row (1, x_new), Z'Z and
-    # Z'y of the past, sum y^2 and the (min, max) past response
-    zn: np.ndarray | None = None
-    gram: np.ndarray | None = None
-    zty: np.ndarray | None = None
-    syy: float = 0.0
+    # (min, max) past response as of begin_step, the exact path's grid anchor
     y_range: tuple[float, float] = (0.0, 0.0)
-    # grid p-values of the step, one array per tau
+    # exact path: grid p-values of the step, one array per tau
     sweeps: dict[float, np.ndarray] = field(default_factory=dict)
-
-    @cached_property
-    def _anchor(self) -> tuple[tuple[float, float], float]:
-        return _grid_anchor(self)
-
-    @property
-    def grid(self) -> tuple[float, float]:
-        """Candidate grid extent (computed on first use)."""
-        return self._anchor[0]
 
     @property
     def grid_unit(self) -> float:
         """Length scale of the grid, the unit of the bisection tolerance."""
-        return self._anchor[1]
+        lo, hi = self.y_range
+        return max(hi - lo, 1.0)
+
+    @property
+    def grid(self) -> tuple[float, float]:
+        """Candidate grid extent of the exact path."""
+        lo, hi = self.y_range
+        return lo - GRID_SPREADS * self.grid_unit, hi + GRID_SPREADS * self.grid_unit
+
+    def radius(self, ys: np.ndarray) -> np.ndarray:
+        """Slice radius at each candidate y."""
+        c2, c1, c0 = self.rad2
+        return np.sqrt(np.maximum(c2 * ys * ys + c1 * ys + c0, 0.0))
+
+    def draw_scores(self, ys: np.ndarray) -> np.ndarray:
+        """Monte-Carlo scores: row i is draw i at ``ys`` (shape (P,) or (mc, P))."""
+        return np.abs(
+            self.slot_base[:, None]
+            + self.slot_slope[:, None] * ys
+            + self.slot_mix[:, None] * self.radius(ys)
+        )
+
+    @cached_property
+    def crossings(self) -> tuple[np.ndarray, np.ndarray]:
+        """Monte-Carlo step: sorted crossing points and the segment counts.
+
+        Returns ``(events, counts)``: ``counts[j]`` is the number of draws
+        whose score is at least the observed score on the open segment
+        between ``events[j - 1]`` and ``events[j]`` (rays at both ends).
+        """
+        a, b, m = self.slot_base, self.slot_slope, self.slot_mix
+        e0, e1 = self.ea
+        c2, c1, c0 = self.rad2
+        m2 = m * m
+        # Draw i meets the observed score where m*r(y) = p*y + q, with
+        # (p, q) = s*(e0, e1) - (b, a) for s = +-1.  Squaring gives a quadratic
+        # whose two roots merge, and may be lost to rounding, when m*r(y) and
+        # p*y + q vanish together; that happens only near the zero -q/p of the
+        # right-hand side (m*r is small there, or r = 0 where the squared
+        # radius dips below zero by rounding), so that zero is a candidate too
+        # and confines such a loss to a rounding-wide interval.
+        candidates = []
+        for sign in (1.0, -1.0):
+            p, q = sign * e0 - b, sign * e1 - a
+            candidates += _quadratic_roots(m2 * c2 - p * p, m2 * c1 - 2.0 * p * q, m2 * c0 - q * q)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                candidates.append(-q / p)
+        cand = np.column_stack(candidates)
+        # Missing (NaN) or infinite candidates become one point right of every
+        # root, so all rows have as many gaps; the extra ones lie on the right ray.
+        found = np.isfinite(cand)
+        top = cand[found].max(initial=0.0)
+        cand[~found] = 2.0 * top + 1.0
+        cand.sort(axis=1)
+        # one probe inside each gap of each row, rays included
+        probes = np.empty((cand.shape[0], cand.shape[1] + 1))
+        probes[:, 0] = cand[:, 0] - (1.0 + np.abs(cand[:, 0]))
+        probes[:, 1:-1] = 0.5 * (cand[:, :-1] + cand[:, 1:])
+        probes[:, -1] = cand[:, -1] + (1.0 + np.abs(cand[:, -1]))
+        above = self.draw_scores(probes) >= np.abs(e0 * probes + e1)
+        flips = np.diff(above.astype(np.int8), axis=1)
+        moved = flips != 0
+        points, steps = cand[moved], flips[moved]
+        order = np.argsort(points)
+        base = np.count_nonzero(above[:, 0])
+        points, counts = points[order], base + np.cumsum(steps[order])
+        # of coinciding flips, the last carries the count of the segment after them
+        last = np.ones(points.size, dtype=bool)
+        last[:-1] = points[1:] != points[:-1]
+        return points[last], np.concatenate(([base], counts[last]))
 
 
-def _grid_anchor(ctx: IidGaussStepContext) -> tuple[tuple[float, float], float]:
-    """Candidate grid extent: classical interval if estimable, else y-range."""
-    n, k = ctx.n, ctx.k
-    if n >= k + 3:
-        try:
-            solved = spd_solve(ctx.gram, np.column_stack((ctx.zty, ctx.zn)))
-            beta, w = solved[:, 0], solved[:, 1]
-            lev = max(float(ctx.zn @ w), 0.0)
-            rss = max(ctx.syy - float(ctx.zty @ beta), 0.0)
-            scale = np.sqrt(rss / (n - k - 2) * (1.0 + lev))
-            if scale > 0.0:
-                center = float(ctx.zn @ beta)
-                # half-width at the widest default level; the same grid
-                # serves every epsilon of the step
-                half = t_upper_point(0.025, n - k - 2) * scale
-                return (center - GRID_HALFWIDTHS * half, center + GRID_HALFWIDTHS * half), half
-        except NumericalError:
-            pass
-    lo, hi = ctx.y_range
-    spread = max(hi - lo, 1.0)
-    return (lo - GRID_SPREADS * spread, hi + GRID_SPREADS * spread), spread
+def _quadratic_roots(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real roots of a*y^2 + b*y + c, NaN where there is none.
+
+    Uses the cancellation-free pair q/a, c/q with q = -(b + sign(b) sqrt(D))/2,
+    which also yields the single root of a linear (a = 0) equation.
+    """
+    disc = b * b - 4.0 * a * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
+        return q / a, c / q
 
 
 def null_slot_coordinates(rng: RandomStream, leverage: np.ndarray, d: int) -> np.ndarray:
@@ -160,8 +211,7 @@ class IidGaussPredictor(OnlinePredictor):
         self._rng = rng if rng is not None else RandomStream(0, substream=1)
         self._x: list[np.ndarray] = []
         self._y: list[float] = []
-        # running Z'Z and Z'y over design rows z = (1, x); Z'y is (sum y, sum y*x)
-        self._gram: np.ndarray | None = None
+        # running Z'y over design rows z = (1, x), i.e. (sum y, sum y*x)
         self._zty: np.ndarray | None = None
         self._syy = 0.0
         self._y_range = (0.0, 0.0)
@@ -194,7 +244,6 @@ class IidGaussPredictor(OnlinePredictor):
         k = x_new.size
         xs = np.vstack(self._x + [x_new]) if self._x else x_new[None, :]
         design = np.column_stack((np.ones(n), xs))  # full constraint design Z
-        gram = self._gram if self._gram is not None else np.zeros((k + 1, k + 1))
         t0 = self._zty if self._zty is not None else np.zeros(k + 1)
         zn = np.concatenate(([1.0], x_new))
 
@@ -222,10 +271,6 @@ class IidGaussPredictor(OnlinePredictor):
             ea=ea,
             exact=d <= 1,
             rad2=rad2,
-            zn=zn,
-            gram=gram.copy(),
-            zty=t0.copy(),
-            syy=self._syy,
             y_range=self._y_range,
         )
 
@@ -249,24 +294,18 @@ class IidGaussPredictor(OnlinePredictor):
         """Conditional p-value (exact or Monte-Carlo) at each candidate y."""
         ys = np.asarray(ys, dtype=float)
         obs = np.abs(ctx.ea[0] * ys + ctx.ea[1])
-        c2, c1, c0 = ctx.rad2
-        radius = np.sqrt(np.maximum(c2 * ys * ys + c1 * ys + c0, 0.0))
         if ctx.exact:
             base = ctx.ev_base[:, None] + ctx.ev_slope[:, None] * ys[None, :]
             if ctx.null_dir is None:
                 atoms = np.abs(base)
             else:
-                shift = ctx.null_dir[:, None] * radius[None, :]
+                shift = ctx.null_dir[:, None] * ctx.radius(ys)[None, :]
                 atoms = np.concatenate((np.abs(base + shift), np.abs(base - shift)))
             tol = TIE_RTOL * np.maximum(1.0, obs)
             greater = np.sum(atoms > obs[None, :] + tol[None, :], axis=0)
             ties = np.sum(np.abs(atoms - obs[None, :]) <= tol[None, :], axis=0)
             return (greater + tau * ties) / atoms.shape[0]
-        vals = np.abs(
-            ctx.slot_base[:, None]
-            + ctx.slot_slope[:, None] * ys[None, :]
-            + ctx.slot_mix[:, None] * radius[None, :]
-        )
+        vals = ctx.draw_scores(ys)
         greater = np.sum(vals > obs[None, :], axis=0)
         ties = np.sum(vals == obs[None, :], axis=0)
         return (greater + tau * ties) / self.mc_samples
@@ -283,6 +322,10 @@ class IidGaussPredictor(OnlinePredictor):
         # min(ceil(1/eps), k + 3).  The p-value trace is unaffected.
         if ctx.n < min(np.ceil(1.0 / eps), ctx.k + 3):
             return PredictionRegion.real_line()
+        if not ctx.exact:
+            return self._crossing_region(ctx, eps, tau)
+        # Exact steps count atoms within a TIE_RTOL band, which has no exact
+        # crossing points: search a grid and bisect the two boundaries.
         grid = np.linspace(ctx.grid[0], ctx.grid[1], GRID_POINTS)
         sweep = ctx.sweeps.get(tau)
         if sweep is None:
@@ -306,6 +349,23 @@ class IidGaussPredictor(OnlinePredictor):
         if lo == hi:
             return PredictionRegion([Interval(lo, hi, True, True)])
         return PredictionRegion([Interval(lo, hi, not np.isinf(lo), not np.isinf(hi))])
+
+    def _crossing_region(
+        self, ctx: IidGaussStepContext, eps: float, tau: float
+    ) -> PredictionRegion:
+        """{y : p(y) > eps} of a Monte-Carlo step, one piece per kept run."""
+        events, counts = ctx.crossings
+        keep = counts / self.mc_samples > eps
+        # segment j spans (bounds[j], bounds[j + 1])
+        padded = np.concatenate(([False], keep, [False]))
+        edges = np.flatnonzero(padded[1:] != padded[:-1])
+        bounds = np.concatenate(([-np.inf], events, [np.inf]))
+        lo, hi = bounds[edges[0::2]], bounds[edges[1::2]]
+        ends = np.concatenate((lo, hi))
+        closed = np.isfinite(ends)
+        closed[closed] = self._pvalues(ctx, ends[closed], tau) > eps
+        lo_closed, hi_closed = closed.reshape(2, -1).tolist()
+        return PredictionRegion(map(Interval, lo.tolist(), hi.tolist(), lo_closed, hi_closed))
 
     def _refine(
         self,
@@ -331,13 +391,10 @@ class IidGaussPredictor(OnlinePredictor):
     def observe(self, obs: Observation) -> None:
         if self._x and obs.x.size != self._x[0].size:
             raise ValueError(f"observation has {obs.x.size} features, expected {self._x[0].size}")
-        if self._gram is None:
-            self._gram = np.zeros((obs.x.size + 1, obs.x.size + 1))
+        if self._zty is None:
             self._zty = np.zeros(obs.x.size + 1)
             self._y_range = (obs.y, obs.y)
-        z = np.concatenate(([1.0], obs.x))
-        self._gram += np.outer(z, z)
-        self._zty += obs.y * z
+        self._zty += obs.y * np.concatenate(([1.0], obs.x))
         self._syy += obs.y * obs.y
         self._y_range = (min(self._y_range[0], obs.y), max(self._y_range[1], obs.y))
         self._x.append(obs.x)

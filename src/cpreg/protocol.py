@@ -131,7 +131,7 @@ def run_online(config: RunConfig, stream) -> tuple[OnlineLedger, PValueTrace]:
             pvalue = predictor.pvalue(ctx, obs.y, tau)
             predictor.observe(obs)
         except (ValueError, ArithmeticError) as exc:
-            raise type(exc)(f"step {n}: {exc}") from exc
+            raise type(exc)(f"{config.predictor} step {n}: {exc}") from exc
         ledger.record_step(errors, raw_errors, widths)
         trace.append(pvalue, tau)
     return ledger, trace
@@ -155,7 +155,7 @@ def run_trace(config: RunConfig, stream) -> PValueTrace:
             pvalue = predictor.pvalue(ctx, obs.y, tau)
             predictor.observe(obs)
         except (ValueError, ArithmeticError) as exc:
-            raise type(exc)(f"step {n}: {exc}") from exc
+            raise type(exc)(f"{config.predictor} step {n}: {exc}") from exc
         trace.append(pvalue, tau)
     return trace
 

@@ -2,7 +2,7 @@
 
 None of these is on a library code path: they are the slow, direct
 constructions (explicit solves, stacked arrays, one region piece per
-probe) that the optimized code must reproduce.
+probe, grid search plus bisection) that the optimized code must reproduce.
 """
 
 from __future__ import annotations
@@ -12,7 +12,9 @@ from numpy.typing import NDArray
 
 from cpreg import Observation, PredictionRegion
 from cpreg.linalg import RANK_RTOL, NumericalError, _as_matrix, _as_vector, spd_solve
+from cpreg.predictors.iid_gauss import GRID_POINTS, REFINE_RTOL
 from cpreg.regions import Interval, point
+from cpreg.studentt import t_upper_point
 
 Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
@@ -119,3 +121,43 @@ def iid_per_probe_region(ctx, eps: float, tau: float) -> PredictionRegion:
     if keep[-1]:
         pieces.append(Interval(crit[-1], np.inf, False, False))
     return PredictionRegion(pieces)
+
+
+def iidgauss_grid_region(pred, ctx, eps: float, tau: float) -> tuple[PredictionRegion, float]:
+    """Hull of a Monte-Carlo iid-gauss region by grid search and bisection.
+
+    The 201-point grid spans the classical interval's center +- 8 of its
+    half-widths at level 0.05, and each boundary crossing between the
+    outermost kept grid point and its outer neighbour is bisected to
+    ``REFINE_RTOL`` half-widths.  A kept grid end becomes a +-inf endpoint.
+    The classical interval comes from the squared slice radius
+    c2*y^2 + c1*y + c0, which is the residual sum of squares of the fit
+    including the candidate: its minimum -c1/(2*c2) is the classical center,
+    its minimum value the past residual sum of squares, and 1/c2 is one
+    plus the new row's leverage.  Returns the region and the half-width.
+    """
+    c2, c1, c0 = ctx.rad2
+    center = -c1 / (2.0 * c2)
+    rss = max(c0 - c1 * c1 / (4.0 * c2), 0.0)
+    half = t_upper_point(0.025, ctx.n - ctx.k - 2) * np.sqrt(rss / (ctx.n - ctx.k - 2) / c2)
+    grid = np.linspace(center - 8.0 * half, center + 8.0 * half, GRID_POINTS)
+    keep = pred._pvalues(ctx, grid, tau) > eps
+    if not keep.any():
+        return PredictionRegion.empty(), half
+    if keep.all():
+        return PredictionRegion.real_line(), half
+
+    def refine(outside: float, inside: float) -> float:
+        while abs(inside - outside) > REFINE_RTOL * half:
+            mid = 0.5 * (inside + outside)
+            if pred.pvalue(ctx, mid, tau) > eps:
+                inside = mid
+            else:
+                outside = mid
+        return inside
+
+    first = int(np.argmax(keep))
+    last = GRID_POINTS - 1 - int(np.argmax(keep[::-1]))
+    lo = -np.inf if first == 0 else refine(grid[first - 1], grid[first])
+    hi = np.inf if last == GRID_POINTS - 1 else refine(grid[last + 1], grid[last])
+    return PredictionRegion([Interval(lo, hi, bool(np.isfinite(lo)), bool(np.isfinite(hi)))]), half

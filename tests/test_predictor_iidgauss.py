@@ -9,10 +9,17 @@ from cpreg import (
     IidPredictor,
     Observation,
     PredictionRegion,
+    RunConfig,
+    SyntheticSpec,
+    generate,
     iidgauss_sample_conditional,
+    make_predictor,
 )
-from cpreg.predictors.iid_gauss import null_slot_coordinates
+from cpreg.predictors.iid_gauss import REFINE_RTOL, null_slot_coordinates
 from cpreg.randomness import RandomStream
+from cpreg.regions import check_nested
+
+from oracles import iidgauss_grid_region
 
 
 def feed(predictor, xs, ys):
@@ -230,19 +237,25 @@ def _stream(size, k, seed):
     return xs, ys
 
 
-@pytest.mark.parametrize("past", [3, 12])  # y-range fallback, classical anchor
+@pytest.mark.parametrize("past", [3, 12])  # exact step (grid), Monte-Carlo step (crossings)
 def test_grid_is_fixed_at_begin_step(past):
     xs, ys = _stream(past + 1, 2, 8)
     ys[-1] = 50.0  # widens the y-range and shifts the fit once observed
+    levels = (0.3, 0.25)
     before, after = fresh(), fresh()
     feed(before, xs[:past], ys[:past])
     feed(after, xs[:past], ys[:past])
     ctx_before = before.begin_step(xs[past])
     grid, unit = ctx_before.grid, ctx_before.grid_unit
+    regions = [before.raw_region(ctx_before, eps, 1.0) for eps in levels]
     ctx_after = after.begin_step(xs[past])
     after.observe(Observation(xs[past], ys[past]))
+    assert ctx_after.exact == (past == 3)
     assert ctx_after.grid == grid
     assert ctx_after.grid_unit == unit
+    assert [after.raw_region(ctx_after, eps, 1.0) for eps in levels] == regions
+    if past == 12:
+        assert all(r.is_bounded and not r.is_empty for r in regions)
 
 
 @pytest.mark.parametrize("past", [3, 14])  # exact and Monte-Carlo steps
@@ -273,13 +286,138 @@ def test_running_moments_equal_the_from_scratch_sums():
     xs, ys = _stream(50, 3, 10)
     pred = fresh(mc_samples=10)
     for step, (x, y) in enumerate(zip(xs, ys)):
-        ctx = pred.begin_step(x)
-        gram = np.zeros((4, 4))
-        zty = np.zeros(4)
-        for xp, yp in zip(xs[:step], ys[:step]):
-            z = np.concatenate(([1.0], xp))
-            gram += np.outer(z, z)
-            zty += yp * z
-        assert np.array_equal(ctx.gram, gram), step
-        assert np.array_equal(ctx.zty, zty), step
+        pred.begin_step(x)
         pred.observe(Observation(x, y))
+        zty = np.zeros(4)
+        syy = 0.0
+        for xp, yp in zip(xs[: step + 1], ys[: step + 1]):
+            zty += yp * np.concatenate(([1.0], xp))
+            syy += yp * yp
+        sy, sxy, s2 = pred.response_sums
+        assert sy == zty[0] and np.array_equal(sxy, zty[1:]) and s2 == syy, step
+
+
+def _monte_carlo_steps(k, size, seed, mc_samples=300):
+    """(predictor, context) at every Monte-Carlo step of a synthetic stream."""
+    pred = fresh(seed, mc_samples=mc_samples)
+    for obs in generate(SyntheticSpec(k=k, n=size, seed=seed)):
+        ctx = pred.begin_step(obs.x)
+        if not ctx.exact:
+            yield pred, ctx
+        pred.observe(obs)
+
+
+def _inside(region, ys):
+    """Membership of points that are not region endpoints."""
+    lo = np.array([p.lo for p in region.pieces])
+    hi = np.array([p.hi for p in region.pieces])
+    return np.any((ys[:, None] > lo) & (ys[:, None] < hi), axis=1)
+
+
+def _away_from_ends(region, ys):
+    """Mask of the points farther than 1e-9 relative from every finite endpoint."""
+    ends = np.array([e for p in region.pieces for e in (p.lo, p.hi) if np.isfinite(e)])
+    if not ends.size:
+        return np.ones(ys.size, dtype=bool)
+    gap = np.abs(ys[:, None] - ends[None, :])
+    return ~np.any(gap <= 1e-9 * np.maximum(1.0, np.abs(ends)), axis=1)
+
+
+def _segment_points(events):
+    """One point inside every open segment between events, rays included."""
+    spread = max(np.ptp(events), 1.0)
+    return np.concatenate(
+        ([events[0] - spread], 0.5 * (events[:-1] + events[1:]), [events[-1] + spread])
+    )
+
+
+MC_STREAMS = pytest.mark.parametrize("k, size", [(3, 40), (20, 50)], ids=["k3", "k20"])
+LEVELS = (0.3, 0.05, 0.01)
+
+
+@MC_STREAMS
+def test_monte_carlo_region_is_the_exact_pvalue_super_level_set(k, size):
+    rng = np.random.default_rng(k)
+    steps = 0
+    for pred, ctx in _monte_carlo_steps(k, size, seed=4):
+        steps += 1
+        events, counts = ctx.crossings
+        assert events.size and np.all(np.diff(events) > 0)
+        mids = _segment_points(events)
+        assert np.array_equal(counts / pred.mc_samples, pred._pvalues(ctx, mids, 1.0))
+        probes = rng.uniform(mids[0], mids[-1], 200)
+        for tau in (0.0, 0.37, 1.0):
+            pmid = pred._pvalues(ctx, mids, tau)
+            pprobe = np.array([pred.pvalue(ctx, y, tau) for y in probes])
+            regions = {}
+            for eps in LEVELS:
+                raw = regions[eps] = pred.raw_region(ctx, eps, tau)
+                far = _away_from_ends(raw, mids)
+                assert np.array_equal(_inside(raw, mids[far]), pmid[far] > eps), (ctx.n, eps, tau)
+                far = _away_from_ends(raw, probes)
+                for y, p in zip(probes[far], pprobe[far]):
+                    assert raw.contains(y) == (p > eps), (ctx.n, eps, tau, y)
+                for piece in raw.pieces:  # closed exactly where the p-value clears the level
+                    for end, closed in ((piece.lo, piece.lo_closed), (piece.hi, piece.hi_closed)):
+                        if np.isfinite(end):
+                            assert closed == (pred.pvalue(ctx, end, tau) > eps)
+            assert check_nested(regions)
+    assert steps >= size - k - 3
+
+
+def test_noise_free_stream_counts_are_exact_outside_a_rounding_band():
+    # y = 1 + x exactly: the past residual sum of squares is zero up to
+    # rounding, so the slice radius vanishes at the fitted value, where draws
+    # of the last slot tie with the observed score and the squared crossing
+    # equations lose roots to rounding.  The counts must stay exact outside
+    # a rounding-wide band around the fitted value.
+    xs = np.random.default_rng(1).normal(size=(30, 1))
+    pred = fresh(2, mc_samples=300)
+    for x in xs:
+        ctx = pred.begin_step(x)
+        if not ctx.exact:
+            events, counts = ctx.crossings
+            mids = _segment_points(events)
+            c2, c1, _ = ctx.rad2
+            fit = -c1 / (2.0 * c2)
+            far = np.abs(mids - fit) > 1e-6 * max(1.0, abs(fit))
+            got = counts[far] / pred.mc_samples
+            assert np.array_equal(got, pred._pvalues(ctx, mids[far], 1.0)), ctx.n
+        pred.observe(Observation(x, 1.0 + x[0]))
+
+
+@MC_STREAMS
+def test_monte_carlo_hull_matches_the_grid_oracle(k, size):
+    compared = 0
+    for pred, ctx in _monte_carlo_steps(k, size, seed=5):
+        for tau in (0.0, 0.37, 1.0):
+            for eps in LEVELS:
+                oracle, half = iidgauss_grid_region(pred, ctx, eps, tau)
+                if oracle.is_empty or not oracle.is_bounded:
+                    continue  # the kept grid is empty or touches a grid edge
+                hull = pred.region(ctx, eps, tau)
+                tol = REFINE_RTOL * half
+                # the oracle's ends are kept points, so the exact hull covers them
+                assert hull.inf <= oracle.inf and oracle.inf - hull.inf <= tol, (ctx.n, eps, tau)
+                assert hull.sup >= oracle.sup and hull.sup - oracle.sup <= tol, (ctx.n, eps, tau)
+                compared += 1
+    assert compared >= 3 * (size - k - 3)
+
+
+def test_monte_carlo_region_is_not_clipped_at_a_grid_edge():
+    # step 26 of this run: the grid search kept a grid end and reported an
+    # infinite endpoint; the exact region is bounded, about 51.5 wide
+    stream = generate(SyntheticSpec(k=20, n=120, seed=3))
+    pred = make_predictor(RunConfig(predictor="iid-gauss", smoothed=False, seed=3))
+    for obs in stream[:25]:
+        pred.begin_step(obs.x)
+        pred.observe(obs)
+    ctx = pred.begin_step(stream[25].x)
+    assert not ctx.exact
+    assert not iidgauss_grid_region(pred, ctx, 0.01, 1.0)[0].is_bounded
+    region = pred.raw_region(ctx, 0.01, 1.0)
+    assert region.is_bounded and not region.is_empty
+    assert region.length == pytest.approx(51.5, rel=1e-2)
+    beyond = region.length * np.geomspace(1e-9, 1e6, 200)
+    for y in np.concatenate((region.inf - beyond, region.sup + beyond)):
+        assert pred.pvalue(ctx, y, 1.0) <= 0.01, y

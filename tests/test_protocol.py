@@ -108,6 +108,13 @@ def test_failures_carry_their_position():
         run_online(RunConfig(predictor="gauss", epsilons=(0.5,)), collinear)
 
 
+@pytest.mark.parametrize("run", [run_online, run_trace])
+def test_failures_name_the_predictor(run):
+    collinear = [Observation(np.array([1.0]), float(y)) for y in (0.1, 1.2, -0.4, 0.8)]
+    with pytest.raises(ArithmeticError, match=r"^gauss step 4: "):
+        run(RunConfig(predictor="gauss", epsilons=(0.5,)), collinear)
+
+
 def test_uniformity_battery():
     rng = np.random.default_rng(0)
     grid = (np.arange(1, 501) - 0.5) / 500.0
