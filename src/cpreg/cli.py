@@ -30,6 +30,7 @@ from .protocol import (
     RunConfig,
     binomial_band,
     independence_test,
+    make_predictor,
     run_online,
     run_trace,
     uniformity_test,
@@ -168,8 +169,7 @@ def cmd_validate(args) -> int:
             predictor=args.predictor, epsilons=(args.eps,), smoothed=True, seed=seed
         )
         trace = run_trace(config, stream)
-        k = stream[0].x.size
-        eligible_from = {"gauss": k + 3, "mva": 3}.get(args.predictor, 1)
+        eligible_from = make_predictor(config).first_informative_step(stream[0].x.size)
         uni = uniformity_test(trace)
         errs = trace.errors(args.eps)[eligible_from - 1 :]
         indep = independence_test(errs) if errs.size >= 200 else None

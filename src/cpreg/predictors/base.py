@@ -50,6 +50,14 @@ class OnlinePredictor(ABC):
     def observe(self, obs: Observation) -> None:
         """Absorb one observation into the state."""
 
+    def first_informative_step(self, k: int) -> int:
+        """First step at which the predictor is informative, given ``k`` features.
+
+        Earlier steps predict the whole real line and their p-value is the
+        bare smoothing draw, so error-frequency checks start here.
+        """
+        return 1
+
     def region(self, ctx: Any, eps: float, tau: float, hull: bool = True) -> PredictionRegion:
         """Region as reported in the ledger (convex hull by default)."""
         raw = self.raw_region(ctx, eps, tau)

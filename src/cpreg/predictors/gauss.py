@@ -63,7 +63,7 @@ class GaussPredictor(OnlinePredictor):
             raise ValueError(f"x_new has {x_new.size} features, expected {self._dim}")
         k = x_new.size
         n = self._m + 1
-        if n < k + 3:
+        if n < self.first_informative_step(k):
             return GaussStepContext(n=n, informative=False)
         z = np.concatenate(([1.0], x_new))
         solved = spd_solve(self._gram, np.column_stack((self._zty, z)))
@@ -79,6 +79,9 @@ class GaussPredictor(OnlinePredictor):
         return GaussStepContext(
             n=n, informative=True, center=float(z @ beta), scale=float(scale), df=df
         )
+
+    def first_informative_step(self, k: int) -> int:
+        return k + 3
 
     def raw_region(self, ctx: GaussStepContext, eps: float, tau: float) -> PredictionRegion:
         check_epsilon(eps)

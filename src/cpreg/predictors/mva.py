@@ -129,7 +129,7 @@ class MvaPredictor(OnlinePredictor):
         if self._dim is not None and x_new.size != self._dim:
             raise ValueError(f"x_new has {x_new.size} features, expected {self._dim}")
         n = self._m + 1
-        if n < 3:
+        if n < self.first_informative_step(x_new.size):
             return MvaStepContext(n=n, informative=False)
         kd = self.schedule.features_used(n, x_new.size)
         a = self.schedule.ridge
@@ -165,6 +165,9 @@ class MvaPredictor(OnlinePredictor):
             ss_all[2] - last[1] ** 2 - self._m * mean[1] ** 2,
         )
         return MvaStepContext(n=n, informative=True, last=last, mean=mean, spread=spread)
+
+    def first_informative_step(self, k: int) -> int:
+        return 3
 
     def raw_region(self, ctx: MvaStepContext, eps: float, tau: float) -> PredictionRegion:
         check_epsilon(eps)

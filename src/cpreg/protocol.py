@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from .ledger import OnlineLedger
 from .linalg import NumericalError
@@ -176,6 +175,8 @@ def uniformity_test(trace: PValueTrace, level: float = 0.01) -> UniformityReport
         )
     if len(trace) < 100:
         raise ValueError(f"need at least 100 steps for the uniformity test, got {len(trace)}")
+    from scipy import stats  # deferred: only the batteries need scipy.stats
+
     result = stats.kstest(trace.pvalue_array(), "uniform")
     return UniformityReport(
         statistic=float(result.statistic),
@@ -232,6 +233,8 @@ class FrequencyReport:
 
 def binomial_band(trials: int, eps: float, level: float = 0.01) -> tuple[int, int]:
     """Central (1 - level) band of error counts under Binomial(trials, eps)."""
+    from scipy import stats  # deferred: only the batteries need scipy.stats
+
     lower = int(stats.binom.ppf(level / 2.0, trials, eps))
     upper = int(stats.binom.ppf(1.0 - level / 2.0, trials, eps))
     return lower, upper

@@ -19,6 +19,8 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.linalg import cho_factor, cho_solve
 
+from .linalg import NumericalError
+
 DEFAULT_RIDGE = 0.01
 DEFAULT_LEADING_BLOCK = 10
 
@@ -85,6 +87,8 @@ class RidgeResidualMap:
         used = schedule.features_used(step, k_total)
         self.design = np.hstack([np.ones((n, 1)), features[:, :used]])
         gram = self.design.T @ self.design
+        if not np.isfinite(gram).all():
+            raise NumericalError("ridge Gram matrix U'U has non-finite entries (features too large)")
         gram[np.diag_indices_from(gram)] += schedule.ridge
         self._factor = cho_factor(gram, lower=True, check_finite=False)
         self.n = n

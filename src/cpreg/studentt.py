@@ -1,59 +1,22 @@
 """Student-t distribution function and its upper quantile.
 
-Self-contained implementation: the CDF goes through the regularized
-incomplete beta function evaluated with a Lentz continued fraction, and
-the quantile inverts it with a bracketed Newton/bisection hybrid.  Both
-are checked in the test suite against an independent quadrature oracle.
+Thin wrappers over the compiled ufuncs of ``scipy.special`` (``stdtr``,
+``stdtrit``, ``betainc``) that add the input checks and special cases of
+this package and always return a Python ``float``.  ``scipy.stats`` is not
+involved, so the predictors' hot path loads none of it.  The test suite
+checks every function against an independent quadrature oracle.
 """
 
 from __future__ import annotations
 
 import math
 
-# Continued-fraction convergence targets.
-_CF_EPS = 1e-15
-_CF_TINY = 1e-300
-_CF_MAX_ITER = 400
-
-# Absolute x-tolerance for the quantile search.
-_QUANTILE_XTOL = 1e-12
+from scipy import special
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz scheme)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _CF_TINY:
-        d = _CF_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _CF_TINY:
-            d = _CF_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _CF_TINY:
-            c = _CF_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
-    raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
+def _check_df(df: float) -> None:
+    if not df > 0.0:
+        raise ValueError(f"degrees of freedom must be positive, got {df}")
 
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
@@ -66,50 +29,36 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    # The continued fraction converges fastest on the side of the split point.
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
+    return float(special.betainc(a, b, x))
 
 
 def t_cdf(x: float, df: float) -> float:
     """P(T <= x) for a Student-t variable with ``df`` degrees of freedom."""
-    if not df > 0.0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    _check_df(df)
     if math.isnan(x):
         raise ValueError("x must not be NaN")
     if math.isinf(x):
         return 1.0 if x > 0 else 0.0
     if x == 0.0:
         return 0.5
-    tail = 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, df / (df + x * x))
-    return 1.0 - tail if x > 0.0 else tail
+    return float(special.stdtr(df, x))
 
 
 def t_sf(x: float, df: float) -> float:
     """Upper tail P(T > x); more accurate than ``1 - t_cdf(x)`` far out."""
-    if not df > 0.0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    _check_df(df)
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
     if math.isinf(x):
         return 0.0 if x > 0 else 1.0
     if x == 0.0:
         return 0.5
-    tail = 0.5 * regularized_incomplete_beta(0.5 * df, 0.5, df / (df + x * x))
-    return tail if x > 0.0 else 1.0 - tail
+    return float(special.stdtr(df, -x))
 
 
 def t_density(x: float, df: float) -> float:
     """Student-t density at ``x``."""
-    if not df > 0.0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    _check_df(df)
     ln = (
         math.lgamma(0.5 * (df + 1.0))
         - math.lgamma(0.5 * df)
@@ -120,45 +69,14 @@ def t_density(x: float, df: float) -> float:
 
 
 def t_upper_point(delta: float, df: float) -> float:
-    """The point t with P(T > t) = ``delta``, i.e. the upper ``delta`` quantile.
-
-    Solved by Newton iterations on the survival function, falling back to
-    bisection whenever a step leaves the current bracket.  Accurate to
-    about 1e-12 in the abscissa over delta in (0, 1).
-    """
-    if not df > 0.0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    """The point t with P(T > t) = ``delta``, i.e. the upper ``delta`` quantile."""
+    _check_df(df)
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie strictly between 0 and 1, got {delta}")
     if delta == 0.5:
         return 0.0
-    # Work with the upper half via symmetry: P(T > -t) = 1 - P(T > t).
+    # Invert the lower tail at the smaller probability, which keeps full
+    # relative precision for small delta: P(T > -t) = 1 - P(T > t).
     if delta > 0.5:
         return -t_upper_point(1.0 - delta, df)
-
-    lo, hi = 0.0, 1.0
-    while t_sf(hi, df) > delta:
-        lo = hi
-        hi *= 2.0
-        if hi > 1e300:
-            raise ArithmeticError(f"failed to bracket quantile for delta={delta}")
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        err = t_sf(x, df) - delta
-        if err > 0.0:
-            lo = x
-        else:
-            hi = x
-        dens = t_density(x, df)
-        step_ok = False
-        if dens > 0.0:
-            candidate = x + err / dens
-            if lo < candidate < hi:
-                x_next = candidate
-                step_ok = True
-        if not step_ok:
-            x_next = 0.5 * (lo + hi)
-        if abs(x_next - x) <= _QUANTILE_XTOL * max(1.0, abs(x)):
-            return x_next
-        x = x_next
-    return x
+    return float(-special.stdtrit(df, delta))

@@ -1,12 +1,35 @@
 """Command-line interface: exit codes and file outputs."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cpreg import Observation, read_ledger, read_plot_data, read_stream, write_stream
+import cpreg
+from cpreg import Observation, binomial_band, read_ledger, read_plot_data, read_stream, write_stream
+from cpreg import cli
 from cpreg.cli import main
+
+SEED_VERDICTS = [f"seed {s}: uniformity=ok independence=ok frequency=ok" for s in range(2)]
+SUMMARY = ["uniformity: 2/2 pass", "independence: 2/2 pass", "frequency: 2/2 pass", "overall: PASS"]
+
+# Exercises the CLI in a fresh interpreter, where sys.modules shows what
+# each subcommand really imported.
+IMPORT_BUDGET_SCRIPT = """
+import sys
+import cpreg
+from cpreg.cli import main
+print("import", "scipy.stats" in sys.modules)
+main(["generate", "--out", sys.argv[1], "--k", "3", "--n", "230", "--seed", "5"])
+main(["run", "--data", sys.argv[1], "--predictor", "gauss", "--out", sys.argv[2]])
+print("run", "scipy.stats" in sys.modules)
+code = main(["validate", "--data", sys.argv[1], "--predictor", "gauss", "--seeds", "2"])
+print("validate", "scipy.stats" in sys.modules, code)
+"""
 
 
 def test_generate_writes_the_requested_stream(tmp_path):
@@ -121,6 +144,43 @@ def test_validate_synthetic_passes(capsys):
     assert "independence: 2/2 pass" in lines
     assert "frequency: 2/2 pass" in lines
     assert lines[-1] == "overall: PASS"
+
+
+@pytest.mark.parametrize("kind, skipped", [("gauss", 5), ("mva", 2), ("iid", 0)])
+def test_validate_skips_steps_before_the_first_informative_one(tmp_path, capsys, monkeypatch, kind, skipped):
+    # K=3: gauss is informative from step K+3 = 6, mva from step 3, iid from step 1
+    data = tmp_path / "v.csv"
+    assert main(["generate", "--out", str(data), "--k", "3", "--n", "230", "--seed", "5"]) == 0
+    capsys.readouterr()
+    trials = []
+
+    def band(n, eps, level=0.01):
+        trials.append(n)
+        return binomial_band(n, eps, level)
+
+    monkeypatch.setattr(cli, "binomial_band", band)
+    assert main(["validate", "--data", str(data), "--predictor", kind, "--seeds", "2"]) == 0
+    assert trials == [230 - skipped] * 2
+    out = capsys.readouterr()
+    assert out.err.splitlines() == SEED_VERDICTS
+    assert out.out.splitlines() == SUMMARY
+
+
+def test_only_validate_loads_scipy_stats(tmp_path):
+    src = str(Path(cpreg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_BUDGET_SCRIPT, str(tmp_path / "d.csv"), str(tmp_path / "l.csv")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    out = done.stdout.splitlines()
+    assert out[:2] == ["import False", "run False"]
+    assert out[2:] == SUMMARY + ["validate True 0"]
+    assert [line for line in done.stderr.splitlines() if line.startswith("seed")] == SEED_VERDICTS
 
 
 def test_validate_failure_exits_4(tmp_path, capsys):

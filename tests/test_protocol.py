@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cpreg import (
+    NumericalError,
     Observation,
     OnlineLedger,
     PValueTrace,
@@ -113,6 +114,20 @@ def test_failures_name_the_predictor(run):
     collinear = [Observation(np.array([1.0]), float(y)) for y in (0.1, 1.2, -0.4, 0.8)]
     with pytest.raises(ArithmeticError, match=r"^gauss step 4: "):
         run(RunConfig(predictor="gauss", epsilons=(0.5,)), collinear)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("kind", ["iid", "iid-gauss"])
+def test_overflowing_ridge_gram_fails_at_step_1(kind):
+    def stream(scale):
+        return [Observation(np.array([(-1.0) ** i * scale * (i + 1)]), float(i)) for i in range(8)]
+
+    # a lone point gets p = tau while U'U is still finite ...
+    _, trace = run_online(RunConfig(predictor=kind, epsilons=(0.5,)), stream(1e150))
+    assert trace.pvalues[0] == trace.taus[0]
+    # ... and once U'U overflows the step fails instead of reporting p = 0
+    with pytest.raises(NumericalError, match=rf"^{kind} step 1: .*non-finite"):
+        run_online(RunConfig(predictor=kind, epsilons=(0.5,)), stream(1e200))
 
 
 def test_uniformity_battery():

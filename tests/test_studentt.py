@@ -98,6 +98,20 @@ def test_upper_point_against_quadrature_oracle():
             assert abs(t_upper_point(delta, df) - reference_upper_point(delta, df)) < 1e-8
 
 
+def test_upper_point_at_paper_sizes():
+    """The paper's n=600 streams reach df 200 (gauss) and 598 (mva)."""
+    for df in (200, 598):
+        for delta in (0.025, 0.005, 0.0025):
+            assert abs(t_upper_point(delta, df) - reference_upper_point(delta, df)) < 1e-8
+
+
+def test_results_are_python_floats():
+    """Ledger and trace formatting relies on plain floats, not numpy scalars."""
+    values = [t_upper_point(0.025, 7), t_upper_point(0.9, 7), t_sf(1.3, 7), t_cdf(-1.3, 7)]
+    values += [regularized_incomplete_beta(2.0, 3.0, 0.4), t_density(0.5, 7)]
+    assert all(type(v) is float for v in values)
+
+
 def test_incomplete_beta_against_scipy():
     rng = np.random.default_rng(11)
     for _ in range(200):
