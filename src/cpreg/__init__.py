@@ -29,10 +29,7 @@ from .predictors import (
     OnlinePredictor,
     WilksPredictor,
     critical_points,
-    gauss_tstat,
     iid_pvalue,
-    iidgauss_sample_conditional,
-    mva_residual_affine,
     open_solution_set,
     wilks_region,
 )
@@ -48,11 +45,11 @@ from .protocol import (
     run_trace,
     uniformity_test,
 )
-from .randomness import RandomStream, sample_sphere_in_affine_slice, slice_geometry
+from .randomness import RandomStream
 from .regions import Interval, PredictionRegion, check_nested, point
 from .residuals import AffineResiduals, FeatureSchedule, RidgeResidualMap, ridge_residual_affine
 from .stream import Observation, check_stream
-from .studentt import regularized_incomplete_beta, t_cdf, t_density, t_sf, t_upper_point
+from .studentt import regularized_incomplete_beta, t_cdf, t_sf, t_upper_point
 
 __version__ = "0.1.0"
 
@@ -69,8 +66,6 @@ __all__ = [
     "RidgeResidualMap",
     "ridge_residual_affine",
     "RandomStream",
-    "slice_geometry",
-    "sample_sphere_in_affine_slice",
     "NumericalError",
     "OnlineLedger",
     "running_median",
@@ -79,12 +74,9 @@ __all__ = [
     "iid_pvalue",
     "critical_points",
     "GaussPredictor",
-    "gauss_tstat",
     "MvaPredictor",
-    "mva_residual_affine",
     "open_solution_set",
     "IidGaussPredictor",
-    "iidgauss_sample_conditional",
     "WilksPredictor",
     "wilks_region",
     "PREDICTOR_KINDS",
@@ -111,6 +103,5 @@ __all__ = [
     "regularized_incomplete_beta",
     "t_cdf",
     "t_sf",
-    "t_density",
     "t_upper_point",
 ]

@@ -1,0 +1,116 @@
+"""The design summary that every model predictor conditions on.
+
+``DesignState`` holds, for the rows (x_i, y_i) absorbed so far:
+
+* the feature dimension K, fixed by the first row it stores, and the count;
+* the history itself, in preallocated buffers that double when full, so
+  the rows are read as C-contiguous views with no per-step copy;
+* the mean and the centred co-moment matrix of z = (x, y), updated one row
+  at a time (Welford 1962; Chan, Golub & LeVeque 1983).  Regressions read
+  from centred moments do not suffer the cancellation that raw sums do
+  under large offsets;
+* a raw view, the moment matrix of (1, x, y) with the dummy column first,
+  derived from the centred one for the ridge predictors, whose penalised
+  dummy column makes them depend on the raw sums.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+from numpy.typing import NDArray
+
+from .linalg import NumericalError
+
+INITIAL_CAPACITY = 16
+
+
+class DesignState:
+    """History buffer plus running centred moments of an on-line design.
+
+    ``mean`` holds the means of z = (x, y), response last, and ``comoment``
+    the centred co-moment matrix sum_i (z_i - mean)(z_i - mean)'; both are
+    replaced, never modified in place, by ``append``.  The state is
+    allocated by the first stored or staged row.
+    """
+
+    def __init__(self):
+        self.dim: int | None = None
+        self.count = 0
+        self.mean: NDArray[np.float64] | None = None
+        self.comoment: NDArray[np.float64] | None = None
+        self._x: NDArray[np.float64] | None = None
+        self._y: NDArray[np.float64] | None = None
+
+    @property
+    def x(self) -> NDArray[np.float64]:
+        """(count, K) view of the stored feature rows."""
+        return self._x[: self.count]
+
+    @property
+    def y(self) -> NDArray[np.float64]:
+        """(count,) view of the stored responses."""
+        return self._y[: self.count]
+
+    def check_x(self, x) -> NDArray[np.float64]:
+        """``x`` as a float vector of the state's feature dimension."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise ValueError(f"x must be 1-D, got shape {x.shape}")
+        if self.dim is not None and x.size != self.dim:
+            raise ValueError(f"x has {x.size} features, expected {self.dim}")
+        return x
+
+    def _reserve(self, dim: int) -> None:
+        """Room for one row past ``count``: allocate, or double the buffers."""
+        if self._x is None:
+            self.dim = dim
+            self._x = np.empty((INITIAL_CAPACITY, dim))
+            self._y = np.empty(INITIAL_CAPACITY)
+            self.mean = np.zeros(dim + 1)
+            self.comoment = np.zeros((dim + 1, dim + 1))
+        elif self.count == self._y.size:
+            self._x = np.concatenate((self._x, np.empty_like(self._x)))
+            self._y = np.concatenate((self._y, np.empty_like(self._y)))
+
+    def with_row(self, x) -> NDArray[np.float64]:
+        """The stored rows followed by ``x``, as one (count + 1, K) view.
+
+        ``x`` goes into the first free row of the buffer, which the next
+        ``append`` overwrites; the view stays valid until then.
+        """
+        x = self.check_x(x)
+        self._reserve(x.size)
+        self._x[self.count] = x
+        return self._x[: self.count + 1]
+
+    def append(self, x, y: float) -> None:
+        """Store one row and fold it into the centred moments."""
+        x = self.check_x(x)
+        self._reserve(x.size)
+        n = self.count + 1
+        delta = np.concatenate((x, (y,))) - self.mean
+        mean = self.mean + delta / n
+        # C_n = C_{n-1} + (n-1)/n * delta delta'; scaling delta first keeps C symmetric.
+        scaled = delta * math.sqrt((n - 1) / n)
+        comoment = self.comoment + scaled[:, None] * scaled
+        # Both C and the raw view n*mean*mean' + C (plus the dummy) are positive
+        # semi-definite, so their traces bound every entry: one scalar checks all.
+        if not math.isfinite(n * float(mean @ mean) + float(comoment.trace())):
+            raise NumericalError("design moments have non-finite entries (data too large)")
+        self._x[self.count] = x
+        self._y[self.count] = y
+        self.mean, self.comoment = mean, comoment
+        self.count = n
+
+    def raw_moments(self) -> NDArray[np.float64]:
+        """Raw moment matrix sum_i w_i w_i' of w = (1, x, y), dummy first.
+
+        Its leading (K + 1) block is Z'Z for the design Z = (1, X), and its
+        last column is (Z'y, y'y).
+        """
+        w = np.concatenate(([1.0], self.mean))
+        raw = w[:, None] * (self.count * w)
+        raw[1:, 1:] += self.comoment
+        return raw

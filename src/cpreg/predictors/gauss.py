@@ -1,10 +1,16 @@
 """Predictor for the fixed-design Gaussian linear model.
 
-The summary kept on-line is (Z'Z, Z'y, y'y) for the design with a dummy
-intercept column, which is enough to reproduce the classical studentized
-prediction interval: with m = n - 1 past observations and K features,
+The predictor reads the count m, the means and the centred co-moments of
+(x, y) from its :class:`~cpreg.design.DesignState`.  They give the least
+squares fit with an intercept without forming Z'Z: with dx = x_new - mean_x,
 
-    T = (y - yhat) / (sigma_hat * sqrt(1 + leverage))
+    slope = C_xx^{-1} C_xy,   yhat = mean_y + dx' slope,
+    RSS = C_yy - C_xy' slope,  leverage = 1/m + dx' C_xx^{-1} dx,
+
+and none of them cancels under a large offset of x or y.  With n = m + 1
+and K features the classical studentized prediction residual
+
+    T = (y - yhat) / (sigma_hat * sqrt(1 + leverage)),  sigma_hat^2 = RSS / (n - K - 2),
 
 follows a t-distribution with n - K - 2 degrees of freedom, and the level-eps
 region is the open interval yhat +- t_{n-K-2}^{eps/2} * sigma_hat * sqrt(1+lev).
@@ -17,14 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
-from ..linalg import NumericalError, spd_solve
+from ..design import DesignState
+from ..linalg import RANK_RTOL, NumericalError
 from ..regions import Interval, PredictionRegion, point
 from ..stream import Observation
 from ..studentt import t_sf, t_upper_point
 from .base import OnlinePredictor, check_epsilon, check_tau
 
-# Residual sums below this (relative to y'y) are treated as an exact fit.
+# Residual sums below this (relative to the centred sum of squares of y)
+# are treated as an exact fit.
 EXACT_FIT_RTOL = 1e-12
 
 
@@ -37,47 +46,51 @@ class GaussStepContext:
     df: int = 0
 
 
+def _solve_centred(cxx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``cxx @ out = rhs`` by Cholesky, refusing a numerically singular ``cxx``."""
+    if cxx.size == 0:
+        return rhs
+    try:
+        factor = cho_factor(cxx, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"feature co-moments are not positive definite: {exc}") from exc
+    diag = np.abs(np.diag(factor[0]))
+    if diag.min() < RANK_RTOL * diag.max():
+        raise NumericalError("feature co-moments are numerically singular")
+    return cho_solve(factor, rhs, check_finite=False)
+
+
 class GaussPredictor(OnlinePredictor):
     """On-line predictor emitting classical Gaussian prediction intervals."""
 
     def __init__(self):
-        self._m = 0
-        self._dim: int | None = None
-        self._gram: np.ndarray | None = None  # Z'Z including the dummy column
-        self._zty: np.ndarray | None = None
-        self._sum_yy = 0.0
+        self.design = DesignState()
 
     @property
     def count(self) -> int:
-        return self._m
+        return self.design.count
 
     @property
     def dim(self) -> int | None:
-        return self._dim
+        return self.design.dim
 
     def begin_step(self, x_new) -> GaussStepContext:
-        x_new = np.asarray(x_new, dtype=float)
-        if x_new.ndim != 1:
-            raise ValueError(f"x_new must be 1-D, got shape {x_new.shape}")
-        if self._dim is not None and x_new.size != self._dim:
-            raise ValueError(f"x_new has {x_new.size} features, expected {self._dim}")
+        x_new = self.design.check_x(x_new)
         k = x_new.size
-        n = self._m + 1
+        n = self.design.count + 1
         if n < self.first_informative_step(k):
             return GaussStepContext(n=n, informative=False)
-        z = np.concatenate(([1.0], x_new))
-        solved = spd_solve(self._gram, np.column_stack((self._zty, z)))
-        beta, w = solved[:, 0], solved[:, 1]
-        lev = float(z @ w)
-        if lev < 0.0:
-            raise NumericalError(f"negative leverage {lev}: summary is ill conditioned")
-        rss = self._sum_yy - float(self._zty @ beta)
-        if rss <= EXACT_FIT_RTOL * max(1.0, self._sum_yy):
+        mean, com = self.design.mean, self.design.comoment
+        dx = x_new - mean[:k]
+        slope, w = _solve_centred(com[:k, :k], np.column_stack((com[:k, k], dx))).T
+        lev = 1.0 / (n - 1) + float(dx @ w)
+        rss = float(com[k, k] - com[:k, k] @ slope)
+        if rss <= EXACT_FIT_RTOL * com[k, k]:
             rss = 0.0
         df = n - k - 2
         scale = np.sqrt(rss / df * (1.0 + lev))
         return GaussStepContext(
-            n=n, informative=True, center=float(z @ beta), scale=float(scale), df=df
+            n=n, informative=True, center=float(mean[k] + dx @ slope), scale=float(scale), df=df
         )
 
     def first_informative_step(self, k: int) -> int:
@@ -105,31 +118,4 @@ class GaussPredictor(OnlinePredictor):
         return 2.0 * t_sf(abs(t), ctx.df)
 
     def observe(self, obs: Observation) -> None:
-        if self._dim is None:
-            self._dim = obs.x.size
-            self._gram = np.zeros((self._dim + 1, self._dim + 1))
-            self._zty = np.zeros(self._dim + 1)
-        elif obs.x.size != self._dim:
-            raise ValueError(f"observation has {obs.x.size} features, expected {self._dim}")
-        z = np.concatenate(([1.0], obs.x))
-        self._gram += np.outer(z, z)
-        self._zty += obs.y * z
-        self._sum_yy += obs.y * obs.y
-        self._m += 1
-
-
-def gauss_tstat(state: GaussPredictor, x_new, y_new: float) -> float:
-    """Studentized prediction residual of (x_new, y_new) against the state.
-
-    Requires n >= K + 3 counting the new pair and a positive residual scale;
-    the value is t-distributed with n - K - 2 degrees of freedom under the
-    Gaussian linear model.
-    """
-    ctx = state.begin_step(x_new)
-    if not ctx.informative:
-        raise ValueError(
-            f"need at least {np.asarray(x_new).size + 2} past observations, have {state.count}"
-        )
-    if ctx.scale == 0.0:
-        raise NumericalError("residual scale is zero (exact fit): statistic undefined")
-    return (float(y_new) - ctx.center) / ctx.scale
+        self.design.append(obs.x, obs.y)

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from ..design import DesignState
 from ..regions import Interval, PredictionRegion
-from ..residuals import AffineResiduals, FeatureSchedule, ridge_residual_affine
+from ..residuals import AffineResiduals, FeatureSchedule, RidgeResidualMap
 from ..stream import Observation
 from .base import OnlinePredictor, check_epsilon, check_tau
 
@@ -123,22 +124,17 @@ class IidPredictor(OnlinePredictor):
 
     def __init__(self, schedule: FeatureSchedule | None = None):
         self.schedule = schedule or FeatureSchedule()
-        self._x: list[np.ndarray] = []
-        self._y: list[float] = []
+        self.design = DesignState()
 
     @property
     def count(self) -> int:
-        return len(self._y)
+        return self.design.count
 
     def begin_step(self, x_new) -> IidStepContext:
-        x_new = np.asarray(x_new, dtype=float)
-        residuals = ridge_residual_affine(
-            np.array(self._x) if self._x else np.empty((0, x_new.size)),
-            np.asarray(self._y, dtype=float),
-            x_new,
-            self.schedule,
-        )
-        return IidStepContext(n=len(self._y) + 1, residuals=residuals)
+        rows = self.design.with_row(x_new)
+        n = rows.shape[0]
+        residuals = RidgeResidualMap(rows, n, self.schedule).affine_in_last(self.design.y)
+        return IidStepContext(n=n, residuals=residuals)
 
     def raw_region(self, ctx: IidStepContext, eps: float, tau: float) -> PredictionRegion:
         check_epsilon(eps)
@@ -165,9 +161,4 @@ class IidPredictor(OnlinePredictor):
         return iid_pvalue(np.abs(ctx.residuals.at(float(y))), tau)
 
     def observe(self, obs: Observation) -> None:
-        if self._x and obs.x.shape != self._x[0].shape:
-            raise ValueError(
-                f"observation has {obs.x.shape[0]} features, expected {self._x[0].shape[0]}"
-            )
-        self._x.append(obs.x)
-        self._y.append(obs.y)
+        self.design.append(obs.x, obs.y)

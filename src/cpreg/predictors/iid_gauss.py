@@ -1,7 +1,9 @@
 """Predictor conditioning on the joint exchangeability/Gaussian summary.
 
 The summary at step n is the bag of explanatory vectors together with
-(sum y, sum y*x, sum y^2).  Conditionally on it, the data are distributed as
+(sum y, sum y*x, sum y^2): the rows of the predictor's
+:class:`~cpreg.design.DesignState` and the last column of its raw moment
+matrix.  Conditionally on it, the data are distributed as
 a uniformly random permutation of the bag combined with a response vector
 drawn uniformly from the sphere-slice
 
@@ -56,8 +58,9 @@ from functools import cached_property
 
 import numpy as np
 
+from ..design import DesignState
 from ..linalg import RANK_RTOL
-from ..randomness import RandomStream, sample_sphere_in_affine_slice
+from ..randomness import RandomStream
 from ..regions import Interval, PredictionRegion
 from ..residuals import FeatureSchedule, RidgeResidualMap
 from ..stream import Observation
@@ -209,46 +212,23 @@ class IidGaussPredictor(OnlinePredictor):
         self.schedule = schedule or FeatureSchedule()
         self.mc_samples = int(mc_samples)
         self._rng = rng if rng is not None else RandomStream(0, substream=1)
-        self._x: list[np.ndarray] = []
-        self._y: list[float] = []
-        # running Z'y over design rows z = (1, x), i.e. (sum y, sum y*x)
-        self._zty: np.ndarray | None = None
-        self._syy = 0.0
-        self._y_range = (0.0, 0.0)
+        self.design = DesignState()
 
     @property
     def count(self) -> int:
-        return len(self._y)
-
-    @property
-    def x_bag(self) -> np.ndarray:
-        """(n, K) array of the stored explanatory vectors (copy)."""
-        if not self._x:
-            return np.empty((0, 0))
-        return np.array(self._x)
-
-    @property
-    def response_sums(self) -> tuple[float, np.ndarray, float]:
-        """(sum y, sum y*x, sum y^2) of the stored responses."""
-        if self._zty is None:
-            return 0.0, np.zeros(0), self._syy
-        return float(self._zty[0]), self._zty[1:].copy(), self._syy
+        return self.design.count
 
     def begin_step(self, x_new) -> IidGaussStepContext:
-        x_new = np.asarray(x_new, dtype=float)
-        if x_new.ndim != 1:
-            raise ValueError(f"x_new must be 1-D, got shape {x_new.shape}")
-        if self._x and x_new.size != self._x[0].size:
-            raise ValueError(f"x_new has {x_new.size} features, expected {self._x[0].size}")
-        n = len(self._y) + 1
-        k = x_new.size
-        xs = np.vstack(self._x + [x_new]) if self._x else x_new[None, :]
+        xs = self.design.with_row(x_new)
+        ys = self.design.y
+        n, k = xs.shape
         design = np.column_stack((np.ones(n), xs))  # full constraint design Z
-        t0 = self._zty if self._zty is not None else np.zeros(k + 1)
-        zn = np.concatenate(([1.0], x_new))
+        raw = self.design.raw_moments()
+        t0, syy = raw[:-1, -1], raw[-1, -1]  # (sum y, sum y*x) and sum y^2
+        zn = design[-1]
 
         rmap = RidgeResidualMap(xs, n, self.schedule)
-        aff = rmap.affine_in_last(np.asarray(self._y, dtype=float))
+        aff = rmap.affine_in_last(ys)
         ea = (float(aff.slopes[-1]), float(aff.intercepts[-1]))
 
         left, sing, right_t = np.linalg.svd(design, full_matrices=False)
@@ -263,7 +243,7 @@ class IidGaussPredictor(OnlinePredictor):
         rad2 = (
             1.0 - float(v01 @ v01),
             -2.0 * float(v00 @ v01),
-            self._syy - float(v00 @ v00),
+            syy - float(v00 @ v00),
         )
         ctx = IidGaussStepContext(
             n=n,
@@ -271,7 +251,7 @@ class IidGaussPredictor(OnlinePredictor):
             ea=ea,
             exact=d <= 1,
             rad2=rad2,
-            y_range=self._y_range,
+            y_range=(float(ys.min()), float(ys.max())) if n > 1 else (0.0, 0.0),
         )
 
         if ctx.exact:
@@ -389,33 +369,4 @@ class IidGaussPredictor(OnlinePredictor):
         return float(self._pvalues(ctx, np.array([float(y)]), tau)[0])
 
     def observe(self, obs: Observation) -> None:
-        if self._x and obs.x.size != self._x[0].size:
-            raise ValueError(f"observation has {obs.x.size} features, expected {self._x[0].size}")
-        if self._zty is None:
-            self._zty = np.zeros(obs.x.size + 1)
-            self._y_range = (obs.y, obs.y)
-        self._zty += obs.y * np.concatenate(([1.0], obs.x))
-        self._syy += obs.y * obs.y
-        self._y_range = (min(self._y_range[0], obs.y), max(self._y_range[1], obs.y))
-        self._x.append(obs.x)
-        self._y.append(obs.y)
-
-
-def iidgauss_sample_conditional(
-    state: IidGaussPredictor, rng: RandomStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw one synthetic data set consistent with the stored summary.
-
-    Returns (x rows in permuted order, response vector): a uniformly random
-    permutation of the x-bag and a uniform draw from the response
-    sphere-slice pinned by the stored sums.
-    """
-    n = state.count
-    if n < 1:
-        raise ValueError("need at least one stored observation to sample")
-    sy, sxy, syy = state.response_sums
-    xs = state.x_bag[rng.permutation(n)]
-    constraints = np.column_stack((np.ones(n), xs))
-    rhs = np.concatenate(([sy], sxy))
-    ys = sample_sphere_in_affine_slice(rng, constraints, rhs, syy)
-    return xs, ys
+        self.design.append(obs.x, obs.y)

@@ -45,7 +45,6 @@ class RunConfig:
     seed: int = 0
     mc_samples: int = 1000
     schedule: FeatureSchedule = FeatureSchedule()
-    report_hull: bool = True
 
     def __post_init__(self):
         if self.predictor not in PREDICTOR_KINDS:
@@ -108,32 +107,39 @@ def _tau_stream(config: RunConfig) -> RandomStream | None:
     return RandomStream(config.seed, substream=0) if config.smoothed else None
 
 
-def run_online(config: RunConfig, stream) -> tuple[OnlineLedger, PValueTrace]:
-    """Feed the stream through the configured predictor step by step."""
+def _run(config: RunConfig, stream, ledger: OnlineLedger | None) -> PValueTrace:
+    """The protocol loop; regions are built and recorded only into a ledger."""
     stream = list(stream)
     check_stream(stream)
     predictor = make_predictor(config)
     taus = _tau_stream(config)
-    ledger = OnlineLedger(config.epsilons)
     trace = PValueTrace(smoothed=config.smoothed)
     for n, obs in enumerate(stream, start=1):
         tau = taus.uniform() if taus is not None else 1.0
         try:
             ctx = predictor.begin_step(obs.x)
-            errors, raw_errors, widths = {}, {}, {}
-            for eps in config.epsilons:
-                raw = predictor.raw_region(ctx, eps, tau)
-                reported = raw.convex_hull() if config.report_hull else raw
-                errors[eps] = 0 if reported.contains(obs.y) else 1
-                raw_errors[eps] = 0 if raw.contains(obs.y) else 1
-                widths[eps] = reported.length
+            if ledger is not None:
+                errors, raw_errors, widths = {}, {}, {}
+                for eps in config.epsilons:
+                    raw = predictor.raw_region(ctx, eps, tau)
+                    reported = raw.convex_hull()
+                    errors[eps] = 0 if reported.contains(obs.y) else 1
+                    raw_errors[eps] = 0 if raw.contains(obs.y) else 1
+                    widths[eps] = reported.length
             pvalue = predictor.pvalue(ctx, obs.y, tau)
             predictor.observe(obs)
         except (ValueError, ArithmeticError) as exc:
             raise type(exc)(f"{config.predictor} step {n}: {exc}") from exc
-        ledger.record_step(errors, raw_errors, widths)
+        if ledger is not None:
+            ledger.record_step(errors, raw_errors, widths)
         trace.append(pvalue, tau)
-    return ledger, trace
+    return trace
+
+
+def run_online(config: RunConfig, stream) -> tuple[OnlineLedger, PValueTrace]:
+    """Feed the stream through the configured predictor step by step."""
+    ledger = OnlineLedger(config.epsilons)
+    return ledger, _run(config, stream, ledger)
 
 
 def run_trace(config: RunConfig, stream) -> PValueTrace:
@@ -142,21 +148,7 @@ def run_trace(config: RunConfig, stream) -> PValueTrace:
     Raw-region errors are recoverable from the trace because membership in
     {y : p(y) > eps} is by definition the event p(truth) > eps.
     """
-    stream = list(stream)
-    check_stream(stream)
-    predictor = make_predictor(config)
-    taus = _tau_stream(config)
-    trace = PValueTrace(smoothed=config.smoothed)
-    for n, obs in enumerate(stream, start=1):
-        tau = taus.uniform() if taus is not None else 1.0
-        try:
-            ctx = predictor.begin_step(obs.x)
-            pvalue = predictor.pvalue(ctx, obs.y, tau)
-            predictor.observe(obs)
-        except (ValueError, ArithmeticError) as exc:
-            raise type(exc)(f"{config.predictor} step {n}: {exc}") from exc
-        trace.append(pvalue, tau)
-    return trace
+    return _run(config, stream, None)
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,7 @@ class RidgeResidualMap:
         gram = self.design.T @ self.design
         if not np.isfinite(gram).all():
             raise NumericalError("ridge Gram matrix U'U has non-finite entries (features too large)")
-        gram[np.diag_indices_from(gram)] += schedule.ridge
+        gram.flat[:: used + 2] += schedule.ridge  # the diagonal
         self._factor = cho_factor(gram, lower=True, check_finite=False)
         self.n = n
         self.columns = used + 1

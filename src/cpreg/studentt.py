@@ -56,18 +56,6 @@ def t_sf(x: float, df: float) -> float:
     return float(special.stdtr(df, -x))
 
 
-def t_density(x: float, df: float) -> float:
-    """Student-t density at ``x``."""
-    _check_df(df)
-    ln = (
-        math.lgamma(0.5 * (df + 1.0))
-        - math.lgamma(0.5 * df)
-        - 0.5 * math.log(df * math.pi)
-        - 0.5 * (df + 1.0) * math.log1p(x * x / df)
-    )
-    return math.exp(ln)
-
-
 def t_upper_point(delta: float, df: float) -> float:
     """The point t with P(T > t) = ``delta``, i.e. the upper ``delta`` quantile."""
     _check_df(df)

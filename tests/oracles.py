@@ -7,17 +7,68 @@ probe, grid search plus bisection) that the optimized code must reproduce.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.typing import NDArray
+from scipy.linalg import cho_factor, cho_solve
 
-from cpreg import Observation, PredictionRegion
-from cpreg.linalg import RANK_RTOL, NumericalError, _as_matrix, _as_vector, spd_solve
+from cpreg import (
+    AffineResiduals,
+    FeatureSchedule,
+    GaussPredictor,
+    IidGaussPredictor,
+    Observation,
+    PredictionRegion,
+    RandomStream,
+    ridge_residual_affine,
+)
+from cpreg.linalg import RANK_RTOL, NumericalError
 from cpreg.predictors.iid_gauss import GRID_POINTS, REFINE_RTOL
 from cpreg.regions import Interval, point
 from cpreg.studentt import t_upper_point
 
 Vector = NDArray[np.float64]
 Matrix = NDArray[np.float64]
+
+# Relative slack allowed when the squared slice radius comes out negative
+# through rounding.
+RADIUS_RTOL = 1e-9
+
+
+def _as_matrix(a, name: str = "matrix") -> Matrix:
+    m = np.asarray(a, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return m
+
+
+def _as_vector(v, name: str = "vector") -> Vector:
+    w = np.asarray(v, dtype=float)
+    if w.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return w
+
+
+def spd_solve(gram: Matrix, rhs) -> Vector | Matrix:
+    """Solve ``gram @ x = rhs`` for symmetric positive-definite ``gram``.
+
+    Uses a Cholesky factorization; raises :class:`NumericalError` when the
+    matrix is not numerically positive definite.
+    """
+    gram = _as_matrix(gram, "gram")
+    try:
+        factor = cho_factor(gram, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"matrix is not positive definite: {exc}") from exc
+    diag = np.abs(np.diag(factor[0]))
+    if diag.min() < RANK_RTOL * diag.max():
+        raise NumericalError("matrix is numerically singular")
+    return cho_solve(factor, np.asarray(rhs, dtype=float), check_finite=False)
 
 
 def ridge_solve(design: Matrix, response: Vector, ridge: float) -> Vector:
@@ -161,3 +212,128 @@ def iidgauss_grid_region(pred, ctx, eps: float, tau: float) -> tuple[PredictionR
     lo = -np.inf if first == 0 else refine(grid[first - 1], grid[first])
     hi = np.inf if last == GRID_POINTS - 1 else refine(grid[last + 1], grid[last])
     return PredictionRegion([Interval(lo, hi, bool(np.isfinite(lo)), bool(np.isfinite(hi)))]), half
+
+
+def t_density(x: float, df: float) -> float:
+    """Student-t density at ``x``."""
+    if not df > 0.0:
+        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    ln = (
+        math.lgamma(0.5 * (df + 1.0))
+        - math.lgamma(0.5 * df)
+        - 0.5 * math.log(df * math.pi)
+        - 0.5 * (df + 1.0) * math.log1p(x * x / df)
+    )
+    return math.exp(ln)
+
+
+def gauss_tstat(state: GaussPredictor, x_new, y_new: float) -> float:
+    """Studentized prediction residual of (x_new, y_new) against the state.
+
+    Requires n >= K + 3 counting the new pair and a positive residual scale;
+    the value is t-distributed with n - K - 2 degrees of freedom under the
+    Gaussian linear model.
+    """
+    ctx = state.begin_step(x_new)
+    if not ctx.informative:
+        raise ValueError(
+            f"need at least {np.asarray(x_new).size + 2} past observations, have {state.count}"
+        )
+    if ctx.scale == 0.0:
+        raise NumericalError("residual scale is zero (exact fit): statistic undefined")
+    return (float(y_new) - ctx.center) / ctx.scale
+
+
+def mva_residual_affine(x_history, y_history, x_new, schedule: FeatureSchedule | None = None) -> AffineResiduals:
+    """Ridge residuals of all n slots as affine functions of the last response.
+
+    The decomposition is the one the exchangeability predictor sweeps over,
+    computed from the stacked history; the mva predictor must reproduce the
+    statistic built from it using the moment sums alone.
+    """
+    x_history = np.asarray(x_history, dtype=float)
+    return ridge_residual_affine(
+        x_history,
+        np.asarray(y_history, dtype=float),
+        np.asarray(x_new, dtype=float),
+        schedule or FeatureSchedule(),
+    )
+
+
+def slice_geometry(constraints: Matrix, rhs: Vector) -> tuple[Vector, Matrix]:
+    """Minimum-norm solution and null-space basis of ``Z'v = b``.
+
+    Returns ``(v0, basis)`` where ``v0`` is the least-norm vector with
+    ``Z'v0 = b`` and ``basis`` is an orthonormal (n, d) basis of the null
+    space of ``Z'``; the solution set is ``{v0 + basis @ w}``.
+    """
+    z = _as_matrix(constraints, "constraints")
+    b = _as_vector(rhs, "rhs")
+    n, m = z.shape
+    if b.shape[0] != m:
+        raise ValueError(f"rhs has length {b.shape[0]}, expected {m}")
+    # One full SVD Z = L S R' serves both needs: with v = L c the system
+    # Z'v = b reads S c = R'b, so the least-norm solution uses the leading
+    # singular directions and the null space of Z' is the remaining ones.
+    left, sing, right_t = np.linalg.svd(z, full_matrices=True)
+    cutoff = RANK_RTOL * (sing[0] if sing.size else 0.0)
+    rank = int(np.sum(sing > cutoff))
+    if rank == 0:
+        v0 = np.zeros(n)
+    else:
+        v0 = left[:, :rank] @ ((right_t[:rank] @ b) / sing[:rank])
+    residual = z.T @ v0 - b
+    scale = max(1.0, float(np.linalg.norm(b)))
+    if np.linalg.norm(residual) > 1e-8 * scale:
+        raise ValueError("constraint system Z'v = b is inconsistent")
+    return v0, left[:, rank:]
+
+
+def sample_sphere_in_affine_slice(
+    rng: RandomStream, constraints: Matrix, rhs: Vector, squared_norm: float
+) -> Vector:
+    """Uniform draw from ``{v : Z'v = b, v'v = squared_norm}``.
+
+    The slice is parametrized isometrically as ``v0 + Q w`` with ``v0`` the
+    least-norm solution and ``Q`` an orthonormal null-space basis, so a
+    uniformly random direction on the ``d``-sphere of radius
+    ``sqrt(squared_norm - ||v0||^2)`` maps to a uniform point on the slice.
+    Raises ``ValueError`` if the constraints are inconsistent or the slice
+    is empty (``squared_norm`` materially below ``||v0||^2``, or the null
+    space is trivial while ``squared_norm`` differs from ``||v0||^2``).
+    """
+    v0, basis = slice_geometry(constraints, rhs)
+    norm0 = float(v0 @ v0)
+    scale = max(1.0, abs(squared_norm), norm0)
+    r2 = squared_norm - norm0
+    if r2 < -RADIUS_RTOL * scale:
+        raise ValueError(f"empty slice: squared norm {squared_norm} below minimum {norm0}")
+    r2 = max(r2, 0.0)
+    d = basis.shape[1]
+    if d == 0:
+        if r2 > RADIUS_RTOL * scale:
+            raise ValueError("empty slice: constraints pin a single point with the wrong norm")
+        return v0
+    direction = rng.gaussian(d)
+    length = float(np.linalg.norm(direction))
+    while length == 0.0:  # pragma: no cover - probability zero
+        direction = rng.gaussian(d)
+        length = float(np.linalg.norm(direction))
+    return v0 + basis @ (direction * (np.sqrt(r2) / length))
+
+
+def iidgauss_sample_conditional(state: IidGaussPredictor, rng: RandomStream) -> tuple[Matrix, Vector]:
+    """Draw one synthetic data set consistent with the predictor's summary.
+
+    Returns (x rows in permuted order, response vector): a uniformly random
+    permutation of the x-bag and a uniform draw from the response
+    sphere-slice pinned by (sum y, sum y*x, sum y^2) of the stored rows.
+    """
+    n = state.count
+    if n < 1:
+        raise ValueError("need at least one stored observation to sample")
+    bag, ys = state.design.x, state.design.y
+    rhs = np.concatenate(([ys.sum()], bag.T @ ys))
+    xs = bag[rng.permutation(n)]
+    constraints = np.column_stack((np.ones(n), xs))
+    return xs, sample_sphere_in_affine_slice(rng, constraints, rhs, float(ys @ ys))

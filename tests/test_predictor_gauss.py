@@ -2,14 +2,13 @@
 
 import numpy as np
 import pytest
-from oracles import least_squares, leverage, residual_variance
+from oracles import gauss_tstat, least_squares, leverage, residual_variance
 
 from cpreg import (
     GaussPredictor,
     NumericalError,
     Observation,
     PredictionRegion,
-    gauss_tstat,
     t_sf,
     t_upper_point,
 )
@@ -199,3 +198,14 @@ def test_observation_order_does_not_matter():
     cb = b.begin_step(np.array([0.3, 0.3]))
     assert ca.center == pytest.approx(cb.center, rel=1e-10)
     assert ca.scale == pytest.approx(cb.scale, rel=1e-10)
+
+
+def test_no_features_gives_the_one_sample_prediction_interval():
+    ys = np.array([1.0, 2.5, 0.5, 3.0, 2.0])
+    pred = GaussPredictor()
+    for y in ys:
+        pred.observe(Observation(np.empty(0), y))
+    ctx = pred.begin_step(np.empty(0))
+    assert ctx.informative and ctx.df == 4
+    assert ctx.center == pytest.approx(ys.mean(), rel=1e-12)
+    assert ctx.scale == pytest.approx(ys.std(ddof=1) * np.sqrt(1.0 + 1.0 / ys.size), rel=1e-12)

@@ -12,14 +12,13 @@ from cpreg import (
     RunConfig,
     SyntheticSpec,
     generate,
-    iidgauss_sample_conditional,
     make_predictor,
 )
 from cpreg.predictors.iid_gauss import REFINE_RTOL, null_slot_coordinates
 from cpreg.randomness import RandomStream
 from cpreg.regions import check_nested
 
-from oracles import iidgauss_grid_region
+from oracles import iidgauss_grid_region, iidgauss_sample_conditional
 
 
 def feed(predictor, xs, ys):
@@ -48,8 +47,9 @@ def test_summary_bookkeeping():
     pred = fresh()
     feed(pred, xs, ys)
     assert pred.count == 6
-    assert np.array_equal(pred.x_bag, xs)
-    sy, sxy, syy = pred.response_sums
+    assert np.array_equal(pred.design.x, xs)
+    raw = pred.design.raw_moments()
+    sy, sxy, syy = raw[0, -1], raw[1:-1, -1], raw[-1, -1]
     assert sy == pytest.approx(ys.sum(), rel=1e-12)
     assert sxy == pytest.approx(xs.T @ ys, rel=1e-12)
     assert syy == pytest.approx(ys @ ys, rel=1e-12)
@@ -148,7 +148,7 @@ def test_conditional_sampler_respects_the_summary():
     xs = np.arange(1.0, 6.0)[:, None]  # distinguishable rows
     ys = np.array([2.0, -1.0, 0.5, 3.0, 1.0])
     feed(pred, xs, ys)
-    sy, sxy, syy = pred.response_sums
+    sy, sxy, syy = ys.sum(), xs.T @ ys, ys @ ys
     rng = RandomStream(21, substream=0)
     counts = np.zeros(5, dtype=int)
     for _ in range(300):
@@ -280,21 +280,6 @@ def test_region_does_not_depend_on_level_order(past):
     ctx = pred.begin_step(xs[past])
     for tau in (1.0, 0.37):
         assert {eps: pred.raw_region(ctx, eps, tau).pieces for eps in levels} == regions(levels, tau)
-
-
-def test_running_moments_equal_the_from_scratch_sums():
-    xs, ys = _stream(50, 3, 10)
-    pred = fresh(mc_samples=10)
-    for step, (x, y) in enumerate(zip(xs, ys)):
-        pred.begin_step(x)
-        pred.observe(Observation(x, y))
-        zty = np.zeros(4)
-        syy = 0.0
-        for xp, yp in zip(xs[: step + 1], ys[: step + 1]):
-            zty += yp * np.concatenate(([1.0], xp))
-            syy += yp * yp
-        sy, sxy, s2 = pred.response_sums
-        assert sy == zty[0] and np.array_equal(sxy, zty[1:]) and s2 == syy, step
 
 
 def _monte_carlo_steps(k, size, seed, mc_samples=300):

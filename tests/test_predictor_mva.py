@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from oracles import mva_residual_affine
 
 from cpreg import (
     FeatureSchedule,
     MvaPredictor,
     Observation,
     PredictionRegion,
-    mva_residual_affine,
     open_solution_set,
     ridge_residual_affine,
     t_sf,
@@ -183,21 +183,6 @@ def test_rotation_of_the_history_changes_nothing():
         for pa, pb in zip(ra.pieces, rb.pieces):
             assert pa.lo == pytest.approx(pb.lo, rel=1e-7, abs=1e-9)
             assert pa.hi == pytest.approx(pb.hi, rel=1e-7, abs=1e-9)
-
-
-def test_stored_sums_match_direct_accumulation():
-    rng = np.random.default_rng(31)
-    xs = rng.normal(size=(7, 3))
-    ys = rng.normal(size=7)
-    pred = MvaPredictor()
-    feed(pred, xs, ys)
-    sums = pred.sums
-    assert sums["n"] == 7
-    assert sums["x"] == pytest.approx(xs.sum(axis=0), rel=1e-12)
-    assert sums["xx"] == pytest.approx(xs.T @ xs, rel=1e-12)
-    assert sums["xy"] == pytest.approx(xs.T @ ys, rel=1e-12)
-    assert sums["y"] == pytest.approx(ys.sum(), rel=1e-12)
-    assert sums["yy"] == pytest.approx(ys @ ys, rel=1e-12)
 
 
 def test_pvalue_is_uniform_under_the_model():

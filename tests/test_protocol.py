@@ -117,12 +117,12 @@ def test_failures_name_the_predictor(run):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize("kind", ["iid", "iid-gauss"])
+@pytest.mark.parametrize("kind", ["iid", "iid-gauss", "gauss", "mva"])
 def test_overflowing_ridge_gram_fails_at_step_1(kind):
     def stream(scale):
         return [Observation(np.array([(-1.0) ** i * scale * (i + 1)]), float(i)) for i in range(8)]
 
-    # a lone point gets p = tau while U'U is still finite ...
+    # a lone point gets p = tau while U'U (the raw design moments) is still finite ...
     _, trace = run_online(RunConfig(predictor=kind, epsilons=(0.5,)), stream(1e150))
     assert trace.pvalues[0] == trace.taus[0]
     # ... and once U'U overflows the step fails instead of reporting p = 0

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from cpreg import RandomStream, sample_sphere_in_affine_slice, slice_geometry
+from oracles import sample_sphere_in_affine_slice, slice_geometry
+
+from cpreg import RandomStream
 
 
 def test_streams_reproducible_and_separated():

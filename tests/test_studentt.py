@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize, special
 
-from cpreg import regularized_incomplete_beta, t_cdf, t_density, t_sf, t_upper_point
+from oracles import t_density
+
+from cpreg import regularized_incomplete_beta, t_cdf, t_sf, t_upper_point
 
 
 def reference_density(df):
