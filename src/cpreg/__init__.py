@@ -47,7 +47,7 @@ from .protocol import (
 )
 from .randomness import RandomStream
 from .regions import Interval, PredictionRegion, check_nested, point
-from .residuals import AffineResiduals, FeatureSchedule, RidgeResidualMap, ridge_residual_affine
+from .residuals import AffineResiduals, FeatureSchedule, RidgeResidualMap
 from .stream import Observation, check_stream
 from .studentt import regularized_incomplete_beta, t_cdf, t_sf, t_upper_point
 
@@ -64,7 +64,6 @@ __all__ = [
     "FeatureSchedule",
     "AffineResiduals",
     "RidgeResidualMap",
-    "ridge_residual_affine",
     "RandomStream",
     "NumericalError",
     "OnlineLedger",

@@ -73,8 +73,8 @@ def critical_points(residuals: AffineResiduals) -> NDArray[np.float64]:
 
 @dataclass
 class IidStepContext:
-    n: int
-    residuals: AffineResiduals
+    n: int  # number of residual lines, the p-value denominator
+    residuals: AffineResiduals  # the observed (scored) line last
     # Sweep tables, filled on first region request (a p-value at the realized
     # response never needs them).
     crit: NDArray[np.float64] | None = None
@@ -118,6 +118,26 @@ class IidStepContext:
         self.greater = greater
         self.ties = ties + 1
 
+    def region(self, eps: float, tau: float) -> PredictionRegion:
+        """{y : p(y) > eps}, one interval per run of consecutive kept probes."""
+        self.sweep()
+        keep = (self.greater + tau * self.ties) / self.n > eps
+        # Probe i spans (bounds[(i + 1) // 2], bounds[i // 2 + 1]) and is the
+        # closed point there when i is odd.
+        padded = np.concatenate(([False], keep, [False]))
+        edges = np.flatnonzero(padded[1:] != padded[:-1])
+        first, last = edges[0::2], edges[1::2] - 1
+        bounds = np.concatenate(([-np.inf], self.crit, [np.inf]))
+        return PredictionRegion(
+            Interval(lo, hi, lo_closed, hi_closed)
+            for lo, hi, lo_closed, hi_closed in zip(
+                bounds[(first + 1) // 2].tolist(),
+                bounds[last // 2 + 1].tolist(),
+                (first % 2 == 1).tolist(),
+                (last % 2 == 1).tolist(),
+            )
+        )
+
 
 class IidPredictor(OnlinePredictor):
     """On-line conformal predictor under the exchangeability model."""
@@ -139,23 +159,7 @@ class IidPredictor(OnlinePredictor):
     def raw_region(self, ctx: IidStepContext, eps: float, tau: float) -> PredictionRegion:
         check_epsilon(eps)
         check_tau(tau)
-        ctx.sweep()
-        keep = (ctx.greater + tau * ctx.ties) / ctx.n > eps
-        # Probe i spans (bounds[(i + 1) // 2], bounds[i // 2 + 1]) and is the
-        # closed point there when i is odd.
-        padded = np.concatenate(([False], keep, [False]))
-        edges = np.flatnonzero(padded[1:] != padded[:-1])
-        first, last = edges[0::2], edges[1::2] - 1
-        bounds = np.concatenate(([-np.inf], ctx.crit, [np.inf]))
-        return PredictionRegion(
-            Interval(lo, hi, lo_closed, hi_closed)
-            for lo, hi, lo_closed, hi_closed in zip(
-                bounds[(first + 1) // 2].tolist(),
-                bounds[last // 2 + 1].tolist(),
-                (first % 2 == 1).tolist(),
-                (last % 2 == 1).tolist(),
-            )
-        )
+        return ctx.region(eps, tau)
 
     def pvalue(self, ctx: IidStepContext, y: float, tau: float) -> float:
         return iid_pvalue(np.abs(ctx.residuals.at(float(y))), tau)

@@ -18,11 +18,15 @@ point on the slice.
 Two regimes:
 
 * slice dimension d = n - rank(Z) <= 1: the conditional law of the score is
-  a finite set of atoms (n slots x at most 2 sphere points), enumerated
-  exactly.  For n <= K + 1 the slice is a single point and the predictor
-  provably coincides with the plain exchangeability predictor; Monte Carlo
-  would only blur the atoms and (at tail candidates) destroy the n >= 1/eps
-  informativeness threshold.
+  a finite set of atoms, the scores |e_s(w)| of every slot s at every point
+  w of the slice.  The slice is the response vector Y itself (d = 0) or Y
+  and its mirror Y - 2(u'Y)u (d = 1, u the null direction of Z'), and each
+  atom's residual is affine in the candidate y.  The step is therefore an
+  exchangeability step over n or 2n residual lines, the observed line
+  last, and is handled by the exchangeability predictor's step context.
+  For n <= K + 1 the lines are exactly that predictor's, so the two
+  coincide; Monte Carlo would only blur the atoms and (at tail candidates)
+  destroy the n >= 1/eps informativeness threshold.
 * d >= 2: genuine Monte Carlo over ``mc_samples`` draws, shared across
   every candidate y and every epsilon of the step (common random numbers
   keep the region boundaries well defined).  A draw
@@ -44,16 +48,15 @@ squaring adds, and the flips of all draws, sorted and summed, give the
 exact draw count on every open segment between crossings.  That sweep runs
 once per step and serves every epsilon and tau; the region is the union of
 the segments whose count clears the level, each finite endpoint closed when
-the p-value there does.  Exact steps (d <= 1) compare atoms within a
-relative tie tolerance, which has no exact crossing points, so they keep a
-201-point grid over the observed response range, refine the two boundary
-crossings by bisection and report the hull; the grid p-values are computed
-once per (step, tau).
+the p-value there does.  Exact steps (d <= 1) sweep the critical points
+of their residual lines as the exchangeability predictor does (the Ridge
+Regression Confidence Machine): the observed line ties itself structurally,
+not within a rounding band, and the region is exact as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -62,17 +65,10 @@ from ..design import DesignState
 from ..linalg import RANK_RTOL
 from ..randomness import RandomStream
 from ..regions import Interval, PredictionRegion
-from ..residuals import FeatureSchedule, RidgeResidualMap
+from ..residuals import AffineResiduals, FeatureSchedule, RidgeResidualMap
 from ..stream import Observation
 from .base import OnlinePredictor, check_epsilon, check_tau
-
-GRID_POINTS = 201
-# Grid extent: observed response range +- this many ranges.
-GRID_SPREADS = 3.0
-# Bisection stops when the bracket is this fraction of the grid unit.
-REFINE_RTOL = 1e-3
-# Relative tolerance for structural score ties on the exact path.
-TIE_RTOL = 1e-9
+from .iid import IidStepContext, iid_pvalue
 
 
 @dataclass
@@ -83,30 +79,12 @@ class IidGaussStepContext:
     exact: bool
     # coefficients (c2, c1, c0) of the squared slice radius as a function of y
     rad2: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    # exact path: per-slot residual of the minimum-norm point, affine in y
-    ev_base: np.ndarray | None = None
-    ev_slope: np.ndarray | None = None
-    null_dir: np.ndarray | None = None  # slot entries of the 1-D null direction
+    # exact path: residual lines of the atoms, the observed line last
+    atoms: IidStepContext | None = None
     # mc path: per-draw slot gathers
     slot_base: np.ndarray | None = None
     slot_slope: np.ndarray | None = None
     slot_mix: np.ndarray | None = None
-    # (min, max) past response as of begin_step, the exact path's grid anchor
-    y_range: tuple[float, float] = (0.0, 0.0)
-    # exact path: grid p-values of the step, one array per tau
-    sweeps: dict[float, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def grid_unit(self) -> float:
-        """Length scale of the grid, the unit of the bisection tolerance."""
-        lo, hi = self.y_range
-        return max(hi - lo, 1.0)
-
-    @property
-    def grid(self) -> tuple[float, float]:
-        """Candidate grid extent of the exact path."""
-        lo, hi = self.y_range
-        return lo - GRID_SPREADS * self.grid_unit, hi + GRID_SPREADS * self.grid_unit
 
     def radius(self, ys: np.ndarray) -> np.ndarray:
         """Slice radius at each candidate y."""
@@ -245,22 +223,20 @@ class IidGaussPredictor(OnlinePredictor):
             -2.0 * float(v00 @ v01),
             syy - float(v00 @ v00),
         )
-        ctx = IidGaussStepContext(
-            n=n,
-            k=k,
-            ea=ea,
-            exact=d <= 1,
-            rad2=rad2,
-            y_range=(float(ys.min()), float(ys.max())) if n > 1 else (0.0, 0.0),
-        )
+        ctx = IidGaussStepContext(n=n, k=k, ea=ea, exact=d <= 1, rad2=rad2)
 
         if ctx.exact:
-            ctx.ev_base = rmap.apply(v00)
-            ctx.ev_slope = rmap.apply(v01)
             if d == 1:
-                # Explicit null direction of Z' (small n regime only).
+                # The mirror point Y - 2(u'Y)u, u the null direction of Z'
+                # (small n regime only), gives a second line per slot.
                 full_left, _, _ = np.linalg.svd(design, full_matrices=True)
-                ctx.null_dir = full_left[:, rank]
+                u = full_left[:, rank]
+                shift, past = 2.0 * rmap.apply(u), u[:-1] @ ys
+                aff = AffineResiduals(
+                    slopes=np.concatenate((aff.slopes - u[-1] * shift, aff.slopes)),
+                    intercepts=np.concatenate((aff.intercepts - past * shift, aff.intercepts)),
+                )
+            ctx.atoms = IidStepContext(n=aff.slopes.size, residuals=aff)
         else:
             ev_base, ev_slope = rmap.apply(v00), rmap.apply(v01)
             slots = self._rng.integers(0, n, self.mc_samples)
@@ -271,20 +247,9 @@ class IidGaussPredictor(OnlinePredictor):
         return ctx
 
     def _pvalues(self, ctx: IidGaussStepContext, ys: np.ndarray, tau: float) -> np.ndarray:
-        """Conditional p-value (exact or Monte-Carlo) at each candidate y."""
+        """Monte-Carlo p-value at each candidate y."""
         ys = np.asarray(ys, dtype=float)
         obs = np.abs(ctx.ea[0] * ys + ctx.ea[1])
-        if ctx.exact:
-            base = ctx.ev_base[:, None] + ctx.ev_slope[:, None] * ys[None, :]
-            if ctx.null_dir is None:
-                atoms = np.abs(base)
-            else:
-                shift = ctx.null_dir[:, None] * ctx.radius(ys)[None, :]
-                atoms = np.concatenate((np.abs(base + shift), np.abs(base - shift)))
-            tol = TIE_RTOL * np.maximum(1.0, obs)
-            greater = np.sum(atoms > obs[None, :] + tol[None, :], axis=0)
-            ties = np.sum(np.abs(atoms - obs[None, :]) <= tol[None, :], axis=0)
-            return (greater + tau * ties) / atoms.shape[0]
         vals = ctx.draw_scores(ys)
         greater = np.sum(vals > obs[None, :], axis=0)
         ties = np.sum(vals == obs[None, :], axis=0)
@@ -302,38 +267,9 @@ class IidGaussPredictor(OnlinePredictor):
         # min(ceil(1/eps), k + 3).  The p-value trace is unaffected.
         if ctx.n < min(np.ceil(1.0 / eps), ctx.k + 3):
             return PredictionRegion.real_line()
-        if not ctx.exact:
-            return self._crossing_region(ctx, eps, tau)
-        # Exact steps count atoms within a TIE_RTOL band, which has no exact
-        # crossing points: search a grid and bisect the two boundaries.
-        grid = np.linspace(ctx.grid[0], ctx.grid[1], GRID_POINTS)
-        sweep = ctx.sweeps.get(tau)
-        if sweep is None:
-            sweep = ctx.sweeps[tau] = self._pvalues(ctx, grid, tau)
-        keep = sweep > eps
-        if not keep.any():
-            return PredictionRegion.empty()
-        if keep.all():
-            return PredictionRegion.real_line()
-        first = int(np.argmax(keep))
-        last = len(keep) - 1 - int(np.argmax(keep[::-1]))
-        xtol = REFINE_RTOL * ctx.grid_unit
-        if first == 0:
-            lo = -np.inf
-        else:
-            lo = self._refine(ctx, grid[first - 1], grid[first], eps, tau, xtol)
-        if last == len(keep) - 1:
-            hi = np.inf
-        else:
-            hi = self._refine(ctx, grid[last + 1], grid[last], eps, tau, xtol)
-        if lo == hi:
-            return PredictionRegion([Interval(lo, hi, True, True)])
-        return PredictionRegion([Interval(lo, hi, not np.isinf(lo), not np.isinf(hi))])
-
-    def _crossing_region(
-        self, ctx: IidGaussStepContext, eps: float, tau: float
-    ) -> PredictionRegion:
-        """{y : p(y) > eps} of a Monte-Carlo step, one piece per kept run."""
+        if ctx.exact:
+            return ctx.atoms.region(eps, tau)
+        # {y : p(y) > eps} of a Monte-Carlo step, one piece per kept run
         events, counts = ctx.crossings
         keep = counts / self.mc_samples > eps
         # segment j spans (bounds[j], bounds[j + 1])
@@ -347,24 +283,9 @@ class IidGaussPredictor(OnlinePredictor):
         lo_closed, hi_closed = closed.reshape(2, -1).tolist()
         return PredictionRegion(map(Interval, lo.tolist(), hi.tolist(), lo_closed, hi_closed))
 
-    def _refine(
-        self,
-        ctx: IidGaussStepContext,
-        outside: float,
-        inside: float,
-        eps: float,
-        tau: float,
-        xtol: float,
-    ) -> float:
-        while abs(inside - outside) > xtol:
-            mid = 0.5 * (inside + outside)
-            if self._pvalues(ctx, np.array([mid]), tau)[0] > eps:
-                inside = mid
-            else:
-                outside = mid
-        return inside
-
     def pvalue(self, ctx: IidGaussStepContext, y: float, tau: float) -> float:
+        if ctx.exact:
+            return iid_pvalue(np.abs(ctx.atoms.residuals.at(float(y))), tau)
         check_tau(tau)
         return float(self._pvalues(ctx, np.array([float(y)]), tau)[0])
 

@@ -114,19 +114,3 @@ class RidgeResidualMap:
         unit_last[-1] = 1.0
         both = self.apply(np.column_stack([padded, unit_last]))
         return AffineResiduals(slopes=both[:, 1], intercepts=both[:, 0])
-
-
-def ridge_residual_affine(
-    x_history: NDArray[np.float64],
-    y_history: NDArray[np.float64],
-    x_new: NDArray[np.float64],
-    schedule: FeatureSchedule,
-) -> AffineResiduals:
-    """Affine residual coefficients for history plus one new feature row."""
-    x_history = np.asarray(x_history, dtype=float)
-    x_new = np.asarray(x_new, dtype=float)
-    if x_history.ndim != 2:
-        x_history = x_history.reshape(len(y_history), -1)
-    rows = np.vstack([x_history, x_new[None, :]]) if x_history.shape[0] else x_new[None, :]
-    step = rows.shape[0]
-    return RidgeResidualMap(rows, step, schedule).affine_in_last(np.asarray(y_history, dtype=float))

@@ -21,10 +21,9 @@ from cpreg import (
     Observation,
     PredictionRegion,
     RandomStream,
-    ridge_residual_affine,
+    RidgeResidualMap,
 )
 from cpreg.linalg import RANK_RTOL, NumericalError
-from cpreg.predictors.iid_gauss import GRID_POINTS, REFINE_RTOL
 from cpreg.regions import Interval, point
 from cpreg.studentt import t_upper_point
 
@@ -34,6 +33,10 @@ Matrix = NDArray[np.float64]
 # Relative slack allowed when the squared slice radius comes out negative
 # through rounding.
 RADIUS_RTOL = 1e-9
+# Grid search of iidgauss_grid_region: grid size, and the bisection stop as
+# a fraction of the classical half-width.
+GRID_POINTS = 201
+REFINE_RTOL = 1e-3
 
 
 def _as_matrix(a, name: str = "matrix") -> Matrix:
@@ -242,6 +245,19 @@ def gauss_tstat(state: GaussPredictor, x_new, y_new: float) -> float:
     if ctx.scale == 0.0:
         raise NumericalError("residual scale is zero (exact fit): statistic undefined")
     return (float(y_new) - ctx.center) / ctx.scale
+
+
+def ridge_residual_affine(
+    x_history: Matrix, y_history: Vector, x_new: Vector, schedule: FeatureSchedule
+) -> AffineResiduals:
+    """Affine residual coefficients for history plus one new feature row."""
+    x_history = np.asarray(x_history, dtype=float)
+    x_new = np.asarray(x_new, dtype=float)
+    if x_history.ndim != 2:
+        x_history = x_history.reshape(len(y_history), -1)
+    rows = np.vstack([x_history, x_new[None, :]]) if x_history.shape[0] else x_new[None, :]
+    step = rows.shape[0]
+    return RidgeResidualMap(rows, step, schedule).affine_in_last(np.asarray(y_history, dtype=float))
 
 
 def mva_residual_affine(x_history, y_history, x_new, schedule: FeatureSchedule | None = None) -> AffineResiduals:

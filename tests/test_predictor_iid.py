@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from oracles import iid_per_probe_region
+from oracles import iid_per_probe_region, ridge_residual_affine
 
 from cpreg import (
     FeatureSchedule,
@@ -16,7 +16,6 @@ from cpreg import (
     critical_points,
     generate,
     iid_pvalue,
-    ridge_residual_affine,
     run_online,
 )
 from cpreg.predictors.iid import PARALLEL_TOL

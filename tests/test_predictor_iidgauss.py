@@ -5,20 +5,23 @@ import pytest
 from scipy.stats import ks_2samp
 
 from cpreg import (
+    FeatureSchedule,
     IidGaussPredictor,
     IidPredictor,
     Observation,
     PredictionRegion,
+    RidgeResidualMap,
     RunConfig,
     SyntheticSpec,
     generate,
     make_predictor,
 )
-from cpreg.predictors.iid_gauss import REFINE_RTOL, null_slot_coordinates
+from cpreg.predictors.iid import TIE_RTOL
+from cpreg.predictors.iid_gauss import null_slot_coordinates
 from cpreg.randomness import RandomStream
 from cpreg.regions import check_nested
 
-from oracles import iidgauss_grid_region, iidgauss_sample_conditional
+from oracles import REFINE_RTOL, iidgauss_grid_region, iidgauss_sample_conditional
 
 
 def feed(predictor, xs, ys):
@@ -65,24 +68,36 @@ def test_first_step_pvalue_is_pure_tie_breaking():
 
 def test_matches_plain_iid_predictor_while_slice_is_a_point():
     # with n <= K+1 the response sums pin the responses exactly, so the
-    # conditional atoms are the plain exchangeability scores
-    rng = np.random.default_rng(77)
-    xs = rng.normal(size=(2, 2))
-    ys = rng.normal(size=2)
-    x_new = rng.normal(size=2)
+    # conditional atoms are the plain exchangeability scores, line for line,
+    # and the regions are that predictor's wherever n >= ceil(1/eps)
     a, b = fresh(2), IidPredictor()
-    feed(a, xs, ys)
-    feed(b, xs, ys)
-    ca, cb = a.begin_step(x_new), b.begin_step(x_new)
-    assert ca.exact and ca.null_dir is None
-    for y in (-3.0, 0.2, 4.4):
-        for tau in (1.0, 0.41):
-            assert a.pvalue(ca, y, tau) == pytest.approx(b.pvalue(cb, y, tau), rel=1e-12)
+    bounded = 0
+    for obs in generate(SyntheticSpec(k=20, n=21, seed=0)):
+        ca, cb = a.begin_step(obs.x), b.begin_step(obs.x)
+        assert ca.exact and ca.atoms.n == ca.n  # one atom per slot: d = 0
+        assert np.array_equal(ca.atoms.residuals.slopes, cb.residuals.slopes)
+        assert np.array_equal(ca.atoms.residuals.intercepts, cb.residuals.intercepts)
+        for y in (-3.0, 0.2, 4.4, obs.y):
+            for tau in (1.0, 0.41):
+                assert a.pvalue(ca, y, tau) == b.pvalue(cb, y, tau)
+        for eps in (0.05, 0.2, 0.34):
+            for tau in (1.0, 0.41, 0.0):
+                got = a.raw_region(ca, eps, tau)
+                if ca.n < np.ceil(1.0 / eps):
+                    assert got == PredictionRegion.real_line()
+                else:
+                    assert got.pieces == b.raw_region(cb, eps, tau).pieces, (ca.n, eps, tau)
+                    bounded += got.is_bounded
+        a.observe(obs)
+        b.observe(obs)
+    assert bounded >= 20
 
 
 def test_slice_radius_matches_null_direction_projection():
-    # one-dimensional slice: the actual response vector lies on it, so the
+    # one-dimensional slice: the actual response vector Y lies on it, so the
     # squared radius must equal the squared projection onto the null direction
+    # u of Z', and the slice's other point, whose residuals are the first n
+    # atom lines, is the mirror Y - 2(u'Y)u
     rng = np.random.default_rng(6)
     xs = rng.normal(size=(2, 1))
     ys = 1.0 + 2.0 * xs[:, 0] + 0.4 * rng.normal(size=2)
@@ -90,13 +105,18 @@ def test_slice_radius_matches_null_direction_projection():
     pred = fresh(3)
     feed(pred, xs, ys)
     ctx = pred.begin_step(x_new)
-    assert ctx.exact and ctx.null_dir is not None
+    assert ctx.exact and ctx.atoms.n == 2 * ctx.n
+    rows = np.vstack((xs, x_new))
+    u = np.linalg.svd(np.column_stack((np.ones(3), rows)))[0][:, -1]
+    residuals = RidgeResidualMap(rows, 3, FeatureSchedule()).apply
     c2, c1, c0 = ctx.rad2
-    u = ctx.null_dir
     for y in (-3.0, 0.0, 2.0, 5.5):
-        rad2 = c2 * y * y + c1 * y + c0
-        proj = (u[0] * ys[0] + u[1] * ys[1] + u[2] * y) ** 2
-        assert rad2 == pytest.approx(proj, rel=1e-9, abs=1e-12)
+        full = np.append(ys, y)
+        proj = u @ full
+        assert c2 * y * y + c1 * y + c0 == pytest.approx(proj**2, rel=1e-9, abs=1e-12)
+        lines = ctx.atoms.residuals.at(y)
+        assert lines[3:] == pytest.approx(residuals(full), rel=1e-12, abs=1e-12)
+        assert lines[:3] == pytest.approx(residuals(full - 2.0 * proj * u), rel=1e-9, abs=1e-12)
 
 
 def test_atomic_steps_are_uninformative_below_the_level_threshold():
@@ -115,14 +135,20 @@ def test_atomic_steps_are_uninformative_below_the_level_threshold():
     feed(pred, xs, ys)
     ctx = pred.begin_step(x_new)
     assert ctx.n == 3 and ctx.exact
-    for y in ctx.grid:  # both grid ends sit in the tails
+    for y in (-1e3, 1e3):  # both tails
         assert pred.pvalue(ctx, y, 1.0) == pytest.approx(1.0 / 6.0, rel=1e-12)
-    # ceil(1/eps) = 4 > n: forced to the real line although every atom
-    # p-value on the grid is at most 1/3
+    # ceil(1/eps) = 4 > n: forced to the real line although both tails lie
+    # below the level 0.25
     assert pred.raw_region(ctx, 0.25, 1.0) == PredictionRegion.real_line()
     assert pred.raw_region(ctx, 0.15, 1.0) == PredictionRegion.real_line()
-    # ceil(1/eps) = 3 <= n: the atoms decide, and they reject everywhere
-    assert pred.raw_region(ctx, 0.4, 1.0) == PredictionRegion.empty()
+    # ceil(1/eps) = 3 <= n: the atoms decide, and they keep one narrow pocket
+    # (about 0.038 wide) where most atoms reach the observed score
+    region = pred.raw_region(ctx, 0.4, 1.0)
+    assert len(region.pieces) == 1 and region.is_bounded
+    assert region.length == pytest.approx(0.038, abs=1e-3)
+    assert pred.pvalue(ctx, 0.5 * (region.inf + region.sup), 1.0) > 0.4
+    for y in (region.inf - 1e-6, region.sup + 1e-6, 0.0, 0.1):
+        assert pred.pvalue(ctx, y, 1.0) <= 0.4, y
 
 
 def test_exact_region_agrees_with_pvalue_threshold():
@@ -134,12 +160,10 @@ def test_exact_region_agrees_with_pvalue_threshold():
     feed(pred, xs, ys)
     ctx = pred.begin_step(x_new)
     region = pred.raw_region(ctx, 0.4, 1.0)
-    lo, hi = region.pieces[0].lo, region.pieces[0].hi
-    assert np.isfinite(lo) and np.isfinite(hi)
-    margin = 0.01 * ctx.grid_unit
-    for y in np.linspace(ctx.grid[0], ctx.grid[1], 401):
-        if min(abs(y - lo), abs(y - hi)) < margin:
-            continue
+    assert region.is_bounded and not region.is_empty
+    width = region.sup - region.inf
+    ys_probe = np.linspace(region.inf - 3.0 * width, region.sup + 3.0 * width, 401)
+    for y in ys_probe[_away_from_ends(region, ys_probe)]:
         assert region.contains(y) == (pred.pvalue(ctx, y, 1.0) > 0.4), y
 
 
@@ -237,22 +261,19 @@ def _stream(size, k, seed):
     return xs, ys
 
 
-@pytest.mark.parametrize("past", [3, 12])  # exact step (grid), Monte-Carlo step (crossings)
-def test_grid_is_fixed_at_begin_step(past):
+@pytest.mark.parametrize("past", [3, 12])  # exact step (atom sweep), Monte-Carlo step (crossings)
+def test_regions_are_fixed_at_begin_step(past):
     xs, ys = _stream(past + 1, 2, 8)
-    ys[-1] = 50.0  # widens the y-range and shifts the fit once observed
+    ys[-1] = 50.0  # shifts the fit once observed
     levels = (0.3, 0.25)
     before, after = fresh(), fresh()
     feed(before, xs[:past], ys[:past])
     feed(after, xs[:past], ys[:past])
     ctx_before = before.begin_step(xs[past])
-    grid, unit = ctx_before.grid, ctx_before.grid_unit
     regions = [before.raw_region(ctx_before, eps, 1.0) for eps in levels]
     ctx_after = after.begin_step(xs[past])
     after.observe(Observation(xs[past], ys[past]))
     assert ctx_after.exact == (past == 3)
-    assert ctx_after.grid == grid
-    assert ctx_after.grid_unit == unit
     assert [after.raw_region(ctx_after, eps, 1.0) for eps in levels] == regions
     if past == 12:
         assert all(r.is_bounded and not r.is_empty for r in regions)
@@ -274,7 +295,7 @@ def test_region_does_not_depend_on_level_order(past):
         assert regions(levels[::-1], tau) == forward
         for eps in levels:
             assert regions((eps,), tau) == {eps: forward[eps]}
-    # one context serves several taus without mixing their grid sweeps
+    # one context serves several taus without mixing their counts
     pred = fresh(6, mc_samples=300)
     feed(pred, xs[:past], ys[:past])
     ctx = pred.begin_step(xs[past])
@@ -282,14 +303,27 @@ def test_region_does_not_depend_on_level_order(past):
         assert {eps: pred.raw_region(ctx, eps, tau).pieces for eps in levels} == regions(levels, tau)
 
 
-def _monte_carlo_steps(k, size, seed, mc_samples=300):
-    """(predictor, context) at every Monte-Carlo step of a synthetic stream."""
+def _steps(k, size, seed, mc_samples=300):
+    """(predictor, context) at every step of a synthetic stream."""
     pred = fresh(seed, mc_samples=mc_samples)
     for obs in generate(SyntheticSpec(k=k, n=size, seed=seed)):
-        ctx = pred.begin_step(obs.x)
-        if not ctx.exact:
-            yield pred, ctx
+        yield pred, pred.begin_step(obs.x)
         pred.observe(obs)
+
+
+def _monte_carlo_steps(k, size, seed, mc_samples=300):
+    """(predictor, context) at every Monte-Carlo step of a synthetic stream."""
+    return ((pred, ctx) for pred, ctx in _steps(k, size, seed, mc_samples) if not ctx.exact)
+
+
+def _deterministic_context(k, size, seed, step):
+    """Predictor and context at ``step`` of a deterministic synthetic run."""
+    stream = generate(SyntheticSpec(k=k, n=size, seed=seed))
+    pred = make_predictor(RunConfig(predictor="iid-gauss", smoothed=False, seed=seed))
+    for obs in stream[: step - 1]:
+        pred.begin_step(obs.x)
+        pred.observe(obs)
+    return pred, pred.begin_step(stream[step - 1].x)
 
 
 def _inside(region, ys):
@@ -308,6 +342,23 @@ def _away_from_ends(region, ys):
     return ~np.any(gap <= 1e-9 * np.maximum(1.0, np.abs(ends)), axis=1)
 
 
+def _end_pvalue(pred, ctx, end, tau):
+    """p-value at a region endpoint.
+
+    An exact step's endpoints are critical points, where an atom line meets
+    the observed one; it ties there, which the rounded crossing point only
+    shows within the sweep's relative tie band.
+    """
+    if not ctx.exact:
+        return pred.pvalue(ctx, end, tau)
+    scores = np.abs(ctx.atoms.residuals.at(end))
+    own, rest = scores[-1], scores[:-1]
+    tol = TIE_RTOL * max(1.0, own)
+    greater = np.count_nonzero(rest > own + tol)
+    ties = np.count_nonzero(np.abs(rest - own) <= tol) + 1
+    return (greater + tau * ties) / ctx.atoms.n
+
+
 def _segment_points(events):
     """One point inside every open segment between events, rays included."""
     spread = max(np.ptp(events), 1.0)
@@ -322,21 +373,37 @@ LEVELS = (0.3, 0.05, 0.01)
 
 @MC_STREAMS
 def test_monte_carlo_region_is_the_exact_pvalue_super_level_set(k, size):
+    # exact steps too: their events are the critical points of the atom lines
     rng = np.random.default_rng(k)
     steps = 0
-    for pred, ctx in _monte_carlo_steps(k, size, seed=4):
-        steps += 1
-        events, counts = ctx.crossings
-        assert events.size and np.all(np.diff(events) > 0)
-        mids = _segment_points(events)
-        assert np.array_equal(counts / pred.mc_samples, pred._pvalues(ctx, mids, 1.0))
+    exact_slices = set()  # slice dimensions d of the exact steps checked
+    for pred, ctx in _steps(k, size, seed=4):
+        if ctx.exact:
+            ctx.atoms.sweep()
+            events = ctx.atoms.crit
+        else:
+            steps += 1
+            events, counts = ctx.crossings
+            assert events.size
+        assert np.all(np.diff(events) > 0)
+        mids = _segment_points(events) if events.size else np.zeros(1)
+        if not ctx.exact:
+            assert np.array_equal(counts / pred.mc_samples, pred._pvalues(ctx, mids, 1.0))
         probes = rng.uniform(mids[0], mids[-1], 200)
         for tau in (0.0, 0.37, 1.0):
-            pmid = pred._pvalues(ctx, mids, tau)
+            if ctx.exact:
+                pmid = np.array([pred.pvalue(ctx, y, tau) for y in mids])
+            else:
+                pmid = pred._pvalues(ctx, mids, tau)
             pprobe = np.array([pred.pvalue(ctx, y, tau) for y in probes])
             regions = {}
             for eps in LEVELS:
                 raw = regions[eps] = pred.raw_region(ctx, eps, tau)
+                if ctx.n < min(np.ceil(1.0 / eps), k + 3):  # declared non-informative
+                    assert raw == PredictionRegion.real_line()
+                    continue
+                if ctx.exact:
+                    exact_slices.add(ctx.atoms.n // ctx.n - 1)
                 far = _away_from_ends(raw, mids)
                 assert np.array_equal(_inside(raw, mids[far]), pmid[far] > eps), (ctx.n, eps, tau)
                 far = _away_from_ends(raw, probes)
@@ -345,9 +412,10 @@ def test_monte_carlo_region_is_the_exact_pvalue_super_level_set(k, size):
                 for piece in raw.pieces:  # closed exactly where the p-value clears the level
                     for end, closed in ((piece.lo, piece.lo_closed), (piece.hi, piece.hi_closed)):
                         if np.isfinite(end):
-                            assert closed == (pred.pvalue(ctx, end, tau) > eps)
+                            assert closed == (_end_pvalue(pred, ctx, end, tau) > eps)
             assert check_nested(regions)
     assert steps >= size - k - 3
+    assert exact_slices == {0, 1}
 
 
 def test_noise_free_stream_counts_are_exact_outside_a_rounding_band():
@@ -392,12 +460,7 @@ def test_monte_carlo_hull_matches_the_grid_oracle(k, size):
 def test_monte_carlo_region_is_not_clipped_at_a_grid_edge():
     # step 26 of this run: the grid search kept a grid end and reported an
     # infinite endpoint; the exact region is bounded, about 51.5 wide
-    stream = generate(SyntheticSpec(k=20, n=120, seed=3))
-    pred = make_predictor(RunConfig(predictor="iid-gauss", smoothed=False, seed=3))
-    for obs in stream[:25]:
-        pred.begin_step(obs.x)
-        pred.observe(obs)
-    ctx = pred.begin_step(stream[25].x)
+    pred, ctx = _deterministic_context(20, 120, 3, 26)
     assert not ctx.exact
     assert not iidgauss_grid_region(pred, ctx, 0.01, 1.0)[0].is_bounded
     region = pred.raw_region(ctx, 0.01, 1.0)
@@ -406,3 +469,31 @@ def test_monte_carlo_region_is_not_clipped_at_a_grid_edge():
     beyond = region.length * np.geomspace(1e-9, 1e6, 200)
     for y in np.concatenate((region.inf - beyond, region.sup + beyond)):
         assert pred.pvalue(ctx, y, 1.0) <= 0.01, y
+
+
+def test_exact_region_is_not_clipped():
+    # step 8 of this run (d = 0): a grid over the observed response range
+    # +- 3 ranges kept its left end and reported (-inf, 116.104], but
+    # {y : p(y) > 0.3} is bounded
+    pred, ctx = _deterministic_context(20, 120, 1, 8)
+    assert ctx.exact
+    region = pred.raw_region(ctx, 0.3, 1.0)
+    assert region.is_bounded and not region.is_empty
+    assert region.inf == pytest.approx(-17.055, abs=1e-3)
+    assert region.sup == pytest.approx(116.121, abs=1e-3)
+    beyond = region.length * np.geomspace(1e-9, 1e6, 200)
+    for y in np.concatenate((region.inf - beyond, region.sup + beyond)):
+        assert pred.pvalue(ctx, y, 1.0) <= 0.3, y
+    assert ctx.atoms.n == ctx.n  # d = 0
+
+
+def test_exact_step_keeps_the_self_atom():
+    # step 5 of this run has a one-dimensional slice.  Near the minimum of the
+    # slice radius sqrt(c2*y^2 + c1*y + c0) that square root loses about 2e-6
+    # relative to cancellation, enough to push the observed score's own atom
+    # out of any rounding-width tie band; as one of the atom lines it ties
+    # structurally, and here no atom lies below the observed score
+    pred, ctx = _deterministic_context(3, 80, 0, 5)
+    assert ctx.exact
+    assert pred.pvalue(ctx, 65.03785469044772, 1.0) == 1.0
+    assert ctx.atoms.n == 2 * ctx.n  # d = 1

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from oracles import mva_residual_affine
+from oracles import mva_residual_affine, ridge_residual_affine
 
 from cpreg import (
     FeatureSchedule,
@@ -13,7 +13,6 @@ from cpreg import (
     Observation,
     PredictionRegion,
     open_solution_set,
-    ridge_residual_affine,
     t_sf,
 )
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from cpreg import AffineResiduals, FeatureSchedule, RidgeResidualMap, ridge_residual_affine
+from oracles import ridge_residual_affine
+
+from cpreg import AffineResiduals, FeatureSchedule, RidgeResidualMap
 
 # Intercept-only designs admit exact rational residual coefficients:
 # with m stored responses plus the candidate, the smoother weight is
