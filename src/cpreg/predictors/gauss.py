@@ -23,10 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from ..design import DesignState
-from ..linalg import RANK_RTOL, NumericalError
+from ..linalg import RANK_RTOL, NumericalError, cholesky_factor, cholesky_solve
 from ..regions import Interval, PredictionRegion, point
 from ..stream import Observation
 from ..studentt import t_sf, t_upper_point
@@ -50,14 +49,11 @@ def _solve_centred(cxx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``cxx @ out = rhs`` by Cholesky, refusing a numerically singular ``cxx``."""
     if cxx.size == 0:
         return rhs
-    try:
-        factor = cho_factor(cxx, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"feature co-moments are not positive definite: {exc}") from exc
-    diag = np.abs(np.diag(factor[0]))
+    factor = cholesky_factor(cxx, "feature co-moment matrix")
+    diag = np.abs(factor.diagonal())
     if diag.min() < RANK_RTOL * diag.max():
         raise NumericalError("feature co-moments are numerically singular")
-    return cho_solve(factor, rhs, check_finite=False)
+    return cholesky_solve(factor, rhs)
 
 
 class GaussPredictor(OnlinePredictor):

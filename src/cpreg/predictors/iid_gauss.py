@@ -36,6 +36,17 @@ Two regimes:
   d - 1 degrees of freedom; so a step costs a slot, a normal and a
   chi-square variate per draw rather than a projected n-vector.
 
+Geometry.  The slice needs two things from Z: its minimum-norm point
+Z (Z'Z)^+ (t0 + y z_n), affine in the candidate y (t0 = (sum y, sum y*x)
+of the past, z_n the new design row), whose squared norm gives the slice
+radius, and the slot leverages h_ss.  From n = K + 3 on Z normally has
+full rank, and one Cholesky factor Z'Z = LL' gives both: a single solve for
+(Z'Z)^{-1} [t0, z_n] and h_ss = |L^{-1} z_s|^2 from one triangular solve.
+Every other step takes an SVD of Z, which also decides its rank: the exact
+steps, and the Monte-Carlo steps whose factor fails or whose estimated
+condition is too poor to rule out a rank the SVD would cut (duplicated
+columns, large feature offsets).
+
 Regions.  On a Monte-Carlo step the estimated p-value is a step function
 of the candidate y: it changes only where a draw's score
 |a + b*y + m*r(y)| crosses the observed score |e0*y + e1|, with r(y) the
@@ -60,15 +71,32 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dtrcon, dtrtrs
 
 from ..design import DesignState
-from ..linalg import RANK_RTOL
+from ..linalg import RANK_RTOL, NumericalError, cholesky_factor, cholesky_solve
 from ..randomness import RandomStream
 from ..regions import Interval, PredictionRegion
 from ..residuals import AffineResiduals, FeatureSchedule, RidgeResidualMap
 from ..stream import Observation
 from .base import OnlinePredictor, check_epsilon, check_tau
 from .iid import IidStepContext, iid_pvalue
+
+# Smallest LAPACK dtrcon estimate of the 1-norm reciprocal condition of the
+# Cholesky factor L of Z'Z for which a Monte-Carlo step trusts L; below it
+# the step goes to the SVD, whose rank cutoff is RANK_RTOL.  L has the
+# singular values of Z, but forming Z'Z rounds away everything below about
+# sqrt(machine eps) = 1.5e-8 relative: for a Z that the SVD finds
+# rank-deficient (sigma_min <= RANK_RTOL * sigma_max) the factorization
+# either fails or returns an L whose reciprocal condition is of that order
+# (at most 1.6e-8 over 300 random rank-deficient designs with K up to 60:
+# duplicated, constant and dependent columns at scales 1e-3 to 1e3), and
+# the estimate is within a factor of the order of K of the true 1-norm
+# value.  1e-5 is three decades above that, so a step the SVD would call
+# rank-deficient never takes this path, and still two decades below the
+# reciprocal condition of a Gaussian design at n = K + 3 (2e-3 at K = 100).
+# Where it passes, the geometry agrees with the SVD's to ~1e-11 relative.
+_CHOLESKY_MIN_RCOND = 1e-5
 
 
 @dataclass
@@ -203,34 +231,76 @@ class IidGaussPredictor(OnlinePredictor):
         design = np.column_stack((np.ones(n), xs))  # full constraint design Z
         raw = self.design.raw_moments()
         t0, syy = raw[:-1, -1], raw[-1, -1]  # (sum y, sum y*x) and sum y^2
-        zn = design[-1]
-
         rmap = RidgeResidualMap(xs, n, self.schedule)
+        if n >= k + 3:
+            ctx = self._cholesky_step(design, ys, t0, syy, rmap)
+            if ctx is not None:
+                return ctx
+        return self._svd_step(design, ys, t0, syy, rmap)
+
+    def _cholesky_step(self, design, ys, t0, syy, rmap) -> IidGaussStepContext | None:
+        """Monte-Carlo step of a full-rank Z from one Cholesky factor Z'Z = LL'.
+
+        With c0 = (Z'Z)^{-1} t0 and c1 = (Z'Z)^{-1} z_n the minimum-norm slice
+        point is Z c0 + y Z c1, and slot i's leverage is |L^{-1} z_i|^2.
+        Returns None, leaving the step to the SVD, when Z is not clearly of
+        full rank.
+        """
+        n, cols = design.shape
+        try:
+            factor = cholesky_factor(design.T @ design, "design Gram matrix Z'Z")
+        except NumericalError:
+            return None
+        if dtrcon(factor, norm="1", uplo="L")[0] < _CHOLESKY_MIN_RCOND:
+            return None
+        zn = design[-1]
+        c0, c1 = cholesky_solve(factor, np.column_stack((t0, zn))).T
+        rad2 = (1.0 - float(zn @ c1), -2.0 * float(t0 @ c1), syy - float(t0 @ c0))
+        half = dtrtrs(factor, design.T, lower=1)[0]  # L^{-1} Z'
+        leverage = np.einsum("ij,ij->j", half, half)
+        # the response (candidate slot zeroed), the candidate's unit vector and
+        # the slice point's intercept and slope, through one projector solve
+        cols4 = np.zeros((n, 4))
+        cols4[:-1, 0] = ys
+        cols4[-1, 1] = 1.0
+        cols4[:, 2] = design @ c0
+        cols4[:, 3] = design @ c1
+        res = rmap.apply(cols4)
+        ctx = IidGaussStepContext(
+            n=n, k=cols - 1, ea=(float(res[-1, 1]), float(res[-1, 0])), exact=False, rad2=rad2
+        )
+        self._draw(ctx, n - cols, leverage, res[:, 2], res[:, 3])
+        return ctx
+
+    def _svd_step(self, design, ys, t0, syy, rmap) -> IidGaussStepContext:
+        """Any step from an SVD of Z, which also decides its rank."""
+        n, cols = design.shape
         aff = rmap.affine_in_last(ys)
         ea = (float(aff.slopes[-1]), float(aff.intercepts[-1]))
-
-        left, sing, right_t = np.linalg.svd(design, full_matrices=False)
+        # While n <= K + 2 the slice has d <= 1 unless Z is rank-deficient;
+        # the full left factor is then small and holds the null direction.
+        left, sing, right_t = np.linalg.svd(design, full_matrices=n <= cols + 1)
         rank = int(np.sum(sing > RANK_RTOL * (sing[0] if sing.size else 0.0)))
         d = n - rank
 
         # Minimum-norm slice point as an affine function of the candidate y.
         inv_sing = np.zeros_like(sing)
         inv_sing[:rank] = 1.0 / sing[:rank]
-        v00 = left @ (inv_sing * (right_t @ t0))
-        v01 = left @ (inv_sing * (right_t @ zn))
+        lead, right_t = left[:, : sing.size], right_t[: sing.size]
+        v00 = lead @ (inv_sing * (right_t @ t0))
+        v01 = lead @ (inv_sing * (right_t @ design[-1]))
         rad2 = (
             1.0 - float(v01 @ v01),
             -2.0 * float(v00 @ v01),
             syy - float(v00 @ v00),
         )
-        ctx = IidGaussStepContext(n=n, k=k, ea=ea, exact=d <= 1, rad2=rad2)
+        ctx = IidGaussStepContext(n=n, k=cols - 1, ea=ea, exact=d <= 1, rad2=rad2)
 
         if ctx.exact:
             if d == 1:
                 # The mirror point Y - 2(u'Y)u, u the null direction of Z'
                 # (small n regime only), gives a second line per slot.
-                full_left, _, _ = np.linalg.svd(design, full_matrices=True)
-                u = full_left[:, rank]
+                u = left[:, rank]
                 shift, past = 2.0 * rmap.apply(u), u[:-1] @ ys
                 aff = AffineResiduals(
                     slopes=np.concatenate((aff.slopes - u[-1] * shift, aff.slopes)),
@@ -238,13 +308,16 @@ class IidGaussPredictor(OnlinePredictor):
                 )
             ctx.atoms = IidStepContext(n=aff.slopes.size, residuals=aff)
         else:
-            ev_base, ev_slope = rmap.apply(v00), rmap.apply(v01)
-            slots = self._rng.integers(0, n, self.mc_samples)
-            leverage = np.sum(left[slots, :rank] ** 2, axis=1)
-            ctx.slot_mix = null_slot_coordinates(self._rng, leverage, d)
-            ctx.slot_base = ev_base[slots]
-            ctx.slot_slope = ev_slope[slots]
+            leverage = np.sum(left[:, :rank] ** 2, axis=1)
+            self._draw(ctx, d, leverage, rmap.apply(v00), rmap.apply(v01))
         return ctx
+
+    def _draw(self, ctx: IidGaussStepContext, d: int, leverage, ev_base, ev_slope) -> None:
+        """The step's Monte-Carlo draws: a slot and its null-space coordinate each."""
+        slots = self._rng.integers(0, ctx.n, self.mc_samples)
+        ctx.slot_mix = null_slot_coordinates(self._rng, leverage[slots], d)
+        ctx.slot_base = ev_base[slots]
+        ctx.slot_slope = ev_slope[slots]
 
     def _pvalues(self, ctx: IidGaussStepContext, ys: np.ndarray, tau: float) -> np.ndarray:
         """Monte-Carlo p-value at each candidate y."""

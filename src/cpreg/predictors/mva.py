@@ -20,10 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from ..design import DesignState
-from ..linalg import NumericalError
+from ..linalg import cholesky_factor, cholesky_solve
 from ..regions import Interval, PredictionRegion
 from ..residuals import FeatureSchedule
 from ..stream import Observation
@@ -104,11 +103,8 @@ class MvaPredictor(OnlinePredictor):
         colsum = gram[0].copy()  # U'1 over all n rows, dummy column first
         q0, syy = raw[: kd + 1, -1], raw[-1, -1]
         gram.flat[:: kd + 2] += a  # the diagonal
-        try:
-            factor = cho_factor(gram, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"ridge system is not positive definite: {exc}") from exc
-        solved = cho_solve(factor, np.column_stack((q0, u)), check_finite=False)
+        factor = cholesky_factor(gram, "ridge system U'U + aI")
+        solved = cholesky_solve(factor, np.column_stack((q0, u)))
         w0, wu = solved[:, 0], solved[:, 1]
         # e_n(y) and the total residual sum 1'e(y), both affine in y.
         last = (1.0 - float(u @ wu), -float(u @ w0))

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.linalg import cho_factor, cho_solve
 
-from .linalg import NumericalError
+from .linalg import NumericalError, cholesky_factor, cholesky_solve
 
 DEFAULT_RIDGE = 0.01
 DEFAULT_LEADING_BLOCK = 10
@@ -90,13 +89,13 @@ class RidgeResidualMap:
         if not np.isfinite(gram).all():
             raise NumericalError("ridge Gram matrix U'U has non-finite entries (features too large)")
         gram.flat[:: used + 2] += schedule.ridge  # the diagonal
-        self._factor = cho_factor(gram, lower=True, check_finite=False)
+        self._factor = cholesky_factor(gram, "ridge Gram matrix U'U + aI")
         self.n = n
         self.columns = used + 1
 
     def apply(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
         """Residual projector applied to a vector or a stack of columns."""
-        coef = cho_solve(self._factor, self.design.T @ v, check_finite=False)
+        coef = cholesky_solve(self._factor, self.design.T @ v)
         return v - self.design @ coef
 
     def affine_in_last(self, y_prefix: NDArray[np.float64]) -> AffineResiduals:

@@ -136,6 +136,18 @@ def test_numerical_failures_exit_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("kind", ["iid", "mva", "iid-gauss"])
+def test_singular_ridge_system_exits_3(tmp_path, capsys, kind):
+    # a constant feature duplicates the dummy column and the ridge vanishes
+    # next to it, so the ridge Cholesky factor breaks down
+    data = tmp_path / "constant.csv"
+    write_stream(data, [Observation(np.array([1.0]), y) for y in (0.1, 1.2, -0.4, 0.8)])
+    out = tmp_path / "out.csv"
+    argv = ["run", "--data", str(data), "--predictor", kind, "--eps", "0.5", "--ridge", "1e-300"]
+    assert main(argv + ["--out", str(out)]) == 3
+    assert "not positive definite: its leading minor of order 2" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("kind", ["iid", "gauss", "mva", "iid-gauss"])
 def test_overflowing_features_exit_3(tmp_path, kind):

@@ -1,11 +1,18 @@
 """Dense solver layer: frozen hand oracles plus cross-checks against numpy."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from oracles import least_squares, leverage, residual_variance, ridge_solve, spd_solve
 
-from cpreg.linalg import NumericalError
+from cpreg import FeatureSchedule, RidgeResidualMap
+from cpreg.linalg import NumericalError, cholesky_factor, cholesky_solve
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cpreg"
 
 # Exact rational elimination by hand for the 2x2 ridge system with
 # design rows (1,1),(1,2),(1,3), responses (1,2,3), ridge 0.01:
@@ -84,3 +91,62 @@ def test_leverage_nonnegative_random():
         design = rng.standard_normal((8, 3))
         z = rng.standard_normal(3)
         assert leverage(design, z) >= 0.0
+
+
+def test_cholesky_kernel_is_bitwise_scipy():
+    # The kernel calls the LAPACK routines under cho_factor/cho_solve without
+    # their wrappers, so every factor and solve is bit for bit theirs; the
+    # golden ledger hashes of the predictors rest on this.
+    rng = np.random.default_rng(8)
+    for order in range(1, 102):
+        m = rng.standard_normal((order + 3, order))
+        gram = m.T @ m + 0.01 * np.eye(order)
+        factor = cholesky_factor(gram)
+        ref = cho_factor(gram, lower=True, check_finite=False)
+        assert np.array_equal(np.tril(factor), np.tril(ref[0])), order
+        for rhs in (rng.standard_normal(order), rng.standard_normal((order, 3))):
+            got = cholesky_solve(factor, rhs)
+            assert got.shape == rhs.shape
+            assert np.array_equal(got, cho_solve(ref, rhs, check_finite=False)), order
+
+
+def test_cholesky_kernel_names_the_failing_minor():
+    message = r"^pair of order 2 is not positive definite: its leading minor of order 2 is not positive$"
+    with pytest.raises(NumericalError, match=message):
+        cholesky_factor(np.array([[1.0, 2.0], [2.0, 1.0]]), "pair")
+    indefinite = np.diag([4.0, 1.0, -1.0, 2.0])
+    with pytest.raises(NumericalError, match=r"^matrix of order 4 .* minor of order 3 is not positive$"):
+        cholesky_factor(indefinite)
+    # LAPACK itself passes NaN pivots through; the kernel does not
+    nan = np.eye(3)
+    nan[1, 0] = nan[0, 1] = np.nan
+    with pytest.raises(NumericalError, match=r"^matrix of order 3 .* order 2 has a non-finite pivot$"):
+        cholesky_factor(nan)
+    with pytest.raises(NumericalError, match=r"minor of order 1 has a non-finite pivot$"):
+        cholesky_factor(np.full((3, 3), np.nan))
+
+
+def test_singular_ridge_gram_is_a_numerical_error():
+    # a constant feature duplicates the dummy column, and a ridge of 1e-300
+    # vanishes next to the unit entries: U'U + aI is exactly singular
+    with pytest.raises(NumericalError, match=r"^ridge Gram matrix U'U \+ aI of order 2 .* minor of order 2"):
+        RidgeResidualMap(np.ones((3, 1)), 3, FeatureSchedule(ridge=1e-300))
+
+
+def test_only_the_kernel_imports_scipy_cholesky():
+    wrappers = {"cho_factor", "cho_solve"}
+    offenders = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "linalg.py" and path.parent == PACKAGE:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            if names & wrappers:
+                offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert len(list(PACKAGE.rglob("*.py"))) > 10
+    assert not offenders, offenders

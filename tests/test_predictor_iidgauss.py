@@ -17,11 +17,12 @@ from cpreg import (
     make_predictor,
 )
 from cpreg.predictors.iid import TIE_RTOL
+from cpreg.predictors import iid_gauss
 from cpreg.predictors.iid_gauss import null_slot_coordinates
 from cpreg.randomness import RandomStream
 from cpreg.regions import check_nested
 
-from oracles import REFINE_RTOL, iidgauss_grid_region, iidgauss_sample_conditional
+from oracles import REFINE_RTOL, iidgauss_grid_region, iidgauss_sample_conditional, slice_geometry
 
 
 def feed(predictor, xs, ys):
@@ -497,3 +498,92 @@ def test_exact_step_keeps_the_self_atom():
     assert ctx.exact
     assert pred.pvalue(ctx, 65.03785469044772, 1.0) == 1.0
     assert ctx.atoms.n == 2 * ctx.n  # d = 1
+
+
+def _no_svd(*args, **kwargs):
+    raise AssertionError("a full-rank Monte-Carlo step took an SVD")
+
+
+def _monte_carlo_geometry(monkeypatch, stream, svd):
+    """Every Monte-Carlo step's rows, raw moments, context, slots and leverages.
+
+    ``svd`` stands in for ``np.linalg.svd`` during the Monte-Carlo steps'
+    ``begin_step`` (a step with n >= K + 3 is one unless Z is rank-deficient).
+    """
+    pred = fresh(0, mc_samples=200)
+    draws = {}
+    coordinates, integers = iid_gauss.null_slot_coordinates, pred._rng.integers
+
+    def spy_coordinates(rng, leverage, d):
+        draws["leverage"] = leverage.copy()
+        return coordinates(rng, leverage, d)
+
+    def spy_integers(*args):
+        draws["slots"] = integers(*args)
+        return draws["slots"]
+
+    monkeypatch.setattr(iid_gauss, "null_slot_coordinates", spy_coordinates)
+    monkeypatch.setattr(pred._rng, "integers", spy_integers)
+    steps = []
+    for obs in stream:
+        draws.clear()
+        with monkeypatch.context() as m:
+            if pred.count + 1 >= obs.x.size + 3:
+                m.setattr(np.linalg, "svd", svd)
+            ctx = pred.begin_step(obs.x)
+        if not ctx.exact:
+            xs, raw = pred.design.with_row(obs.x).copy(), pred.design.raw_moments()
+            steps.append((xs, raw, ctx, dict(draws)))
+        pred.observe(obs)
+    return steps
+
+
+def _assert_matches_slice_geometry(steps, lines=True):
+    """rad2, slot leverages and (``lines``) slot residual lines against the SVD oracle.
+
+    The residual lines of an ill-conditioned ridge design amplify the rounding
+    of the slice point, so they are compared on well-conditioned streams only.
+    """
+    for xs, raw, ctx, draws in steps:
+        n = ctx.n
+        design = np.column_stack((np.ones(n), xs))
+        v00, basis = slice_geometry(design, raw[:-1, -1])  # slice point at y = 0
+        v01, _ = slice_geometry(design, design[-1])  # its slope in y
+        rad2 = (1.0 - v01 @ v01, -2.0 * (v00 @ v01), raw[-1, -1] - v00 @ v00)
+        assert ctx.rad2 == pytest.approx(rad2, rel=1e-9), n
+        slots = draws["slots"]
+        leverage = 1.0 - np.sum(basis**2, axis=1)
+        assert draws["leverage"] == pytest.approx(leverage[slots], rel=1e-9), n
+        if not lines:
+            continue
+        project = RidgeResidualMap(xs, n, FeatureSchedule()).apply
+        base, slope = project(v00)[slots], project(v01)[slots]
+        assert ctx.slot_base == pytest.approx(base, rel=1e-9, abs=1e-9 * np.abs(base).max()), n
+        assert ctx.slot_slope == pytest.approx(slope, rel=1e-9, abs=1e-9 * np.abs(slope).max()), n
+
+
+@pytest.mark.parametrize("k, size", [(20, 120), (2, 210)])
+def test_full_rank_monte_carlo_steps_take_no_svd(monkeypatch, k, size):
+    steps = _monte_carlo_geometry(monkeypatch, generate(SyntheticSpec(k=k, n=size, seed=0)), _no_svd)
+    assert len(steps) == size - k - 2  # every step from n = K + 3 on
+    _assert_matches_slice_geometry(steps)
+
+
+@pytest.mark.parametrize("hostile", ["duplicated column", "x offset 1e6"])
+def test_hostile_monte_carlo_steps_fall_back_to_the_svd(monkeypatch, hostile):
+    base = generate(SyntheticSpec(k=3, n=60, seed=2))
+    if hostile == "duplicated column":
+        stream = [Observation(np.append(o.x, o.x[0]), o.y) for o in base]
+    else:
+        stream = [Observation(o.x + 1e6, o.y) for o in base]
+    calls, svd = [], np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(None)
+        return svd(*args, **kwargs)
+
+    steps = _monte_carlo_geometry(monkeypatch, stream, counting_svd)
+    k = stream[0].x.size
+    assert len(steps) >= len(stream) - k - 2
+    assert len(calls) == len(stream) - k - 2  # one SVD on every step from n = K + 3 on
+    _assert_matches_slice_geometry(steps, lines=False)
