@@ -8,7 +8,6 @@ plot curves.
 
 from .dataset import (
     DataFormatError,
-    LedgerTable,
     SyntheticSpec,
     beta_vector,
     generate,
@@ -19,7 +18,7 @@ from .dataset import (
     write_plot_data,
     write_stream,
 )
-from .ledger import OnlineLedger, running_median
+from .ledger import LedgerTable, OnlineLedger
 from .linalg import NumericalError
 from .predictors import (
     GaussPredictor,
@@ -67,7 +66,7 @@ __all__ = [
     "RandomStream",
     "NumericalError",
     "OnlineLedger",
-    "running_median",
+    "LedgerTable",
     "OnlinePredictor",
     "IidPredictor",
     "iid_pvalue",
@@ -92,7 +91,6 @@ __all__ = [
     "beta_vector",
     "generate",
     "DataFormatError",
-    "LedgerTable",
     "read_stream",
     "write_stream",
     "read_ledger",

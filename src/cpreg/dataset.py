@@ -11,11 +11,11 @@ round-trip is bit-exact, and infinite widths use the literal token "inf".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ledger import OnlineLedger
+from .ledger import LedgerTable
 from .randomness import RandomStream
 from .stream import Observation
 
@@ -116,46 +116,7 @@ def read_stream(path) -> list[Observation]:
     return stream
 
 
-@dataclass
-class LedgerTable:
-    """Deserialized ledger columns (same accessors as the live ledger)."""
-
-    levels: tuple[float, ...]
-    err: dict[float, list[int]] = field(default_factory=dict)
-    cum: dict[float, list[int]] = field(default_factory=dict)
-    width: dict[float, list[float]] = field(default_factory=dict)
-    median: dict[float, list[float]] = field(default_factory=dict)
-
-    @property
-    def steps(self) -> int:
-        return len(self.err[self.levels[0]]) if self.levels else 0
-
-    def errors(self, eps: float) -> list[int]:
-        return list(self.err[eps])
-
-    def cumulative_errors(self, eps: float) -> list[int]:
-        return list(self.cum[eps])
-
-    def widths(self, eps: float) -> list[float]:
-        return list(self.width[eps])
-
-    def medians(self, eps: float) -> list[float]:
-        return list(self.median[eps])
-
-    def first_bounded_step(self, eps: float) -> int | None:
-        for i, w in enumerate(self.width[eps]):
-            if math.isfinite(w):
-                return i + 1
-        return None
-
-    def first_finite_median_step(self, eps: float) -> int | None:
-        for i, m in enumerate(self.median[eps]):
-            if math.isfinite(m):
-                return i + 1
-        return None
-
-
-def write_ledger(path, ledger: OnlineLedger | LedgerTable) -> None:
+def write_ledger(path, ledger: LedgerTable) -> None:
     """One row per step: n, then err/Err/L/M per significance level."""
     if ledger.steps < 1:
         raise ValueError("refusing to write an empty ledger")
@@ -203,10 +164,7 @@ def read_ledger(path) -> LedgerTable:
             levels.append(float(tags.pop()))
         except ValueError as exc:
             raise DataFormatError(f"bad significance level in header: {exc}") from exc
-    table = LedgerTable(levels=tuple(levels))
-    for eps in table.levels:
-        table.err[eps], table.cum[eps] = [], []
-        table.width[eps], table.median[eps] = [], []
+    columns = [([], [], [], []) for _ in levels]
     for row, line in enumerate(lines[1:], start=1):
         if not line:
             continue
@@ -216,7 +174,7 @@ def read_ledger(path) -> LedgerTable:
         try:
             index = int(fields[0])
             parsed = []
-            for idx in range(len(table.levels)):
+            for idx in range(len(levels)):
                 base = 1 + 4 * idx
                 parsed.append(
                     (
@@ -230,15 +188,17 @@ def read_ledger(path) -> LedgerTable:
             raise DataFormatError(f"row {row}: non-numeric field ({exc})") from exc
         if index != row:
             raise DataFormatError(f"row {row}: step index {fields[0]} out of order")
-        for eps, (err, cum, width, median) in zip(table.levels, parsed):
-            table.err[eps].append(err)
-            table.cum[eps].append(cum)
-            table.width[eps].append(width)
-            table.median[eps].append(median)
-    return table
+        for (err_col, cum_col, width_col, median_col), (err, cum, width, median) in zip(
+            columns, parsed
+        ):
+            err_col.append(err)
+            cum_col.append(cum)
+            width_col.append(width)
+            median_col.append(median)
+    return LedgerTable(levels, dict(zip(levels, columns)))
 
 
-def write_plot_data(path, ledger: OnlineLedger | LedgerTable) -> None:
+def write_plot_data(path, ledger: LedgerTable) -> None:
     """Median-accuracy and cumulative-error curves, one block per level."""
     if ledger.steps < 1:
         raise ValueError("refusing to write plot data for an empty ledger")

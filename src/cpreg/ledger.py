@@ -1,9 +1,13 @@
-"""Per-step bookkeeping of an on-line prediction run.
+"""The ledger of an on-line prediction run.
 
-For every significance level the ledger tracks, per step: the error
-indicator of the reported region, the error indicator of the raw
-(un-hulled) region, the cumulative error count, the reported region's
-width, and the running median of the widths seen so far.
+For every significance level the ledger holds four columns, one entry per
+step: the error indicator of the reported region (err), the cumulative
+error count (Err), the reported region's width (L), and the running
+median of the widths seen so far (M).  :class:`LedgerTable` holds those
+columns and answers every query on them; it is what a ledger file reads
+back into.  :class:`OnlineLedger` is the ledger a run records into: a
+``LedgerTable`` that also keeps the error indicator of the raw
+(un-hulled) region, which the ledger file does not carry.
 
 Median convention: the element of rank ``floor(n/2) + 1`` of the sorted
 widths (ties broken by position), with infinite widths sorting last.  For
@@ -16,38 +20,59 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass, field
 from typing import Sequence
 
 
-def running_median(values: Sequence[float]) -> float:
-    """Median of ``values`` under the ledger's upper-median convention."""
-    n = len(values)
-    if n == 0:
-        raise ValueError("median of an empty sequence")
-    return sorted(values)[n // 2]
+def _first_finite(values: list[float]) -> int | None:
+    for i, v in enumerate(values):
+        if math.isfinite(v):
+            return i + 1
+    return None
 
 
-@dataclass
-class _LevelTrack:
-    err: list[int] = field(default_factory=list)
-    err_raw: list[int] = field(default_factory=list)
-    cum_err: list[int] = field(default_factory=list)
-    width: list[float] = field(default_factory=list)
-    median: list[float] = field(default_factory=list)
-    sorted_widths: list[float] = field(default_factory=list)
+class LedgerTable:
+    """Ledger columns err, Err, L and M keyed by significance level.
 
+    ``columns`` maps each level to its lists ``(err, Err, L, M)``, one
+    entry per step; the table reads them in place.
+    """
 
-class OnlineLedger:
-    """Error and accuracy bookkeeping keyed by significance level."""
-
-    def __init__(self, levels: Sequence[float]):
+    def __init__(self, levels: Sequence[float], columns: dict[float, tuple[list, ...]]):
         levels = tuple(float(e) for e in levels)
         if len(set(levels)) != len(levels):
             raise ValueError("significance levels must be distinct")
         self.levels = levels
-        self._tracks = {eps: _LevelTrack() for eps in levels}
-        self.steps = 0
+        self._columns = columns
+        self.steps = len(columns[levels[0]][0]) if levels else 0
+
+    def errors(self, eps: float) -> list[int]:
+        return list(self._columns[eps][0])
+
+    def cumulative_errors(self, eps: float) -> list[int]:
+        return list(self._columns[eps][1])
+
+    def widths(self, eps: float) -> list[float]:
+        return list(self._columns[eps][2])
+
+    def medians(self, eps: float) -> list[float]:
+        return list(self._columns[eps][3])
+
+    def first_bounded_step(self, eps: float) -> int | None:
+        """First step whose reported region had finite width; None if never."""
+        return _first_finite(self._columns[eps][2])
+
+    def first_finite_median_step(self, eps: float) -> int | None:
+        """First step whose running width-median was finite; None if never."""
+        return _first_finite(self._columns[eps][3])
+
+
+class OnlineLedger(LedgerTable):
+    """The ledger a run records into, with the raw-region errors as well."""
+
+    def __init__(self, levels: Sequence[float]):
+        # Per level, after the four ledger columns: the raw-region errors
+        # and the widths so far in sorted order.
+        super().__init__(levels, {float(eps): ([], [], [], [], [], []) for eps in levels})
 
     def record_step(
         self,
@@ -57,44 +82,18 @@ class OnlineLedger:
     ) -> None:
         """Append one step's indicators and widths (one entry per level)."""
         for eps in self.levels:
-            track = self._tracks[eps]
+            err_col, cum_col, width_col, median_col, raw_col, ordered = self._columns[eps]
             err = int(errors[eps])
-            track.err.append(err)
-            track.err_raw.append(int(raw_errors[eps]))
-            track.cum_err.append((track.cum_err[-1] if track.cum_err else 0) + err)
+            err_col.append(err)
+            raw_col.append(int(raw_errors[eps]))
+            cum_col.append((cum_col[-1] if cum_col else 0) + err)
             width = float(widths[eps])
             if math.isnan(width) or width < 0.0:
                 raise ValueError(f"invalid region width {width}")
-            track.width.append(width)
-            insort(track.sorted_widths, width)
-            track.median.append(track.sorted_widths[len(track.sorted_widths) // 2])
+            width_col.append(width)
+            insort(ordered, width)
+            median_col.append(ordered[len(ordered) // 2])
         self.steps += 1
 
-    def errors(self, eps: float) -> list[int]:
-        return list(self._tracks[eps].err)
-
     def raw_errors(self, eps: float) -> list[int]:
-        return list(self._tracks[eps].err_raw)
-
-    def cumulative_errors(self, eps: float) -> list[int]:
-        return list(self._tracks[eps].cum_err)
-
-    def widths(self, eps: float) -> list[float]:
-        return list(self._tracks[eps].width)
-
-    def medians(self, eps: float) -> list[float]:
-        return list(self._tracks[eps].median)
-
-    def first_bounded_step(self, eps: float) -> int | None:
-        """First step whose reported region had finite width; None if never."""
-        for i, w in enumerate(self._tracks[eps].width):
-            if math.isfinite(w):
-                return i + 1
-        return None
-
-    def first_finite_median_step(self, eps: float) -> int | None:
-        """First step whose running width-median was finite; None if never."""
-        for i, m in enumerate(self._tracks[eps].median):
-            if math.isfinite(m):
-                return i + 1
-        return None
+        return list(self._columns[eps][4])

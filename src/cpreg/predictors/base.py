@@ -58,10 +58,9 @@ class OnlinePredictor(ABC):
         """
         return 1
 
-    def region(self, ctx: Any, eps: float, tau: float, hull: bool = True) -> PredictionRegion:
-        """Region as reported in the ledger (convex hull by default)."""
-        raw = self.raw_region(ctx, eps, tau)
-        return raw.convex_hull() if hull else raw
+    def region(self, ctx: Any, eps: float, tau: float) -> PredictionRegion:
+        """Region as reported in the ledger: the convex hull of the raw region."""
+        return self.raw_region(ctx, eps, tau).convex_hull()
 
 
 def check_epsilon(eps: float) -> float:

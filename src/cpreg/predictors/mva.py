@@ -46,22 +46,21 @@ def open_solution_set(a: float, b: float, c: float) -> PredictionRegion:
             return PredictionRegion([Interval(-np.inf, root, False, False)])
         return PredictionRegion([Interval(root, np.inf, False, False)])
     disc = b * b - 4.0 * a * c
-    if a > 0.0:
-        if disc <= 0.0:
-            return PredictionRegion.empty()
-        q = -0.5 * (b + np.copysign(np.sqrt(disc), b if b != 0.0 else 1.0))
-        lo, hi = sorted((q / a, c / q)) if q != 0.0 else sorted((0.0, -b / a))
-        return PredictionRegion([Interval(lo, hi, False, False)])
+    if a > 0.0 and disc <= 0.0:
+        return PredictionRegion.empty()
     # Downward parabola: negative outside the roots (if any).
-    if disc < 0.0:
+    if a < 0.0 and disc < 0.0:
         return PredictionRegion.real_line()
-    if disc == 0.0:
+    if a < 0.0 and disc == 0.0:
         root = -b / (2.0 * a)
         return PredictionRegion(
             [Interval(-np.inf, root, False, False), Interval(root, np.inf, False, False)]
         )
+    # Cancellation-free roots; q is nonzero because disc > 0.
     q = -0.5 * (b + np.copysign(np.sqrt(disc), b if b != 0.0 else 1.0))
-    lo, hi = sorted((q / a, c / q)) if q != 0.0 else sorted((0.0, -b / a))
+    lo, hi = sorted((q / a, c / q))
+    if a > 0.0:
+        return PredictionRegion([Interval(lo, hi, False, False)])
     return PredictionRegion(
         [Interval(-np.inf, lo, False, False), Interval(hi, np.inf, False, False)]
     )

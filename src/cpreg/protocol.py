@@ -188,8 +188,11 @@ class IndependenceReport:
     degenerate: bool = False
 
 
-def independence_test(values, level: float = 0.01) -> IndependenceReport:
-    """Lag-1 autocorrelation plus a runs test on a binary or continuous sequence."""
+def independence_test(values) -> IndependenceReport:
+    """Lag-1 autocorrelation plus a runs test on a binary or continuous sequence.
+
+    Both tests run at the 1% level.
+    """
     z = np.asarray(values, dtype=float)
     if z.ndim != 1 or z.size < 200:
         raise ValueError(f"need a 1-D sequence of at least 200 values, got shape {z.shape}")

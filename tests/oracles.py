@@ -217,6 +217,14 @@ def iidgauss_grid_region(pred, ctx, eps: float, tau: float) -> tuple[PredictionR
     return PredictionRegion([Interval(lo, hi, bool(np.isfinite(lo)), bool(np.isfinite(hi)))]), half
 
 
+def running_median(values) -> float:
+    """Median of ``values`` under the ledger's upper-median convention."""
+    n = len(values)
+    if n == 0:
+        raise ValueError("median of an empty sequence")
+    return sorted(values)[n // 2]
+
+
 def t_density(x: float, df: float) -> float:
     """Student-t density at ``x``."""
     if not df > 0.0:

@@ -35,8 +35,7 @@ from cpreg import (
     wilks_region,
     write_plot_data,
 )
-from cpreg.ledger import running_median
-from oracles import gauss_tstat
+from oracles import gauss_tstat, running_median
 
 EPS = (0.05, 0.01, 0.005)
 TABLE_SEEDS = range(5)

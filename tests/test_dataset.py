@@ -164,6 +164,9 @@ def test_ledger_file_errors(tmp_path):
     path.write_text("n,err_0.05,Err_0.05,L_0.05,M_0.01\n")
     with pytest.raises(DataFormatError):
         read_ledger(path)
+    path.write_text("n" + ",err_0.05,Err_0.05,L_0.05,M_0.05" * 2 + "\n")
+    with pytest.raises(ValueError, match="distinct"):
+        read_ledger(path)
     path.write_text("n,err_0.05,Err_0.05,L_0.05,M_0.05\n2,0,0,1.0,1.0\n")
     with pytest.raises(DataFormatError, match="out of order"):
         read_ledger(path)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cpreg import OnlineLedger, running_median
+from cpreg import OnlineLedger
+from oracles import running_median
 
 
 def test_running_median_upper_convention():
