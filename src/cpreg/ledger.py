@@ -80,7 +80,15 @@ class OnlineLedger(LedgerTable):
         raw_errors: dict[float, int],
         widths: dict[float, float],
     ) -> None:
-        """Append one step's indicators and widths (one entry per level)."""
+        """Append one step's indicators and widths (one entry per level).
+
+        Every width is checked before the first append, so a rejected step
+        leaves all columns as they were.
+        """
+        for eps in self.levels:
+            width = float(widths[eps])
+            if math.isnan(width) or width < 0.0:
+                raise ValueError(f"invalid region width {width}")
         for eps in self.levels:
             err_col, cum_col, width_col, median_col, raw_col, ordered = self._columns[eps]
             err = int(errors[eps])
@@ -88,8 +96,6 @@ class OnlineLedger(LedgerTable):
             raw_col.append(int(raw_errors[eps]))
             cum_col.append((cum_col[-1] if cum_col else 0) + err)
             width = float(widths[eps])
-            if math.isnan(width) or width < 0.0:
-                raise ValueError(f"invalid region width {width}")
             width_col.append(width)
             insort(ordered, width)
             median_col.append(ordered[len(ordered) // 2])

@@ -3,12 +3,23 @@
 At step n every observation's ridge residual is an affine function of the
 candidate response y, so the nonconformity comparison pattern can change
 only where some |e_i(y)| crosses |e_n(y)|, i.e. where e_i(y) = +-e_n(y).
-The region {y : p(y) > eps} is assembled by sweeping those critical
-points: the p-value is constant on each open interval between them, so
-one probe per interval (plus one per critical point) determines the
-region exactly.  The probes partition the line in order, so each run of
-consecutive kept probes is one connected piece of the region, and the
-region is built from one interval per run.
+Those roots, merged within ``MERGE_TOL``, are the critical points, and the
+region {y : p(y) > eps} is assembled by sweeping them (the Ridge Regression
+Confidence Machine): the p-value is constant on each open gap between
+them, so the counts on every gap and at every critical point determine
+the region exactly.
+
+The sweep is an event sweep.  Each past line is compared with the observed
+one once, on the left ray below every critical point; it meets the
+observed line at most twice, and each root where it does flips the
+comparison, so a +-1 change per root, summed over the gaps, gives the
+count of greater scores on every gap in O(n log n).  Ties: a line with a
+root at a critical point ties there (a double root touches once and flips
+nothing); a line that ties on the left ray, away from every root, is
++-e_n itself and ties on every gap and at every critical point; the
+observed line ties itself.  The probes partition the line in order, so
+each run of consecutive kept probes is one connected piece of the region,
+and the region is built from one interval per run.
 """
 
 from __future__ import annotations
@@ -28,9 +39,6 @@ from .base import OnlinePredictor, check_epsilon, check_tau
 PARALLEL_TOL = 1e-12
 # Critical points closer than this collapse into one.
 MERGE_TOL = 1e-12
-# Relative tolerance for recognizing score ties at a critical point,
-# where exact ties are structurally expected but float noise perturbs them.
-TIE_RTOL = 1e-9
 
 
 def iid_pvalue(scores, tau: float) -> float:
@@ -49,19 +57,22 @@ def iid_pvalue(scores, tau: float) -> float:
     return (greater + tau * ties) / arr.size
 
 
-def critical_points(residuals: AffineResiduals) -> NDArray[np.float64]:
-    """Sorted, deduplicated solutions of e_i(y) = +-e_n(y) over i < n."""
+def _roots(residuals: AffineResiduals) -> NDArray[np.float64]:
+    """Solutions of e_i(y) = e_n(y) (row 0) and e_i(y) = -e_n(y) (row 1), i < n.
+
+    NaN where the two lines are parallel within ``PARALLEL_TOL``.
+    """
     b, c = residuals.slopes, residuals.intercepts
-    bn, cn = b[-1], c[-1]
-    points = []
-    for sign in (1.0, -1.0):
-        denom = b[:-1] - sign * bn
-        keep = np.abs(denom) >= PARALLEL_TOL
-        if np.any(keep):
-            points.append((sign * cn - c[:-1][keep]) / denom[keep])
-    if not points:
-        return np.empty(0)
-    ordered = np.sort(np.concatenate(points))
+    signs = np.array([[1.0], [-1.0]])
+    denom = b[:-1] - signs * b[-1]
+    roots = np.full(denom.shape, np.nan)
+    np.divide(signs * c[-1] - c[:-1], denom, out=roots, where=np.abs(denom) >= PARALLEL_TOL)
+    return roots
+
+
+def _merge(roots: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Sorted roots, each chain closer than ``MERGE_TOL`` to its first one merged into it."""
+    ordered = np.sort(roots[~np.isnan(roots)])
     if np.all(np.diff(ordered) > MERGE_TOL):
         return ordered
     merged: list[float] = []
@@ -69,6 +80,11 @@ def critical_points(residuals: AffineResiduals) -> NDArray[np.float64]:
         if not merged or t - merged[-1] > MERGE_TOL:
             merged.append(float(t))
     return np.asarray(merged)
+
+
+def critical_points(residuals: AffineResiduals) -> NDArray[np.float64]:
+    """Sorted, deduplicated solutions of e_i(y) = +-e_n(y) over i < n."""
+    return _merge(_roots(residuals))
 
 
 @dataclass
@@ -82,41 +98,44 @@ class IidStepContext:
     ties: NDArray[np.int64] | None = None
 
     def sweep(self) -> None:
-        """Probe the score comparison on every piece of the critical grid.
+        """Count greater and tied scores on every piece of the critical grid.
 
-        Probe layout: [left ray, crit_0, gap_01, crit_1, ..., crit_last,
-        right ray], or a single probe when there are no critical points.
-        Ties get a relative tolerance only at the critical points; between
-        them the comparison is exact.
+        Table layout: [left ray, crit_0, gap_01, crit_1, ..., crit_last,
+        right ray], or a single entry when there are no critical points.
         """
         if self.crit is not None:
             return
-        crit = critical_points(self.residuals)
+        roots = _roots(self.residuals)
+        crit = _merge(roots)
         m = crit.size
-        # Scored gap probes first (rays included), then the critical points.
-        probes = np.empty(2 * m + 1)
-        if m == 0:
-            probes[0] = 0.0
-        else:
-            probes[0] = crit[0] - 1.0
-            probes[1:m] = 0.5 * (crit[:-1] + crit[1:])
-            probes[m] = crit[-1] + 1.0
-            probes[m + 1 :] = crit
-        scores = np.multiply.outer(self.residuals.slopes, probes)
-        scores += self.residuals.intercepts[:, None]
-        np.abs(scores, out=scores)
+        scores = np.abs(self.residuals.at(crit[0] - 1.0 if m else 0.0))
         own, rest = scores[-1], scores[:-1]
+        above, tied = rest > own, rest == own
+        # The critical point each root merged into, m for none; a tied line
+        # is never crossed.  A line is on the far side of its left-ray state
+        # exactly on the gaps lo + 1 .. hi.
+        at = np.searchsorted(crit, roots, side="right") - 1
+        at[np.isnan(roots) | tied] = m
+        lo, hi = at.min(axis=0), at.max(axis=0)
+        flips = np.where(above, -1.0, 1.0)
+        change = np.bincount(lo, flips, m + 1) - np.bincount(hi, flips, m + 1)
+        gaps = np.count_nonzero(above) + np.cumsum(np.append(0.0, change[:m])).astype(np.int64)
+        hi[hi == lo] = m  # a double root touches its point once
+
+        def per_point(index):
+            return np.bincount(index, minlength=m + 1)[:m]
+
         greater = np.empty(2 * m + 1, dtype=np.int64)
-        ties = np.empty(2 * m + 1, dtype=np.int64)
-        greater[0::2] = np.count_nonzero(rest[:, : m + 1] > own[: m + 1], axis=0)
-        ties[0::2] = np.count_nonzero(rest[:, : m + 1] == own[: m + 1], axis=0)
-        own_crit = own[m + 1 :]
-        tol = TIE_RTOL * np.maximum(1.0, own_crit)
-        greater[1::2] = np.count_nonzero(rest[:, m + 1 :] > own_crit + tol, axis=0)
-        ties[1::2] = np.count_nonzero(np.abs(rest[:, m + 1 :] - own_crit) <= tol, axis=0)
+        greater[0::2] = gaps
+        # A line ties at its roots, so there it leaves the greater count of
+        # the gap to the left if it is above on that gap: at lo when it
+        # starts above, at a second root hi when it starts below.
+        greater[1::2] = gaps[:m] - per_point(lo[above]) - per_point(hi[~above])
+        ties = np.full(2 * m + 1, np.count_nonzero(tied) + 1, dtype=np.int64)
+        ties[1::2] += per_point(lo) + per_point(hi)
         self.crit = crit
         self.greater = greater
-        self.ties = ties + 1
+        self.ties = ties
 
     def region(self, eps: float, tau: float) -> PredictionRegion:
         """{y : p(y) > eps}, one interval per run of consecutive kept probes."""

@@ -22,6 +22,7 @@ from cpreg import (
     PredictionRegion,
     RandomStream,
     RidgeResidualMap,
+    critical_points,
 )
 from cpreg.linalg import RANK_RTOL, NumericalError
 from cpreg.regions import Interval, point
@@ -37,6 +38,9 @@ RADIUS_RTOL = 1e-9
 # a fraction of the classical half-width.
 GRID_POINTS = 201
 REFINE_RTOL = 1e-3
+# Relative band of iid_dense_tables for score ties at a critical point,
+# where exact ties are structurally expected but float noise perturbs them.
+TIE_RTOL = 1e-9
 
 
 def _as_matrix(a, name: str = "matrix") -> Matrix:
@@ -151,6 +155,41 @@ def stream_arrays(stream: list[Observation]) -> tuple[Matrix, Vector]:
     if not xs:
         return np.empty((0, 0)), np.empty(0)
     return np.vstack(xs), np.asarray(ys, dtype=float)
+
+
+def iid_dense_tables(
+    residuals: AffineResiduals,
+) -> tuple[Vector, NDArray[np.int64], NDArray[np.int64]]:
+    """``IidStepContext`` sweep tables by scoring every line at every probe.
+
+    Probe layout: [left ray, crit_0, gap_01, crit_1, ..., crit_last,
+    right ray], or a single probe at 0 when there are no critical points.
+    Ties get the relative band ``TIE_RTOL`` only at the critical points;
+    between them the comparison is exact.  Returns (crit, greater, ties),
+    the observed line's tie with itself included.
+    """
+    crit = critical_points(residuals)
+    m = crit.size
+    # Scored gap probes first (rays included), then the critical points.
+    probes = np.empty(2 * m + 1)
+    if m == 0:
+        probes[0] = 0.0
+    else:
+        probes[0] = crit[0] - 1.0
+        probes[1:m] = 0.5 * (crit[:-1] + crit[1:])
+        probes[m] = crit[-1] + 1.0
+        probes[m + 1 :] = crit
+    scores = np.abs(np.multiply.outer(residuals.slopes, probes) + residuals.intercepts[:, None])
+    own, rest = scores[-1], scores[:-1]
+    greater = np.empty(2 * m + 1, dtype=np.int64)
+    ties = np.empty(2 * m + 1, dtype=np.int64)
+    greater[0::2] = np.count_nonzero(rest[:, : m + 1] > own[: m + 1], axis=0)
+    ties[0::2] = np.count_nonzero(rest[:, : m + 1] == own[: m + 1], axis=0)
+    own_crit = own[m + 1 :]
+    tol = TIE_RTOL * np.maximum(1.0, own_crit)
+    greater[1::2] = np.count_nonzero(rest[:, m + 1 :] > own_crit + tol, axis=0)
+    ties[1::2] = np.count_nonzero(np.abs(rest[:, m + 1 :] - own_crit) <= tol, axis=0)
+    return crit, greater, ties + 1
 
 
 def iid_per_probe_region(ctx, eps: float, tau: float) -> PredictionRegion:

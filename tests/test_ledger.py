@@ -92,3 +92,20 @@ def test_levels_are_independent_tracks():
     assert ledger.errors(0.05) == [1] and ledger.errors(0.01) == [0]
     assert ledger.first_bounded_step(0.05) == 1
     assert ledger.first_bounded_step(0.01) is None
+
+
+def test_rejected_step_leaves_every_column_aligned():
+    ledger = OnlineLedger((0.05, 0.01))
+    ledger.record_step({0.05: 0, 0.01: 0}, {0.05: 0, 0.01: 0}, {0.05: 2.0, 0.01: 3.0})
+    with pytest.raises(ValueError):
+        ledger.record_step({0.05: 1, 0.01: 1}, {0.05: 1, 0.01: 1}, {0.05: 1.0, 0.01: math.nan})
+    assert ledger.steps == 1
+    for eps in ledger.levels:
+        columns = (
+            ledger.errors(eps),
+            ledger.raw_errors(eps),
+            ledger.cumulative_errors(eps),
+            ledger.widths(eps),
+            ledger.medians(eps),
+        )
+        assert [len(column) for column in columns] == [1] * 5, eps

@@ -1,16 +1,20 @@
 """Exchangeability predictor: counting p-values and the critical-point sweep."""
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import iid_per_probe_region, ridge_residual_affine
+from oracles import iid_dense_tables, iid_per_probe_region, ridge_residual_affine
 
 from cpreg import (
+    AffineResiduals,
     FeatureSchedule,
+    IidGaussPredictor,
     IidPredictor,
     Observation,
     PredictionRegion,
+    RandomStream,
     RunConfig,
     SyntheticSpec,
     critical_points,
@@ -18,7 +22,7 @@ from cpreg import (
     iid_pvalue,
     run_online,
 )
-from cpreg.predictors.iid import PARALLEL_TOL
+from cpreg.predictors.iid import PARALLEL_TOL, IidStepContext
 
 
 def test_pvalue_counting_rules():
@@ -268,3 +272,59 @@ def test_region_equals_per_probe_oracle(steps):
                 got = pred.raw_region(ctx, eps, tau)
                 want = iid_per_probe_region(ctx, eps, tau)
                 assert got == want, (ctx.n, eps, tau)
+
+
+def assert_dense_tables(ctx):
+    ctx.sweep()
+    for got, want in zip((ctx.crit, ctx.greater, ctx.ties), iid_dense_tables(ctx.residuals)):
+        assert got.dtype == want.dtype and np.array_equal(got, want), ctx.n
+
+
+@pytest.mark.parametrize(
+    "make_stream",
+    [make_stream for _, make_stream, _ in GOLDEN_RUNS]
+    + [
+        lambda: generate(SyntheticSpec(k=3, n=60, seed=4)),
+        lambda: generate(SyntheticSpec(k=2, n=210, seed=0)),
+    ],
+    ids=["k20-seed0", "k20-seed1", "tie-heavy", "k3", "k2-n210"],
+)
+def test_sweep_tables_equal_the_dense_oracle(make_stream):
+    """The event sweep counts exactly what scoring every line at every probe does."""
+    for _, ctx in stream_steps(make_stream()):
+        assert_dense_tables(ctx)
+
+
+def test_iidgauss_exact_step_tables_equal_the_dense_oracle():
+    pred = IidGaussPredictor(rng=RandomStream(0, substream=1))
+    slices = set()  # slice dimensions d of the exact steps
+    for obs in generate(SyntheticSpec(k=20, n=120, seed=0)):
+        ctx = pred.begin_step(obs.x)
+        if ctx.exact:
+            assert_dense_tables(ctx.atoms)
+            slices.add(ctx.atoms.n // ctx.n - 1)
+        pred.observe(obs)
+    assert slices == {0, 1}
+
+
+def test_sweep_tables_equal_the_dense_oracle_on_small_integer_lines():
+    """Integer slopes and intercepts in -2..2 make every structural edge case
+    common: lines equal to +-e_n, a line with both roots at one point, lines
+    parallel to +-e_n, and steps without any critical point."""
+    rng = np.random.default_rng(2009)
+    seen = Counter()
+    for _ in range(3000):
+        n = int(rng.integers(1, 9))
+        b, c = rng.integers(-2, 3, (2, n)).astype(float)
+        ctx = IidStepContext(n=n, residuals=AffineResiduals(slopes=b, intercepts=c))
+        assert_dense_tables(ctx)
+        bp, cp, bn, cn = b[:-1], c[:-1], b[-1], c[-1]
+        copy = ((bp == bn) & (cp == cn)) | ((bp == -bn) & (cp == -cn))
+        parallel = (np.abs(bp - bn) < PARALLEL_TOL) | (np.abs(bp + bn) < PARALLEL_TOL)
+        # e_i and e_n vanish at the same point: both roots of line i are there
+        double = (bp != bn) & (bp != -bn) & ((cn - cp) * (bp + bn) == (-cn - cp) * (bp - bn))
+        seen["signed copy of e_n"] += bool(np.any(copy))
+        seen["parallel, not a copy"] += bool(np.any(parallel & ~copy))
+        seen["double root"] += bool(np.any(double))
+        seen["no critical point"] += n > 1 and ctx.crit.size == 0
+    assert len(seen) == 4 and min(seen.values()) >= 10, seen

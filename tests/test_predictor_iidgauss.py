@@ -16,13 +16,18 @@ from cpreg import (
     generate,
     make_predictor,
 )
-from cpreg.predictors.iid import TIE_RTOL
 from cpreg.predictors import iid_gauss
 from cpreg.predictors.iid_gauss import null_slot_coordinates
 from cpreg.randomness import RandomStream
 from cpreg.regions import check_nested
 
-from oracles import REFINE_RTOL, iidgauss_grid_region, iidgauss_sample_conditional, slice_geometry
+from oracles import (
+    REFINE_RTOL,
+    TIE_RTOL,
+    iidgauss_grid_region,
+    iidgauss_sample_conditional,
+    slice_geometry,
+)
 
 
 def feed(predictor, xs, ys):
