@@ -30,7 +30,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..design import DesignState
-from ..regions import Interval, PredictionRegion
+from ..regions import Interval, PredictionRegion, runs
 from ..residuals import AffineResiduals, FeatureSchedule, RidgeResidualMap
 from ..stream import Observation
 from .base import OnlinePredictor, check_epsilon, check_tau
@@ -52,8 +52,8 @@ def iid_pvalue(scores, tau: float) -> float:
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("scores must be a nonempty 1-D sequence")
     last = arr[-1]
-    greater = int(np.sum(arr > last))
-    ties = int(np.sum(arr == last))
+    greater = int(np.count_nonzero(arr > last))
+    ties = int(np.count_nonzero(arr == last))
     return (greater + tau * ties) / arr.size
 
 
@@ -143,13 +143,11 @@ class IidStepContext:
         keep = (self.greater + tau * self.ties) / self.n > eps
         # Probe i spans (bounds[(i + 1) // 2], bounds[i // 2 + 1]) and is the
         # closed point there when i is odd.
-        padded = np.concatenate(([False], keep, [False]))
-        edges = np.flatnonzero(padded[1:] != padded[:-1])
-        first, last = edges[0::2], edges[1::2] - 1
+        first, last = runs(keep)
         bounds = np.concatenate(([-np.inf], self.crit, [np.inf]))
         return PredictionRegion(
-            Interval(lo, hi, lo_closed, hi_closed)
-            for lo, hi, lo_closed, hi_closed in zip(
+            map(
+                Interval,
                 bounds[(first + 1) // 2].tolist(),
                 bounds[last // 2 + 1].tolist(),
                 (first % 2 == 1).tolist(),

@@ -39,13 +39,23 @@ Two regimes:
 Geometry.  The slice needs two things from Z: its minimum-norm point
 Z (Z'Z)^+ (t0 + y z_n), affine in the candidate y (t0 = (sum y, sum y*x)
 of the past, z_n the new design row), whose squared norm gives the slice
-radius, and the slot leverages h_ss.  From n = K + 3 on Z normally has
-full rank, and one Cholesky factor Z'Z = LL' gives both: a single solve for
-(Z'Z)^{-1} [t0, z_n] and h_ss = |L^{-1} z_s|^2 from one triangular solve.
-Every other step takes an SVD of Z, which also decides its rank: the exact
-steps, and the Monte-Carlo steps whose factor fails or whose estimated
-condition is too poor to rule out a rank the SVD would cut (duplicated
-columns, large feature offsets).
+radius, and the slot leverages h_ss, the diagonal of the hat matrix
+Z (Z'Z)^{-1} Z'.  From n = K + 3 on Z normally has full rank, and a
+Monte-Carlo step reads Z'Z from the design state's raw moments plus
+z_n z_n', with no product of the rows; one Cholesky factor of it gives
+(Z'Z)^{-1} [t0, z_n], and its leading block, ridged, is the residual
+projector's system.  The leverages are carried from step to step rather
+than solved for: adding z_n lowers each stored slot's leverage by
+(z_s'c1)^2 / (1 - h_n) (Sherman-Morrison), with c1 = (Z'Z)^{-1} z_n and
+h_n = z_n'c1 the new slot's leverage, and z_s'c1 is the slope of the
+slice point the step computes anyway.  So a step costs O(n K) beyond its
+draws.  The chain starts, and restarts after any break, from one
+triangular solve, h_ss = |L^{-1} z_s|^2: at its first step, after a step
+that the SVD took or that staged a row other than the one observed, and
+where 1 - h_n is too small to divide by.  Every other step takes an SVD of
+Z, which also decides its rank: the exact steps, and the Monte-Carlo steps
+whose factor fails or whose estimated condition is too poor to rule out a
+rank the SVD would cut (duplicated columns, large feature offsets).
 
 Regions.  On a Monte-Carlo step the estimated p-value is a step function
 of the candidate y: it changes only where a draw's score
@@ -56,7 +66,10 @@ right-hand sides (where rounding can hide a root) they are the draw's
 candidates.  Each draw's score comparison is evaluated once inside every
 gap between its sorted candidates, which drops the spurious roots that
 squaring adds, and the flips of all draws, sorted and summed, give the
-exact draw count on every open segment between crossings.  That sweep runs
+exact draw count on every open segment between crossings.  The candidates,
+probes and scores are laid out event-major, one row per candidate point and
+one column per draw, so that every array operation runs along the long draw
+axis.  That sweep runs
 once per step and serves every epsilon and tau; the region is the union of
 the segments whose count clears the level, each finite endpoint closed when
 the p-value there does.  Exact steps (d <= 1) sweep the critical points
@@ -76,7 +89,7 @@ from scipy.linalg.lapack import dtrcon, dtrtrs
 from ..design import DesignState
 from ..linalg import RANK_RTOL, NumericalError, cholesky_factor, cholesky_solve
 from ..randomness import RandomStream
-from ..regions import Interval, PredictionRegion
+from ..regions import Interval, PredictionRegion, runs
 from ..residuals import AffineResiduals, FeatureSchedule, RidgeResidualMap
 from ..stream import Observation
 from .base import OnlinePredictor, check_epsilon, check_tau
@@ -97,6 +110,20 @@ from .iid import IidStepContext, iid_pvalue
 # reciprocal condition of a Gaussian design at n = K + 3 (2e-3 at K = 100).
 # Where it passes, the geometry agrees with the SVD's to ~1e-11 relative.
 _CHOLESKY_MIN_RCOND = 1e-5
+
+# Smallest 1 - h_n, h_n the new slot's leverage, by which a Monte-Carlo step
+# divides to carry the stored slots' leverages forward; below it the step
+# solves for them afresh.  The division magnifies the rounding of the
+# subtracted term (Z c1)_s^2 / (1 - h_n) by up to 1 / (1 - h_n), and a fresh
+# solve from Z'Z loses kappa(Z)^2, which an outlying row inflates as well.
+# Measured against a QR oracle after one outlying row x + c (c = 3 to 1e5)
+# in K = 2, 3 and 20 streams: where 1 - h_n >= 1e-3 carrying adds at most
+# about 1e-14 to the leverages' error; below that its error grows as
+# 1 - h_n falls (4e-12 at 5.6e-6) and can exceed a fresh solve's by up
+# to 16-fold (4.3e-13 against 2.6e-14 at 1 - h_n = 3.3e-5, K = 3).
+# Gaussian designs stay far above: over the chained steps of K = 20
+# n = 120 and K = 100 n = 600 the smallest 1 - h_n is 0.010.
+_MIN_CARRY_SLACK = 1e-3
 
 
 @dataclass
@@ -120,12 +147,12 @@ class IidGaussStepContext:
         return np.sqrt(np.maximum(c2 * ys * ys + c1 * ys + c0, 0.0))
 
     def draw_scores(self, ys: np.ndarray) -> np.ndarray:
-        """Monte-Carlo scores: row i is draw i at ``ys`` (shape (P,) or (mc, P))."""
-        return np.abs(
-            self.slot_base[:, None]
-            + self.slot_slope[:, None] * ys
-            + self.slot_mix[:, None] * self.radius(ys)
-        )
+        """Monte-Carlo scores, event-major: column i is draw i at ``ys``.
+
+        ``ys`` has shape (P, 1), one candidate per row, or (P, mc), one per
+        draw; the scores have shape (P, mc).
+        """
+        return np.abs(self.slot_base + self.slot_slope * ys + self.slot_mix * self.radius(ys))
 
     @cached_property
     def crossings(self) -> tuple[np.ndarray, np.ndarray]:
@@ -146,35 +173,41 @@ class IidGaussStepContext:
         # right-hand side (m*r is small there, or r = 0 where the squared
         # radius dips below zero by rounding), so that zero is a candidate too
         # and confines such a loss to a rounding-wide interval.
-        candidates = []
-        for sign in (1.0, -1.0):
-            p, q = sign * e0 - b, sign * e1 - a
-            candidates += _quadratic_roots(m2 * c2 - p * p, m2 * c1 - 2.0 * p * q, m2 * c0 - q * q)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                candidates.append(-q / p)
-        cand = np.column_stack(candidates)
+        p = _SIGNS * e0 - b  # (2, mc): row 0 for s = +1, row 1 for s = -1
+        q = _SIGNS * e1 - a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            zeros = -q / p
+        roots = _quadratic_roots(m2 * c2 - p * p, m2 * c1 - 2.0 * p * q, m2 * c0 - q * q)
+        cand = np.concatenate((*roots, zeros))  # (6, mc): column i holds draw i's candidates
         # Missing (NaN) or infinite candidates become one point right of every
-        # root, so all rows have as many gaps; the extra ones lie on the right ray.
-        found = np.isfinite(cand)
-        top = cand[found].max(initial=0.0)
-        cand[~found] = 2.0 * top + 1.0
-        cand.sort(axis=1)
-        # one probe inside each gap of each row, rays included
-        probes = np.empty((cand.shape[0], cand.shape[1] + 1))
-        probes[:, 0] = cand[:, 0] - (1.0 + np.abs(cand[:, 0]))
-        probes[:, 1:-1] = 0.5 * (cand[:, :-1] + cand[:, 1:])
-        probes[:, -1] = cand[:, -1] + (1.0 + np.abs(cand[:, -1]))
+        # root, so all draws have as many gaps; the extra ones lie on the right ray.
+        missing = ~np.isfinite(cand)
+        top = np.max(cand, where=~missing, initial=0.0)
+        np.copyto(cand, 2.0 * top + 1.0, where=missing)
+        cand.sort(axis=0)
+        # one probe inside each gap of each draw, rays included
+        probes = np.empty((cand.shape[0] + 1, cand.shape[1]))
+        probes[0] = cand[0] - (1.0 + np.abs(cand[0]))
+        probes[1:-1] = 0.5 * (cand[:-1] + cand[1:])
+        probes[-1] = cand[-1] + (1.0 + np.abs(cand[-1]))
         above = self.draw_scores(probes) >= np.abs(e0 * probes + e1)
-        flips = np.diff(above.astype(np.int8), axis=1)
-        moved = flips != 0
-        points, steps = cand[moved], flips[moved]
-        order = np.argsort(points)
-        base = np.count_nonzero(above[:, 0])
-        points, counts = points[order], base + np.cumsum(steps[order])
-        # of coinciding flips, the last carries the count of the segment after them
-        last = np.ones(points.size, dtype=bool)
+        # A draw rises to the observed score where its comparison turns true,
+        # and falls below it where it turns false; the count on the segment
+        # right of an event is the left ray's plus the rises minus the falls
+        # up to and including that event (coinciding flips all counted).
+        rises = np.sort(cand[above[1:] > above[:-1]])
+        falls = np.sort(cand[above[1:] < above[:-1]])
+        points = np.sort(np.concatenate((rises, falls)))
+        last = np.ones(points.size, dtype=bool)  # the last of each run of equal points
         last[:-1] = points[1:] != points[:-1]
-        return points[last], np.concatenate(([base], counts[last]))
+        events = points[last]
+        base = np.count_nonzero(above[0])
+        counts = base + np.searchsorted(rises, events, "right")
+        counts -= np.searchsorted(falls, events, "right")
+        return events, np.concatenate(([base], counts))
+
+
+_SIGNS = np.array([[1.0], [-1.0]])
 
 
 def _quadratic_roots(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,6 +252,12 @@ class IidGaussPredictor(OnlinePredictor):
         self.mc_samples = int(mc_samples)
         self._rng = rng if rng is not None else RandomStream(0, substream=1)
         self.design = DesignState()
+        # Leverages of the stored rows in their own design, while the chain
+        # of Monte-Carlo steps that carries them is unbroken; and the staged
+        # row with the leverages of its step, which ``observe`` adopts when it
+        # stores that row.
+        self._leverage: np.ndarray | None = None
+        self._staged: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def count(self) -> int:
@@ -226,45 +265,59 @@ class IidGaussPredictor(OnlinePredictor):
 
     def begin_step(self, x_new) -> IidGaussStepContext:
         xs = self.design.with_row(x_new)
-        ys = self.design.y
         n, k = xs.shape
         design = np.column_stack((np.ones(n), xs))  # full constraint design Z
         raw = self.design.raw_moments()
-        t0, syy = raw[:-1, -1], raw[-1, -1]  # (sum y, sum y*x) and sum y^2
-        rmap = RidgeResidualMap(xs, n, self.schedule)
         if n >= k + 3:
-            ctx = self._cholesky_step(design, ys, t0, syy, rmap)
+            ctx = self._cholesky_step(design, raw)
             if ctx is not None:
                 return ctx
-        return self._svd_step(design, ys, t0, syy, rmap)
+        return self._svd_step(design, raw)
 
-    def _cholesky_step(self, design, ys, t0, syy, rmap) -> IidGaussStepContext | None:
+    def _cholesky_step(self, design, raw) -> IidGaussStepContext | None:
         """Monte-Carlo step of a full-rank Z from one Cholesky factor Z'Z = LL'.
 
-        With c0 = (Z'Z)^{-1} t0 and c1 = (Z'Z)^{-1} z_n the minimum-norm slice
-        point is Z c0 + y Z c1, and slot i's leverage is |L^{-1} z_i|^2.
-        Returns None, leaving the step to the SVD, when Z is not clearly of
-        full rank.
+        Z'Z is the stored rows' raw moments plus z_n z_n', and its leading
+        block, plus aI, is the ridge system.  With c0 = (Z'Z)^{-1} t0 and
+        c1 = (Z'Z)^{-1} z_n the minimum-norm slice point is Z c0 + y Z c1, the
+        new slot's leverage is h_n = z_n'c1 and, by Sherman-Morrison, each
+        stored slot's leverage drops by (Z c1)_s^2 / (1 - h_n) from its value
+        at the previous step.  The leverages are solved for afresh, as
+        |L^{-1} z_s|^2, when that chain is broken or 1 - h_n is too small to
+        divide by.  Returns None, leaving the step to the SVD, when Z is not
+        clearly of full rank.
         """
         n, cols = design.shape
+        zn = design[-1]
+        gram = raw[:cols, :cols] + zn[:, None] * zn
         try:
-            factor = cholesky_factor(design.T @ design, "design Gram matrix Z'Z")
+            factor = cholesky_factor(gram, "design Gram matrix Z'Z")
         except NumericalError:
             return None
         if dtrcon(factor, norm="1", uplo="L")[0] < _CHOLESKY_MIN_RCOND:
             return None
-        zn = design[-1]
-        c0, c1 = cholesky_solve(factor, np.column_stack((t0, zn))).T
-        rad2 = (1.0 - float(zn @ c1), -2.0 * float(t0 @ c1), syy - float(t0 @ c0))
-        half = dtrtrs(factor, design.T, lower=1)[0]  # L^{-1} Z'
-        leverage = np.einsum("ij,ij->j", half, half)
+        t0, syy = raw[:-1, -1], raw[-1, -1]  # (sum y, sum y*x) and sum y^2
+        coef = cholesky_solve(factor, np.column_stack((t0, zn)))
+        c0, c1 = coef.T
+        h_n = float(zn @ c1)
+        rad2 = (1.0 - h_n, -2.0 * float(t0 @ c1), syy - float(t0 @ c0))
+        fitted = design @ coef  # Z c0 and Z c1
+        if self._leverage is not None and rad2[0] >= _MIN_CARRY_SLACK:
+            leverage = np.append(self._leverage - fitted[:-1, 1] ** 2 / rad2[0], h_n)
+        else:
+            half = dtrtrs(factor, design.T, lower=1)[0]  # L^{-1} Z'
+            leverage = np.einsum("ij,ij->j", half, half)
+        self._staged = (zn[1:].copy(), leverage)
+        ridged = self.schedule.features_used(n, cols - 1) + 1  # the ridge design's columns
+        rmap = RidgeResidualMap.from_gram(
+            design[:, :ridged], gram[:ridged, :ridged], self.schedule.ridge
+        )
         # the response (candidate slot zeroed), the candidate's unit vector and
         # the slice point's intercept and slope, through one projector solve
         cols4 = np.zeros((n, 4))
-        cols4[:-1, 0] = ys
+        cols4[:-1, 0] = self.design.y
         cols4[-1, 1] = 1.0
-        cols4[:, 2] = design @ c0
-        cols4[:, 3] = design @ c1
+        cols4[:, 2:] = fitted
         res = rmap.apply(cols4)
         ctx = IidGaussStepContext(
             n=n, k=cols - 1, ea=(float(res[-1, 1]), float(res[-1, 0])), exact=False, rad2=rad2
@@ -272,9 +325,11 @@ class IidGaussPredictor(OnlinePredictor):
         self._draw(ctx, n - cols, leverage, res[:, 2], res[:, 3])
         return ctx
 
-    def _svd_step(self, design, ys, t0, syy, rmap) -> IidGaussStepContext:
+    def _svd_step(self, design, raw) -> IidGaussStepContext:
         """Any step from an SVD of Z, which also decides its rank."""
         n, cols = design.shape
+        ys, t0, syy = self.design.y, raw[:-1, -1], raw[-1, -1]
+        rmap = RidgeResidualMap(design[:, 1:], n, self.schedule)
         aff = rmap.affine_in_last(ys)
         ea = (float(aff.slopes[-1]), float(aff.intercepts[-1]))
         # While n <= K + 2 the slice has d <= 1 unless Z is rank-deficient;
@@ -321,11 +376,11 @@ class IidGaussPredictor(OnlinePredictor):
 
     def _pvalues(self, ctx: IidGaussStepContext, ys: np.ndarray, tau: float) -> np.ndarray:
         """Monte-Carlo p-value at each candidate y."""
-        ys = np.asarray(ys, dtype=float)
+        ys = np.asarray(ys, dtype=float)[:, None]
         obs = np.abs(ctx.ea[0] * ys + ctx.ea[1])
         vals = ctx.draw_scores(ys)
-        greater = np.sum(vals > obs[None, :], axis=0)
-        ties = np.sum(vals == obs[None, :], axis=0)
+        greater = np.count_nonzero(vals > obs, axis=1)
+        ties = np.count_nonzero(vals == obs, axis=1)
         return (greater + tau * ties) / self.mc_samples
 
     def raw_region(self, ctx: IidGaussStepContext, eps: float, tau: float) -> PredictionRegion:
@@ -344,17 +399,15 @@ class IidGaussPredictor(OnlinePredictor):
             return ctx.atoms.region(eps, tau)
         # {y : p(y) > eps} of a Monte-Carlo step, one piece per kept run
         events, counts = ctx.crossings
-        keep = counts / self.mc_samples > eps
+        first, last = runs(counts / self.mc_samples > eps)
         # segment j spans (bounds[j], bounds[j + 1])
-        padded = np.concatenate(([False], keep, [False]))
-        edges = np.flatnonzero(padded[1:] != padded[:-1])
         bounds = np.concatenate(([-np.inf], events, [np.inf]))
-        lo, hi = bounds[edges[0::2]], bounds[edges[1::2]]
+        lo, hi = bounds[first], bounds[last + 1]
         ends = np.concatenate((lo, hi))
         closed = np.isfinite(ends)
         closed[closed] = self._pvalues(ctx, ends[closed], tau) > eps
-        lo_closed, hi_closed = closed.reshape(2, -1).tolist()
-        return PredictionRegion(map(Interval, lo.tolist(), hi.tolist(), lo_closed, hi_closed))
+        closed = closed.reshape(2, -1).tolist()
+        return PredictionRegion(map(Interval, lo.tolist(), hi.tolist(), *closed))
 
     def pvalue(self, ctx: IidGaussStepContext, y: float, tau: float) -> float:
         if ctx.exact:
@@ -363,4 +416,8 @@ class IidGaussPredictor(OnlinePredictor):
         return float(self._pvalues(ctx, np.array([float(y)]), tau)[0])
 
     def observe(self, obs: Observation) -> None:
+        staged, self._staged = self._staged, None
         self.design.append(obs.x, obs.y)
+        # the staged step's leverages are the stored rows' only if it staged this row
+        carried = staged is not None and np.array_equal(staged[0], obs.x)
+        self._leverage = staged[1] if carried else None

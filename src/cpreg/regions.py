@@ -12,6 +12,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+from numpy.typing import NDArray
+
 INF = math.inf
 
 
@@ -167,6 +170,17 @@ class PredictionRegion:
             if not any(_covers(big, piece) for big in other.pieces):
                 return False
         return True
+
+
+def runs(keep: NDArray[np.bool_]) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
+    """First and last index of every run of consecutive True entries, in order.
+
+    A mask over cells that partition the line in order (open gaps, say, and
+    the points between them) keeps one connected piece of a region per run.
+    """
+    padded = np.concatenate(([False], keep, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return edges[0::2], edges[1::2] - 1
 
 
 def _covers(big: Interval, small: Interval) -> bool:

@@ -69,11 +69,15 @@ class AffineResiduals:
 
 
 class RidgeResidualMap:
-    """The residual projector of one step's ridge design.
+    """The residual projector v -> (I - U (U'U + aI)^{-1} U') v of one step.
 
-    Built from the full feature matrix of the step (history rows first,
-    the new observation's features last).  The design is the dummy ones
-    column plus the scheduled number of leading feature columns.
+    U is the step's ridge design: the dummy ones column plus the scheduled
+    number of leading feature columns, history rows first and the new
+    observation's row last.  Two constructors: ``RidgeResidualMap(features,
+    step, schedule)`` stacks U from the rows and forms U'U, and
+    ``from_gram`` takes U with a U'U the caller already holds (read from
+    running moments, say), so that building the map costs no O(n K^2)
+    product.  Either way, applying it costs O(n K) per column.
     """
 
     def __init__(self, features: NDArray[np.float64], step: int, schedule: FeatureSchedule):
@@ -84,14 +88,26 @@ class RidgeResidualMap:
         if n < 1:
             raise ValueError("need at least one row")
         used = schedule.features_used(step, k_total)
-        self.design = np.hstack([np.ones((n, 1)), features[:, :used]])
-        gram = self.design.T @ self.design
+        design = np.hstack([np.ones((n, 1)), features[:, :used]])
+        self._setup(design, design.T @ design, schedule.ridge)
+
+    @classmethod
+    def from_gram(
+        cls, design: NDArray[np.float64], gram: NDArray[np.float64], ridge: float
+    ) -> "RidgeResidualMap":
+        """The projector of the design U, ones column first, given U'U (not penalised)."""
+        rmap = cls.__new__(cls)
+        rmap._setup(design, gram, ridge)
+        return rmap
+
+    def _setup(self, design: NDArray[np.float64], gram: NDArray[np.float64], ridge: float) -> None:
         if not np.isfinite(gram).all():
             raise NumericalError("ridge Gram matrix U'U has non-finite entries (features too large)")
-        gram.flat[:: used + 2] += schedule.ridge  # the diagonal
+        gram = gram.copy()
+        gram.flat[:: gram.shape[0] + 1] += ridge  # the diagonal
         self._factor = cholesky_factor(gram, "ridge Gram matrix U'U + aI")
-        self.n = n
-        self.columns = used + 1
+        self.design = design
+        self.n = design.shape[0]
 
     def apply(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
         """Residual projector applied to a vector or a stack of columns."""

@@ -33,6 +33,7 @@ def test_pvalue_counting_rules():
     # one greater, one tie, tau = 0.5: (1 + 0.5*1)/4
     assert iid_pvalue([2.0, 1.0, 4.0, 3.0], 0.5) == pytest.approx(0.375)
     assert iid_pvalue([9.0], 1.0) == 1.0
+    assert type(iid_pvalue([2.0, 1.0, 4.0, 3.0], 0.5)) is float
     with pytest.raises(ValueError):
         iid_pvalue([], 1.0)
     with pytest.raises(ValueError):

@@ -592,3 +592,194 @@ def test_hostile_monte_carlo_steps_fall_back_to_the_svd(monkeypatch, hostile):
     assert len(steps) >= len(stream) - k - 2
     assert len(calls) == len(stream) - k - 2  # one SVD on every step from n = K + 3 on
     _assert_matches_slice_geometry(steps, lines=False)
+
+
+def _qr_leverages(rows):
+    """Hat-matrix diagonal of Z = (1, rows), from a QR factorization of Z."""
+    q = np.linalg.qr(np.column_stack((np.ones(len(rows)), rows)))[0]
+    return np.sum(q * q, axis=1)
+
+
+def _spy_leverage_solves(monkeypatch, pred):
+    """Steps at which ``pred`` solves for its slot leverages with ``dtrtrs``."""
+    steps, solve = [], iid_gauss.dtrtrs
+
+    def spy(*args, **kwargs):
+        steps.append(pred.count + 1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(iid_gauss, "dtrtrs", spy)
+    return steps
+
+
+def _assert_exact_leverages(pred):
+    """The stored rows' carried leverages, if any, against the QR oracle."""
+    if pred._leverage is not None:
+        error = np.abs(pred._leverage - _qr_leverages(pred.design.x)).max()
+        assert error <= 1e-13, (pred.count, error)
+
+
+@pytest.mark.parametrize("k, size", [(2, 2000), (20, 300)])
+def test_carried_leverages_match_a_qr_oracle(monkeypatch, k, size):
+    pred = fresh(0, mc_samples=4)  # the leverages do not depend on the draws
+    solves = _spy_leverage_solves(monkeypatch, pred)
+    low_slack = []  # steps whose new slot has leverage above 1 - _MIN_CARRY_SLACK
+    for obs in generate(SyntheticSpec(k=k, n=size, seed=0)):
+        ctx = pred.begin_step(obs.x)
+        if not ctx.exact and ctx.rad2[0] < iid_gauss._MIN_CARRY_SLACK:
+            low_slack.append(ctx.n)
+        pred.observe(obs)
+        assert (pred._leverage is not None) == (pred.count >= k + 3)
+        _assert_exact_leverages(pred)
+    assert solves == [k + 3] + [n for n in low_slack if n > k + 3]
+
+
+def _other_row(obs):
+    return obs.x[::-1] + 1.0
+
+
+def _break_by_dtrcon(monkeypatch, pred, obs):
+    with monkeypatch.context() as m:
+        m.setattr(iid_gauss, "dtrcon", lambda *args, **kwargs: (0.0, 0))
+        assert not pred.begin_step(obs.x).exact  # a Monte-Carlo step, from the SVD
+    pred.observe(obs)
+
+
+def _break_by_failed_factor(monkeypatch, pred, obs):
+    def fail(*args, **kwargs):
+        raise iid_gauss.NumericalError("forced")
+
+    with monkeypatch.context() as m:
+        m.setattr(iid_gauss, "cholesky_factor", fail)
+        pred.begin_step(obs.x)
+    pred.observe(obs)
+
+
+def _break_by_observing_another_row(monkeypatch, pred, obs):
+    pred.begin_step(_other_row(obs))
+    pred.observe(obs)
+
+
+def _break_by_restaging_before_observe(monkeypatch, pred, obs):
+    pred.begin_step(obs.x)
+    pred.begin_step(_other_row(obs))
+    pred.observe(obs)
+
+
+def _break_by_an_outlying_row(monkeypatch, pred, obs):
+    outlier = Observation(obs.x + 100.0, obs.y)
+    ctx = pred.begin_step(outlier.x)
+    assert ctx.rad2[0] < iid_gauss._MIN_CARRY_SLACK  # 1 - h_n: too small to divide by
+    pred.observe(outlier)
+
+
+@pytest.mark.parametrize(
+    "disrupt",
+    [
+        _break_by_dtrcon,
+        _break_by_failed_factor,
+        _break_by_observing_another_row,
+        _break_by_restaging_before_observe,
+        _break_by_an_outlying_row,
+    ],
+    ids=["dtrcon", "failed-factor", "other-row-observed", "restaged", "outlier"],
+)
+def test_a_broken_leverage_chain_is_solved_afresh(monkeypatch, disrupt):
+    k, at = 3, 20
+    stream = generate(SyntheticSpec(k=k, n=40, seed=2))
+    pred = fresh(0, mc_samples=4)
+    solves = _spy_leverage_solves(monkeypatch, pred)
+    for i, obs in enumerate(stream, start=1):
+        if i == at:
+            disrupt(monkeypatch, pred, obs)
+            if disrupt is not _break_by_an_outlying_row:  # that step solved afresh already
+                assert pred._leverage is None
+        else:
+            pred.begin_step(obs.x)
+            pred.observe(obs)
+        _assert_exact_leverages(pred)
+    assert solves == [k + 3, at + (disrupt is not _break_by_an_outlying_row)]
+    assert pred._leverage is not None
+
+
+def test_a_moderately_outlying_row_is_carried(monkeypatch):
+    # x + 30 gives the new slot a leverage of about 0.994: above the carry
+    # threshold, and carrying through it keeps the leverages exact
+    k, at = 3, 20
+    pred = fresh(0, mc_samples=4)
+    solves = _spy_leverage_solves(monkeypatch, pred)
+    for i, obs in enumerate(generate(SyntheticSpec(k=k, n=40, seed=2)), start=1):
+        if i == at:
+            obs = Observation(obs.x + 30.0, obs.y)
+            slack = pred.begin_step(obs.x).rad2[0]
+            assert iid_gauss._MIN_CARRY_SLACK <= slack < 1e-2
+        else:
+            pred.begin_step(obs.x)
+        pred.observe(obs)
+        _assert_exact_leverages(pred)
+    assert solves == [k + 3]
+
+
+def test_staging_a_row_twice_keeps_the_chain(monkeypatch):
+    # a second begin_step replaces the staged row; the stored rows' leverages
+    # do not depend on it, so observing the row staged last carries them on
+    stream = generate(SyntheticSpec(k=3, n=30, seed=2))
+    pred = fresh(0, mc_samples=4)
+    feed(pred, [o.x for o in stream[:20]], [o.y for o in stream[:20]])
+    solves = _spy_leverage_solves(monkeypatch, pred)
+    for obs in stream[20:]:
+        pred.begin_step(_other_row(obs))
+        pred.begin_step(obs.x)
+        pred.observe(obs)
+        assert pred._leverage is not None
+        _assert_exact_leverages(pred)
+    assert solves == [21, 21]  # feed staged no row: both stagings of step 21 solve afresh
+
+
+@pytest.mark.parametrize("hostile", ["duplicated column", "x offset 1e6"])
+def test_svd_steps_leave_no_leverages_to_carry(hostile):
+    base = generate(SyntheticSpec(k=3, n=60, seed=2))
+    if hostile == "duplicated column":
+        # duplicated for 30 rows, then an independent column: Cholesky resumes
+        fresh_column = np.random.default_rng(7).normal(size=len(base))
+        stream = [
+            Observation(np.append(o.x, o.x[0] if i < 30 else fresh_column[i]), o.y)
+            for i, o in enumerate(base)
+        ]
+    else:
+        stream = [Observation(o.x + 1e6, o.y) for o in base]
+    pred = fresh(0, mc_samples=4)
+    carried = 0
+    for i, obs in enumerate(stream):
+        pred.begin_step(obs.x)
+        pred.observe(obs)
+        if i < 30:
+            assert pred._leverage is None
+        carried += pred._leverage is not None
+        _assert_exact_leverages(pred)
+    assert carried == (30 if hostile == "duplicated column" else 0)
+
+
+@pytest.mark.parametrize("k, size", [(20, 120), (2, 210)])
+def test_chained_monte_carlo_steps_form_no_product_of_the_rows(monkeypatch, k, size):
+    # neither the ridge projector nor the leverages come from an O(n K^2)
+    # product of the rows once the chain has started
+    pred = fresh(0, mc_samples=50)
+    solves = _spy_leverage_solves(monkeypatch, pred)
+    built, init = [], RidgeResidualMap.__init__
+
+    def spy_init(rmap, *args, **kwargs):
+        built.append(pred.count + 1)
+        init(rmap, *args, **kwargs)
+
+    monkeypatch.setattr(RidgeResidualMap, "__init__", spy_init)
+    monte_carlo = []
+    for obs in generate(SyntheticSpec(k=k, n=size, seed=0)):
+        ctx = pred.begin_step(obs.x)
+        if not ctx.exact:
+            monte_carlo.append(ctx.n)
+            assert ctx.rad2[0] >= iid_gauss._MIN_CARRY_SLACK or ctx.n == k + 3
+        pred.observe(obs)
+    assert monte_carlo == list(range(k + 3, size + 1))
+    assert solves == [k + 3]
+    assert built == list(range(1, k + 3))  # the exact steps only

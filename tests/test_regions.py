@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cpreg import Interval, PredictionRegion, check_nested, point
+from cpreg.regions import runs
 
 
 def test_interval_validation():
@@ -83,3 +84,10 @@ def test_region_ordering_is_canonical():
     region = PredictionRegion([point(5.0), Interval(0.0, 1.0, False, False)])
     los = [piece.lo for piece in region.pieces]
     assert los == sorted(los)
+
+
+def test_runs_of_a_mask():
+    first, last = runs(np.array([True, False, True, True, False, True]))
+    assert first.tolist() == [0, 2, 5] and last.tolist() == [0, 3, 5]
+    assert [a.tolist() for a in runs(np.ones(3, dtype=bool))] == [[0], [2]]
+    assert [a.size for a in runs(np.zeros(0, dtype=bool))] == [0, 0]

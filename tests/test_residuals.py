@@ -6,6 +6,8 @@ import pytest
 from oracles import ridge_residual_affine
 
 from cpreg import AffineResiduals, FeatureSchedule, RidgeResidualMap
+from cpreg.design import DesignState
+from cpreg.linalg import NumericalError
 
 # Intercept-only designs admit exact rational residual coefficients:
 # with m stored responses plus the candidate, the smoother weight is
@@ -94,6 +96,27 @@ def test_residual_map_linear_action():
     # and the map is idempotent-compatible with superposition
     y7 = np.concatenate((ys, [7.0]))
     assert rmap.apply(y7) == pytest.approx(base + 7.0 * slope, rel=1e-10, abs=1e-12)
+
+
+def test_projector_from_a_moment_gram_matches_the_rows():
+    # iid-gauss reads U'U from running moments; the map it builds must act
+    # as the one that forms U'U from the rows, on the leading block too
+    rng = np.random.default_rng(9)
+    xs = 3.0 + rng.standard_normal((30, 6))
+    sched = FeatureSchedule(leading_block=4, full_from=40)
+    state = DesignState()
+    for x in xs[:-1]:
+        state.append(x, 0.0)
+    raw = state.raw_moments()
+    z_n = np.concatenate(([1.0], xs[-1]))
+    gram = (raw[:-1, :-1] + np.outer(z_n, z_n))[:5, :5]
+    design = np.column_stack((np.ones(30), xs[:, :4]))
+    v = rng.standard_normal((30, 3))
+    rows = RidgeResidualMap(xs, 30, sched).apply(v)
+    from_gram = RidgeResidualMap.from_gram(design, gram, sched.ridge)
+    assert from_gram.apply(v) == pytest.approx(rows, rel=1e-10, abs=1e-12)
+    with pytest.raises(NumericalError):
+        RidgeResidualMap.from_gram(design, np.full((5, 5), np.inf), sched.ridge)
 
 
 def test_schedule_validation():
