@@ -48,7 +48,7 @@ from .randomness import RandomStream
 from .regions import Interval, PredictionRegion, check_nested, point
 from .residuals import AffineResiduals, FeatureSchedule, RidgeResidualMap
 from .stream import Observation, check_stream
-from .studentt import regularized_incomplete_beta, t_cdf, t_sf, t_upper_point
+from .studentt import t_sf, t_upper_point
 
 __version__ = "0.1.0"
 
@@ -97,8 +97,6 @@ __all__ = [
     "write_ledger",
     "read_plot_data",
     "write_plot_data",
-    "regularized_incomplete_beta",
-    "t_cdf",
     "t_sf",
     "t_upper_point",
 ]

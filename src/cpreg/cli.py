@@ -24,7 +24,6 @@ from .dataset import (
     write_plot_data,
     write_stream,
 )
-from .linalg import NumericalError
 from .protocol import (
     PREDICTOR_KINDS,
     RunConfig,
@@ -212,7 +211,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cpreg: data error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"cpreg: numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

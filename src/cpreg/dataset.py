@@ -112,7 +112,7 @@ def read_stream(path) -> list[Observation]:
             raise DataFormatError(f"row {row}: non-numeric field ({exc})") from exc
         if not all(math.isfinite(v) for v in values):
             raise DataFormatError(f"row {row}: non-finite value")
-        stream.append(Observation(np.array(values[:-1]), values[-1]))
+        stream.append(Observation(values[:-1], values[-1]))
     return stream
 
 

@@ -29,11 +29,6 @@ from ..stream import Observation
 class OnlinePredictor(ABC):
     """Stateful on-line predictor over a stream of observations."""
 
-    @property
-    @abstractmethod
-    def count(self) -> int:
-        """Number of observations absorbed so far."""
-
     @abstractmethod
     def begin_step(self, x_new: np.ndarray) -> Any:
         """Prepare the step for a new feature vector (response unseen)."""

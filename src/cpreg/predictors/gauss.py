@@ -62,14 +62,6 @@ class GaussPredictor(OnlinePredictor):
     def __init__(self):
         self.design = DesignState()
 
-    @property
-    def count(self) -> int:
-        return self.design.count
-
-    @property
-    def dim(self) -> int | None:
-        return self.design.dim
-
     def begin_step(self, x_new) -> GaussStepContext:
         x_new = self.design.check_x(x_new)
         k = x_new.size

@@ -163,10 +163,6 @@ class IidPredictor(OnlinePredictor):
         self.schedule = schedule or FeatureSchedule()
         self.design = DesignState()
 
-    @property
-    def count(self) -> int:
-        return self.design.count
-
     def begin_step(self, x_new) -> IidStepContext:
         rows = self.design.with_row(x_new)
         n = rows.shape[0]

@@ -259,10 +259,6 @@ class IidGaussPredictor(OnlinePredictor):
         self._leverage: np.ndarray | None = None
         self._staged: tuple[np.ndarray, np.ndarray] | None = None
 
-    @property
-    def count(self) -> int:
-        return self.design.count
-
     def begin_step(self, x_new) -> IidGaussStepContext:
         xs = self.design.with_row(x_new)
         n, k = xs.shape

@@ -84,10 +84,6 @@ class MvaPredictor(OnlinePredictor):
         self.schedule = schedule or FeatureSchedule()
         self.design = DesignState()
 
-    @property
-    def count(self) -> int:
-        return self.design.count
-
     def begin_step(self, x_new) -> MvaStepContext:
         x_new = self.design.check_x(x_new)
         m = self.design.count

@@ -62,10 +62,6 @@ class WilksPredictor(OnlinePredictor):
     def __init__(self):
         self._sorted: list[float] = []
 
-    @property
-    def count(self) -> int:
-        return len(self._sorted)
-
     def begin_step(self, x_new) -> WilksStepContext:
         return WilksStepContext(
             n=len(self._sorted) + 1, sorted_history=np.asarray(self._sorted, dtype=float)

@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ledger import OnlineLedger
-from .linalg import NumericalError
 from .randomness import RandomStream
 from .residuals import FeatureSchedule
-from .stream import Observation, check_stream
+from .stream import check_stream
 from .predictors import (
     GaussPredictor,
     IidGaussPredictor,
@@ -238,7 +237,6 @@ def binomial_band(trials: int, eps: float, level: float = 0.01) -> tuple[int, in
 def error_frequency_check(
     ledger: OnlineLedger,
     eps: float,
-    n: int | None = None,
     eligible_from: int = 1,
     use_raw: bool = False,
     level: float = 0.01,
@@ -247,14 +245,14 @@ def error_frequency_check(
 
     ``eligible_from`` restricts the count to steps where an error was
     actually possible (e.g. the first informative step of a model-based
-    predictor); earlier steps predict the whole line and cannot err.
+    predictor); earlier steps predict the whole line and cannot err.  The
+    window runs from that step to the last recorded one, and is empty
+    when ``eligible_from`` is one past the last.
     """
     errs = ledger.raw_errors(eps) if use_raw else ledger.errors(eps)
-    if n is None:
-        n = len(errs)
-    if not 1 <= n <= len(errs):
-        raise ValueError(f"step {n} outside the recorded range 1..{len(errs)}")
-    window = errs[eligible_from - 1 : n]
+    if not 1 <= eligible_from <= len(errs) + 1:
+        raise ValueError(f"eligible_from {eligible_from} outside 1..{len(errs) + 1}")
+    window = errs[eligible_from - 1 :]
     count = int(sum(window))
     trials = len(window)
     lower, upper = binomial_band(trials, eps, level)

@@ -1,9 +1,9 @@
 """Seeded random streams.
 
 All randomness in the package flows through :class:`RandomStream`, a thin
-wrapper over numpy's PCG64 generator.  A stream is identified by its seed,
-an optional substream index, and the algorithm tag, so any run is exactly
-reproducible from its configuration.
+wrapper over numpy's PCG64 generator.  A stream is identified by its seed
+and an optional substream index, so any run is exactly reproducible from
+its configuration.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ class RandomStream:
         smoothing draws and the Monte-Carlo draws of a run).
     """
 
-    algorithm = "pcg64"
-
     def __init__(self, seed: int, substream: int = 0):
         self.seed = int(seed)
         self.substream = int(substream)
@@ -33,9 +31,6 @@ class RandomStream:
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=key or ()))
         )
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"RandomStream(seed={self.seed}, substream={self.substream}, algorithm={self.algorithm!r})"
 
     def gaussian(self, count: int) -> NDArray[np.float64]:
         """``count`` independent standard normal draws."""
@@ -60,12 +55,6 @@ class RandomStream:
     def uniform(self) -> float:
         """One uniform draw from [0, 1)."""
         return float(self._gen.random())
-
-    def permutation(self, n: int) -> NDArray[np.intp]:
-        """A uniformly random permutation of ``range(n)``."""
-        if n < 0:
-            raise ValueError(f"n must be >= 0, got {n}")
-        return self._gen.permutation(n)
 
     def integers(self, low: int, high: int, count: int) -> NDArray[np.int64]:
         """``count`` uniform integers in ``[low, high)``."""

@@ -116,12 +116,6 @@ class PredictionRegion:
     def real_line(cls) -> "PredictionRegion":
         return cls((Interval(-INF, INF, False, False),))
 
-    @classmethod
-    def interval(
-        cls, lo: float, hi: float, lo_closed: bool = False, hi_closed: bool = False
-    ) -> "PredictionRegion":
-        return cls((Interval(lo, hi, lo_closed, hi_closed),))
-
     @property
     def is_empty(self) -> bool:
         return not self.pieces

@@ -7,8 +7,8 @@ computes those slope/intercept pairs and exposes the residual projector
 share.
 
 The feature schedule decides how many explanatory columns enter the
-design at a given step: a small leading block early on, all of them once
-enough observations have accumulated.
+design at a given step: the first ``LEADING_BLOCK`` early on, all of them
+once enough observations have accumulated.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from numpy.typing import NDArray
 from .linalg import NumericalError, cholesky_factor, cholesky_solve
 
 DEFAULT_RIDGE = 0.01
-DEFAULT_LEADING_BLOCK = 10
+LEADING_BLOCK = 10
 
 
 @dataclass(frozen=True)
@@ -30,21 +30,18 @@ class FeatureSchedule:
 
     ``features_used(n, k_total)`` returns how many explanatory columns the
     design uses at step ``n`` when the data has ``k_total`` of them: the
-    leading block (capped at ``k_total``) before step ``full_from``, all
-    ``k_total`` from then on.  ``full_from=None`` defaults the threshold
-    to ``k_total + 3``, the first step at which a classical regression
-    interval is available.
+    first ``LEADING_BLOCK`` (capped at ``k_total``) before step
+    ``full_from``, all ``k_total`` from then on.  ``full_from=None``
+    defaults the threshold to ``k_total + 3``, the first step at which a
+    classical regression interval is available.
     """
 
     ridge: float = DEFAULT_RIDGE
-    leading_block: int = DEFAULT_LEADING_BLOCK
     full_from: int | None = None
 
     def __post_init__(self):
         if not self.ridge > 0.0:
             raise ValueError(f"ridge coefficient must be positive, got {self.ridge}")
-        if self.leading_block < 0:
-            raise ValueError("leading block size must be >= 0")
         if self.full_from is not None and self.full_from < 1:
             raise ValueError("schedule threshold must be >= 1")
 
@@ -53,7 +50,7 @@ class FeatureSchedule:
             raise ValueError(f"step index must be >= 1, got {n}")
         threshold = self.full_from if self.full_from is not None else k_total + 3
         if n < threshold:
-            return min(self.leading_block, k_total)
+            return min(LEADING_BLOCK, k_total)
         return k_total
 
 

@@ -14,7 +14,7 @@ class Observation:
     __slots__ = ("x", "y")
 
     def __init__(self, x, y: float):
-        vec = np.asarray(x, dtype=float)
+        vec = np.array(x, dtype=float)  # a copy, so the caller's array stays writable and apart
         if vec.ndim != 1:
             raise ValueError(f"x must be a 1-D vector, got shape {vec.shape}")
         if not np.all(np.isfinite(vec)):

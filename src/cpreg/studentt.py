@@ -1,8 +1,8 @@
-"""Student-t distribution function and its upper quantile.
+"""Student-t upper tail and its upper quantile.
 
-Thin wrappers over the compiled ufuncs of ``scipy.special`` (``stdtr``,
-``stdtrit``, ``betainc``) that add the input checks and special cases of
-this package and always return a Python ``float``.  ``scipy.stats`` is not
+Thin wrappers over the compiled ufuncs ``stdtr`` and ``stdtrit`` of
+``scipy.special`` that add the input checks and special cases of this
+package and always return a Python ``float``.  ``scipy.stats`` is not
 involved, so the predictors' hot path loads none of it.  The test suite
 checks every function against an independent quadrature oracle.
 """
@@ -19,33 +19,8 @@ def _check_df(df: float) -> None:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b) for a, b > 0."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"shape parameters must be positive, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    return float(special.betainc(a, b, x))
-
-
-def t_cdf(x: float, df: float) -> float:
-    """P(T <= x) for a Student-t variable with ``df`` degrees of freedom."""
-    _check_df(df)
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    if math.isinf(x):
-        return 1.0 if x > 0 else 0.0
-    if x == 0.0:
-        return 0.5
-    return float(special.stdtr(df, x))
-
-
 def t_sf(x: float, df: float) -> float:
-    """Upper tail P(T > x); more accurate than ``1 - t_cdf(x)`` far out."""
+    """Upper tail P(T > x), computed as the lower tail at -x to keep precision far out."""
     _check_df(df)
     if math.isnan(x):
         raise ValueError("x must not be NaN")

@@ -287,7 +287,7 @@ def gauss_tstat(state: GaussPredictor, x_new, y_new: float) -> float:
     ctx = state.begin_step(x_new)
     if not ctx.informative:
         raise ValueError(
-            f"need at least {np.asarray(x_new).size + 2} past observations, have {state.count}"
+            f"need at least {np.asarray(x_new).size + 2} past observations, have {state.design.count}"
         )
     if ctx.scale == 0.0:
         raise NumericalError("residual scale is zero (exact fit): statistic undefined")
@@ -392,11 +392,11 @@ def iidgauss_sample_conditional(state: IidGaussPredictor, rng: RandomStream) -> 
     permutation of the x-bag and a uniform draw from the response
     sphere-slice pinned by (sum y, sum y*x, sum y^2) of the stored rows.
     """
-    n = state.count
+    n = state.design.count
     if n < 1:
         raise ValueError("need at least one stored observation to sample")
     bag, ys = state.design.x, state.design.y
     rhs = np.concatenate(([ys.sum()], bag.T @ ys))
-    xs = bag[rng.permutation(n)]
+    xs = bag[np.argsort(rng.gaussian(n))]  # the order of iid draws: a uniform permutation
     constraints = np.column_stack((np.ones(n), xs))
     return xs, sample_sphere_in_affine_slice(rng, constraints, rhs, float(ys @ ys))

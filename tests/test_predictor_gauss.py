@@ -182,8 +182,8 @@ def test_dimension_bookkeeping():
         pred.begin_step(np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError):
         pred.begin_step(np.eye(2))
-    assert pred.count == 1
-    assert pred.dim == 2
+    assert pred.design.count == 1
+    assert pred.design.dim == 2
 
 
 def test_observation_order_does_not_matter():

@@ -55,7 +55,7 @@ def test_summary_bookkeeping():
     ys = rng.normal(size=6)
     pred = fresh()
     feed(pred, xs, ys)
-    assert pred.count == 6
+    assert pred.design.count == 6
     assert np.array_equal(pred.design.x, xs)
     raw = pred.design.raw_moments()
     sy, sxy, syy = raw[0, -1], raw[1:-1, -1], raw[-1, -1]
@@ -533,7 +533,7 @@ def _monte_carlo_geometry(monkeypatch, stream, svd):
     for obs in stream:
         draws.clear()
         with monkeypatch.context() as m:
-            if pred.count + 1 >= obs.x.size + 3:
+            if pred.design.count + 1 >= obs.x.size + 3:
                 m.setattr(np.linalg, "svd", svd)
             ctx = pred.begin_step(obs.x)
         if not ctx.exact:
@@ -605,7 +605,7 @@ def _spy_leverage_solves(monkeypatch, pred):
     steps, solve = [], iid_gauss.dtrtrs
 
     def spy(*args, **kwargs):
-        steps.append(pred.count + 1)
+        steps.append(pred.design.count + 1)
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(iid_gauss, "dtrtrs", spy)
@@ -616,7 +616,7 @@ def _assert_exact_leverages(pred):
     """The stored rows' carried leverages, if any, against the QR oracle."""
     if pred._leverage is not None:
         error = np.abs(pred._leverage - _qr_leverages(pred.design.x)).max()
-        assert error <= 1e-13, (pred.count, error)
+        assert error <= 1e-13, (pred.design.count, error)
 
 
 @pytest.mark.parametrize("k, size", [(2, 2000), (20, 300)])
@@ -629,7 +629,7 @@ def test_carried_leverages_match_a_qr_oracle(monkeypatch, k, size):
         if not ctx.exact and ctx.rad2[0] < iid_gauss._MIN_CARRY_SLACK:
             low_slack.append(ctx.n)
         pred.observe(obs)
-        assert (pred._leverage is not None) == (pred.count >= k + 3)
+        assert (pred._leverage is not None) == (pred.design.count >= k + 3)
         _assert_exact_leverages(pred)
     assert solves == [k + 3] + [n for n in low_slack if n > k + 3]
 
@@ -769,7 +769,7 @@ def test_chained_monte_carlo_steps_form_no_product_of_the_rows(monkeypatch, k, s
     built, init = [], RidgeResidualMap.__init__
 
     def spy_init(rmap, *args, **kwargs):
-        built.append(pred.count + 1)
+        built.append(pred.design.count + 1)
         init(rmap, *args, **kwargs)
 
     monkeypatch.setattr(RidgeResidualMap, "__init__", spy_init)

@@ -210,4 +210,4 @@ def test_dimension_bookkeeping():
     pred.observe(Observation(np.array([2.0]), 1.0))
     with pytest.raises(ValueError):
         pred.begin_step(np.array([1.0, 2.0]))
-    assert pred.count == 2
+    assert pred.design.count == 2

@@ -175,5 +175,10 @@ def test_error_frequency_battery():
     # eligibility window drops steps where no error was possible
     report = error_frequency_check(make_ledger([1, 1, 0, 0, 0]), 0.05, eligible_from=3)
     assert report.trials == 3 and report.errors == 0
-    with pytest.raises(ValueError):
-        error_frequency_check(make_ledger([0, 0]), 0.05, n=3)
+    # the window may be empty, but may not start before step 1 or after n + 1
+    report = error_frequency_check(make_ledger([1, 1]), 0.05, eligible_from=3)
+    assert report.trials == 0 and report.passed
+    mostly_errors = make_ledger([1] * 10 + [0])
+    for eligible_from in (0, -3, 13):
+        with pytest.raises(ValueError):
+            error_frequency_check(mostly_errors, 0.05, eligible_from=eligible_from)

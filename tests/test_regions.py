@@ -60,23 +60,23 @@ def test_empty_and_real_line():
 
 
 def test_issubset_partial_order():
-    inner = PredictionRegion.interval(1.0, 2.0, False, False)
-    outer = PredictionRegion.interval(0.0, 3.0, True, True)
+    inner = PredictionRegion([Interval(1.0, 2.0, False, False)])
+    outer = PredictionRegion([Interval(0.0, 3.0, True, True)])
     assert inner.issubset(outer) and not outer.issubset(inner)
     # closed vs open at a shared endpoint
-    closed = PredictionRegion.interval(0.0, 1.0, True, True)
-    open_ = PredictionRegion.interval(0.0, 1.0, False, False)
+    closed = PredictionRegion([Interval(0.0, 1.0, True, True)])
+    open_ = PredictionRegion([Interval(0.0, 1.0, False, False)])
     assert open_.issubset(closed) and not closed.issubset(open_)
 
 
 def test_check_nested_helper():
     by_level = {
-        0.1: PredictionRegion.interval(0.0, 1.0, False, False),
-        0.05: PredictionRegion.interval(-1.0, 2.0, False, False),
+        0.1: PredictionRegion([Interval(0.0, 1.0, False, False)]),
+        0.05: PredictionRegion([Interval(-1.0, 2.0, False, False)]),
         0.01: PredictionRegion.real_line(),
     }
     assert check_nested(by_level)
-    by_level[0.01] = PredictionRegion.interval(0.2, 0.4, False, False)
+    by_level[0.01] = PredictionRegion([Interval(0.2, 0.4, False, False)])
     assert not check_nested(by_level)
 
 

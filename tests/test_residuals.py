@@ -33,9 +33,6 @@ def test_schedule_override_threshold():
     sched = FeatureSchedule(full_from=5)
     assert sched.features_used(4, 20) == 10
     assert sched.features_used(5, 20) == 20
-    narrow = FeatureSchedule(leading_block=2, full_from=7)
-    assert narrow.features_used(6, 9) == 2
-    assert narrow.features_used(7, 9) == 9
 
 
 def test_dummy_only_affine_oracle():
@@ -102,27 +99,25 @@ def test_projector_from_a_moment_gram_matches_the_rows():
     # iid-gauss reads U'U from running moments; the map it builds must act
     # as the one that forms U'U from the rows, on the leading block too
     rng = np.random.default_rng(9)
-    xs = 3.0 + rng.standard_normal((30, 6))
-    sched = FeatureSchedule(leading_block=4, full_from=40)
+    xs = 3.0 + rng.standard_normal((30, 12))
+    sched = FeatureSchedule(full_from=40)
     state = DesignState()
     for x in xs[:-1]:
         state.append(x, 0.0)
     raw = state.raw_moments()
     z_n = np.concatenate(([1.0], xs[-1]))
-    gram = (raw[:-1, :-1] + np.outer(z_n, z_n))[:5, :5]
-    design = np.column_stack((np.ones(30), xs[:, :4]))
+    gram = (raw[:-1, :-1] + np.outer(z_n, z_n))[:11, :11]
+    design = np.column_stack((np.ones(30), xs[:, :10]))
     v = rng.standard_normal((30, 3))
     rows = RidgeResidualMap(xs, 30, sched).apply(v)
     from_gram = RidgeResidualMap.from_gram(design, gram, sched.ridge)
     assert from_gram.apply(v) == pytest.approx(rows, rel=1e-10, abs=1e-12)
     with pytest.raises(NumericalError):
-        RidgeResidualMap.from_gram(design, np.full((5, 5), np.inf), sched.ridge)
+        RidgeResidualMap.from_gram(design, np.full((11, 11), np.inf), sched.ridge)
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
         FeatureSchedule(ridge=-1.0)
-    with pytest.raises(ValueError):
-        FeatureSchedule(leading_block=-1)
     with pytest.raises(ValueError):
         FeatureSchedule(full_from=0)

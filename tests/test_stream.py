@@ -14,6 +14,16 @@ def test_observation_normalizes_inputs():
     assert isinstance(obs.y, float) and obs.y == 3.0
 
 
+def test_observation_copies_the_callers_array():
+    x = np.array([1.0, 2.0])
+    obs = Observation(x, 0.5)
+    assert x.flags.writeable and not obs.x.flags.writeable
+    xs = np.array([[1.0, 2.0], [3.0, 4.0]])
+    obs = Observation(xs[0], 0.5)
+    xs[0, 0] = 99.0
+    assert obs.x[0] == 1.0
+
+
 def test_observation_rejects_bad_shapes():
     with pytest.raises(ValueError):
         Observation(np.ones((2, 2)), 1.0)
