@@ -27,7 +27,7 @@ from .dataset import (
 from .protocol import (
     PREDICTOR_KINDS,
     RunConfig,
-    binomial_band,
+    frequency_window,
     independence_test,
     make_predictor,
     run_online,
@@ -170,17 +170,16 @@ def cmd_validate(args) -> int:
         trace = run_trace(config, stream)
         eligible_from = make_predictor(config).first_informative_step(stream[0].x.size)
         uni = uniformity_test(trace)
-        errs = trace.errors(args.eps)[eligible_from - 1 :]
-        indep = independence_test(errs) if errs.size >= 200 else None
-        lo, hi = binomial_band(errs.size, args.eps)
-        freq_ok = lo <= int(errs.sum()) <= hi
+        errs = trace.errors(args.eps)
+        window, freq = frequency_window(errs, args.eps, min(eligible_from, errs.size + 1))
+        indep = independence_test(window) if window.size >= 200 else None
         counts["uniformity"] += uni.passed
         counts["independence"] += indep.passed if indep is not None else True
-        counts["frequency"] += freq_ok
+        counts["frequency"] += freq.passed
         _progress(
             f"seed {seed}: uniformity={'ok' if uni.passed else 'FAIL'}"
             f" independence={'ok' if indep is None or indep.passed else 'FAIL'}"
-            f" frequency={'ok' if freq_ok else 'FAIL'}"
+            f" frequency={'ok' if freq.passed else 'FAIL'}"
         )
     required = args.seeds - 1 if args.seeds > 1 else 1
     overall = all(c >= required for c in counts.values())

@@ -1,10 +1,16 @@
-"""The design summary that every model predictor conditions on.
+"""The design summaries that the model predictors condition on.
 
-``DesignState`` holds, for the rows (x_i, y_i) absorbed so far:
+``DesignRows`` is the history itself: the feature dimension K, fixed by
+the first row it stores, the count, and the rows in preallocated buffers
+that double when full.  Each row is stored as u = (1, x), the dummy column
+first, so the ridge design U = [1, X] of the stored rows plus a staged one
+is a view of the buffer, read with no per-step copy or stacking.  iid
+holds only these rows: each step reads U and the responses, and
+``append`` is a row copy.
 
-* the feature dimension K, fixed by the first row it stores, and the count;
-* the history itself, in preallocated buffers that double when full, so
-  the rows are read as C-contiguous views with no per-step copy;
+``DesignState`` extends it for the predictors that read sums of the data
+(gauss, mva and iid-gauss):
+
 * the mean and the centred co-moment matrix of z = (x, y), updated one row
   at a time (Welford 1962; Chan, Golub & LeVeque 1983).  Regressions read
   from centred moments do not suffer the cancellation that raw sums do
@@ -26,27 +32,22 @@ from .linalg import NumericalError
 INITIAL_CAPACITY = 16
 
 
-class DesignState:
-    """History buffer plus running centred moments of an on-line design.
+class DesignRows:
+    """History buffer of an on-line design: rows u = (1, x) and responses y.
 
-    ``mean`` holds the means of z = (x, y), response last, and ``comoment``
-    the centred co-moment matrix sum_i (z_i - mean)(z_i - mean)'; both are
-    replaced, never modified in place, by ``append``.  The state is
-    allocated by the first stored or staged row.
+    The buffers are allocated by the first stored or staged row.
     """
 
     def __init__(self):
         self.dim: int | None = None
         self.count = 0
-        self.mean: NDArray[np.float64] | None = None
-        self.comoment: NDArray[np.float64] | None = None
-        self._x: NDArray[np.float64] | None = None
+        self._u: NDArray[np.float64] | None = None
         self._y: NDArray[np.float64] | None = None
 
     @property
     def x(self) -> NDArray[np.float64]:
         """(count, K) view of the stored feature rows."""
-        return self._x[: self.count]
+        return self._u[: self.count, 1:]
 
     @property
     def y(self) -> NDArray[np.float64]:
@@ -64,26 +65,58 @@ class DesignState:
 
     def _reserve(self, dim: int) -> None:
         """Room for one row past ``count``: allocate, or double the buffers."""
-        if self._x is None:
-            self.dim = dim
-            self._x = np.empty((INITIAL_CAPACITY, dim))
-            self._y = np.empty(INITIAL_CAPACITY)
-            self.mean = np.zeros(dim + 1)
-            self.comoment = np.zeros((dim + 1, dim + 1))
+        if self._u is None:
+            self._allocate(dim)
         elif self.count == self._y.size:
-            self._x = np.concatenate((self._x, np.empty_like(self._x)))
+            self._u = np.concatenate((self._u, np.ones_like(self._u)))
             self._y = np.concatenate((self._y, np.empty_like(self._y)))
 
-    def with_row(self, x) -> NDArray[np.float64]:
-        """The stored rows followed by ``x``, as one (count + 1, K) view.
+    def _allocate(self, dim: int) -> None:
+        self.dim = dim
+        self._u = np.ones((INITIAL_CAPACITY, dim + 1))
+        self._y = np.empty(INITIAL_CAPACITY)
 
-        ``x`` goes into the first free row of the buffer, which the next
-        ``append`` overwrites; the view stays valid until then.
+    def with_row(self, x) -> NDArray[np.float64]:
+        """The design U = [1, X] of the stored rows and ``x``, ``x``'s row last.
+
+        A C-contiguous (count + 1, K + 1) view of the buffer: ``x`` goes into
+        the first free row, which the next ``append`` overwrites, and the
+        view stays valid until then.
         """
         x = self.check_x(x)
         self._reserve(x.size)
-        self._x[self.count] = x
-        return self._x[: self.count + 1]
+        self._u[self.count, 1:] = x
+        return self._u[: self.count + 1]
+
+    def append(self, x, y: float) -> None:
+        """Store one row."""
+        x = self.check_x(x)
+        self._reserve(x.size)
+        self._store(x, y)
+
+    def _store(self, x: NDArray[np.float64], y: float) -> None:
+        self._u[self.count, 1:] = x
+        self._y[self.count] = y
+        self.count += 1
+
+
+class DesignState(DesignRows):
+    """History buffer plus running centred moments of an on-line design.
+
+    ``mean`` holds the means of z = (x, y), response last, and ``comoment``
+    the centred co-moment matrix sum_i (z_i - mean)(z_i - mean)'; both are
+    replaced, never modified in place, by ``append``.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.mean: NDArray[np.float64] | None = None
+        self.comoment: NDArray[np.float64] | None = None
+
+    def _allocate(self, dim: int) -> None:
+        super()._allocate(dim)
+        self.mean = np.zeros(dim + 1)
+        self.comoment = np.zeros((dim + 1, dim + 1))
 
     def append(self, x, y: float) -> None:
         """Store one row and fold it into the centred moments."""
@@ -99,10 +132,8 @@ class DesignState:
         # semi-definite, so their traces bound every entry: one scalar checks all.
         if not math.isfinite(n * float(mean @ mean) + float(comoment.trace())):
             raise NumericalError("design moments have non-finite entries (data too large)")
-        self._x[self.count] = x
-        self._y[self.count] = y
+        self._store(x, y)
         self.mean, self.comoment = mean, comoment
-        self.count = n
 
     def raw_moments(self) -> NDArray[np.float64]:
         """Raw moment matrix sum_i w_i w_i' of w = (1, x, y), dummy first.

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ..design import DesignState
+from ..design import DesignRows
 from ..regions import Interval, PredictionRegion, runs
 from ..residuals import AffineResiduals, FeatureSchedule, RidgeResidualMap
 from ..stream import Observation
@@ -161,12 +161,14 @@ class IidPredictor(OnlinePredictor):
 
     def __init__(self, schedule: FeatureSchedule | None = None):
         self.schedule = schedule or FeatureSchedule()
-        self.design = DesignState()
+        self.design = DesignRows()
 
     def begin_step(self, x_new) -> IidStepContext:
-        rows = self.design.with_row(x_new)
-        n = rows.shape[0]
-        residuals = RidgeResidualMap(rows, n, self.schedule).affine_in_last(self.design.y)
+        design = self.design.with_row(x_new)
+        n, cols = design.shape
+        used = self.schedule.features_used(n, cols - 1)
+        rmap = RidgeResidualMap(design[:, : used + 1], self.schedule.ridge)
+        residuals = rmap.affine_in_last(self.design.y)
         return IidStepContext(n=n, residuals=residuals)
 
     def raw_region(self, ctx: IidStepContext, eps: float, tau: float) -> PredictionRegion:

@@ -260,11 +260,10 @@ class IidGaussPredictor(OnlinePredictor):
         self._staged: tuple[np.ndarray, np.ndarray] | None = None
 
     def begin_step(self, x_new) -> IidGaussStepContext:
-        xs = self.design.with_row(x_new)
-        n, k = xs.shape
-        design = np.column_stack((np.ones(n), xs))  # full constraint design Z
+        design = self.design.with_row(x_new)  # full constraint design Z
+        n, cols = design.shape
         raw = self.design.raw_moments()
-        if n >= k + 3:
+        if n >= cols + 2:  # n >= K + 3
             ctx = self._cholesky_step(design, raw)
             if ctx is not None:
                 return ctx
@@ -325,7 +324,8 @@ class IidGaussPredictor(OnlinePredictor):
         """Any step from an SVD of Z, which also decides its rank."""
         n, cols = design.shape
         ys, t0, syy = self.design.y, raw[:-1, -1], raw[-1, -1]
-        rmap = RidgeResidualMap(design[:, 1:], n, self.schedule)
+        ridged = self.schedule.features_used(n, cols - 1) + 1  # the ridge design's columns
+        rmap = RidgeResidualMap(design[:, :ridged], self.schedule.ridge)
         aff = rmap.affine_in_last(ys)
         ea = (float(aff.slopes[-1]), float(aff.intercepts[-1]))
         # While n <= K + 2 the slice has d <= 1 unless Z is rank-deficient;

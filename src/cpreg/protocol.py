@@ -168,12 +168,16 @@ def uniformity_test(trace: PValueTrace, level: float = 0.01) -> UniformityReport
         raise ValueError(f"need at least 100 steps for the uniformity test, got {len(trace)}")
     from scipy import stats  # deferred: only the batteries need scipy.stats
 
-    result = stats.kstest(trace.pvalue_array(), "uniform")
+    # The two-sided exact test of stats.kstest(pvalues, "uniform"), without
+    # its per-call dispatch: the uniform cdf of a p-value is the p-value.
+    x = np.sort(trace.pvalue_array())
+    n = x.size
+    d_plus = (np.arange(1.0, n + 1) / n - x).max()
+    d_minus = (x - np.arange(0.0, n) / n).max()
+    statistic = float(max(d_plus, d_minus))
+    pvalue = float(np.clip(stats.kstwo.sf(statistic, n), 0.0, 1.0))
     return UniformityReport(
-        statistic=float(result.statistic),
-        pvalue=float(result.pvalue),
-        level=level,
-        passed=bool(result.pvalue > level),
+        statistic=statistic, pvalue=pvalue, level=level, passed=pvalue > level
     )
 
 
@@ -229,9 +233,34 @@ def binomial_band(trials: int, eps: float, level: float = 0.01) -> tuple[int, in
     """Central (1 - level) band of error counts under Binomial(trials, eps)."""
     from scipy import stats  # deferred: only the batteries need scipy.stats
 
-    lower = int(stats.binom.ppf(level / 2.0, trials, eps))
-    upper = int(stats.binom.ppf(1.0 - level / 2.0, trials, eps))
-    return lower, upper
+    lower, upper = stats.binom.ppf((level / 2.0, 1.0 - level / 2.0), trials, eps)
+    return int(lower), int(upper)
+
+
+def frequency_window(
+    errors, eps: float, eligible_from: int = 1, level: float = 0.01
+) -> tuple[np.ndarray, FrequencyReport]:
+    """The error indicators from step ``eligible_from`` on, and their count
+    against the exact binomial band.
+
+    The window runs to the last step, and is empty when ``eligible_from``
+    is one past the last.
+    """
+    errors = np.asarray(errors)
+    if not 1 <= eligible_from <= errors.size + 1:
+        raise ValueError(f"eligible_from {eligible_from} outside 1..{errors.size + 1}")
+    window = errors[eligible_from - 1 :]
+    count = int(window.sum())
+    trials = window.size
+    lower, upper = binomial_band(trials, eps, level)
+    return window, FrequencyReport(
+        frequency=count / trials if trials else 0.0,
+        errors=count,
+        trials=trials,
+        lower=lower,
+        upper=upper,
+        passed=lower <= count <= upper,
+    )
 
 
 def error_frequency_check(
@@ -250,17 +279,4 @@ def error_frequency_check(
     when ``eligible_from`` is one past the last.
     """
     errs = ledger.raw_errors(eps) if use_raw else ledger.errors(eps)
-    if not 1 <= eligible_from <= len(errs) + 1:
-        raise ValueError(f"eligible_from {eligible_from} outside 1..{len(errs) + 1}")
-    window = errs[eligible_from - 1 :]
-    count = int(sum(window))
-    trials = len(window)
-    lower, upper = binomial_band(trials, eps, level)
-    return FrequencyReport(
-        frequency=count / trials if trials else 0.0,
-        errors=count,
-        trials=trials,
-        lower=lower,
-        upper=upper,
-        passed=lower <= count <= upper,
-    )
+    return frequency_window(errs, eps, eligible_from, level)[1]

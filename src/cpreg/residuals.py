@@ -70,23 +70,17 @@ class RidgeResidualMap:
 
     U is the step's ridge design: the dummy ones column plus the scheduled
     number of leading feature columns, history rows first and the new
-    observation's row last.  Two constructors: ``RidgeResidualMap(features,
-    step, schedule)`` stacks U from the rows and forms U'U, and
-    ``from_gram`` takes U with a U'U the caller already holds (read from
+    observation's row last.  The caller passes U itself, typically the
+    leading ``features_used + 1`` columns of a
+    :class:`~cpreg.design.DesignRows` view, which stores the dummy column
+    first.  Two constructors: ``RidgeResidualMap(design, ridge)`` forms
+    U'U, and ``from_gram`` takes a U'U the caller already holds (read from
     running moments, say), so that building the map costs no O(n K^2)
     product.  Either way, applying it costs O(n K) per column.
     """
 
-    def __init__(self, features: NDArray[np.float64], step: int, schedule: FeatureSchedule):
-        features = np.asarray(features, dtype=float)
-        if features.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {features.shape}")
-        n, k_total = features.shape
-        if n < 1:
-            raise ValueError("need at least one row")
-        used = schedule.features_used(step, k_total)
-        design = np.hstack([np.ones((n, 1)), features[:, :used]])
-        self._setup(design, design.T @ design, schedule.ridge)
+    def __init__(self, design: NDArray[np.float64], ridge: float):
+        self._setup(design, design.T @ design, ridge)
 
     @classmethod
     def from_gram(
@@ -94,13 +88,13 @@ class RidgeResidualMap:
     ) -> "RidgeResidualMap":
         """The projector of the design U, ones column first, given U'U (not penalised)."""
         rmap = cls.__new__(cls)
-        rmap._setup(design, gram, ridge)
+        rmap._setup(design, gram.copy(), ridge)
         return rmap
 
     def _setup(self, design: NDArray[np.float64], gram: NDArray[np.float64], ridge: float) -> None:
+        """Factor U'U + aI, adding the ridge to ``gram`` in place."""
         if not np.isfinite(gram).all():
             raise NumericalError("ridge Gram matrix U'U has non-finite entries (features too large)")
-        gram = gram.copy()
         gram.flat[:: gram.shape[0] + 1] += ridge  # the diagonal
         self._factor = cholesky_factor(gram, "ridge Gram matrix U'U + aI")
         self.design = design
@@ -121,8 +115,8 @@ class RidgeResidualMap:
             raise ValueError(
                 f"expected {self.n - 1} known responses, got shape {y_prefix.shape}"
             )
-        padded = np.append(y_prefix, 0.0)
-        unit_last = np.zeros(self.n)
-        unit_last[-1] = 1.0
-        both = self.apply(np.column_stack([padded, unit_last]))
+        rhs = np.zeros((self.n, 2))
+        rhs[:-1, 0] = y_prefix
+        rhs[-1, 1] = 1.0
+        both = self.apply(rhs)
         return AffineResiduals(slopes=both[:, 1], intercepts=both[:, 0])

@@ -294,6 +294,13 @@ def gauss_tstat(state: GaussPredictor, x_new, y_new: float) -> float:
     return (float(y_new) - ctx.center) / ctx.scale
 
 
+def ridge_design(features: Matrix, step: int, schedule: FeatureSchedule) -> Matrix:
+    """The ridge design U of ``step``: a ones column stacked before the scheduled feature columns."""
+    features = np.asarray(features, dtype=float)
+    used = schedule.features_used(step, features.shape[1])
+    return np.column_stack((np.ones(features.shape[0]), features[:, :used]))
+
+
 def ridge_residual_affine(
     x_history: Matrix, y_history: Vector, x_new: Vector, schedule: FeatureSchedule
 ) -> AffineResiduals:
@@ -304,7 +311,8 @@ def ridge_residual_affine(
         x_history = x_history.reshape(len(y_history), -1)
     rows = np.vstack([x_history, x_new[None, :]]) if x_history.shape[0] else x_new[None, :]
     step = rows.shape[0]
-    return RidgeResidualMap(rows, step, schedule).affine_in_last(np.asarray(y_history, dtype=float))
+    rmap = RidgeResidualMap(ridge_design(rows, step, schedule), schedule.ridge)
+    return rmap.affine_in_last(np.asarray(y_history, dtype=float))
 
 
 def mva_residual_affine(x_history, y_history, x_new, schedule: FeatureSchedule | None = None) -> AffineResiduals:

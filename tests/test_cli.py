@@ -11,7 +11,7 @@ import pytest
 
 import cpreg
 from cpreg import Observation, binomial_band, read_ledger, read_plot_data, read_stream, write_stream
-from cpreg import cli
+from cpreg import protocol
 from cpreg.cli import main
 
 SEED_VERDICTS = [f"seed {s}: uniformity=ok independence=ok frequency=ok" for s in range(2)]
@@ -180,7 +180,7 @@ def test_validate_skips_steps_before_the_first_informative_one(tmp_path, capsys,
         trials.append(n)
         return binomial_band(n, eps, level)
 
-    monkeypatch.setattr(cli, "binomial_band", band)
+    monkeypatch.setattr(protocol, "binomial_band", band)  # called by the shared frequency window
     assert main(["validate", "--data", str(data), "--predictor", kind, "--seeds", "2"]) == 0
     assert trials == [230 - skipped] * 2
     out = capsys.readouterr()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpreg import NumericalError
-from cpreg.design import INITIAL_CAPACITY, DesignState
+from cpreg.design import INITIAL_CAPACITY, DesignRows, DesignState
 
 
 def rows(count, k, seed):
@@ -36,11 +36,24 @@ def test_buffer_rows_survive_several_doublings():
     for step, (x, y) in enumerate(zip(xs, ys)):
         staged = state.with_row(x)
         assert staged.flags.c_contiguous
-        assert np.array_equal(staged, xs[: step + 1])
+        assert np.array_equal(staged, np.column_stack((np.ones(step + 1), xs[: step + 1])))
         state.append(x, y)
         assert np.array_equal(state.x, xs[: step + 1])
         assert np.array_equal(state.y, ys[: step + 1])
-    assert state.x.flags.c_contiguous
+    assert np.array_equal(state.with_row(xs[0])[:, 0], np.ones(count + 1))
+
+
+def test_the_row_buffer_holds_the_design_and_no_moments():
+    count = 3 * INITIAL_CAPACITY  # the buffer doubles twice
+    xs, ys = rows(count, 3, 13)
+    state = DesignRows()
+    for step, (x, y) in enumerate(zip(xs, ys)):
+        design = state.with_row(x)
+        assert np.array_equal(design, np.column_stack((np.ones(step + 1), xs[: step + 1])))
+        state.append(x, y)
+    assert state.count == count and state.dim == 3
+    assert np.array_equal(state.x, xs) and np.array_equal(state.y, ys)
+    assert not hasattr(state, "mean") and not hasattr(state, "comoment")
 
 
 def test_staging_a_row_leaves_the_history_alone():

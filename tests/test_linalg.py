@@ -9,7 +9,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from oracles import least_squares, leverage, residual_variance, ridge_solve, spd_solve
 
-from cpreg import FeatureSchedule, RidgeResidualMap
+from cpreg import RidgeResidualMap
 from cpreg.linalg import NumericalError, cholesky_factor, cholesky_solve
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cpreg"
@@ -130,7 +130,7 @@ def test_singular_ridge_gram_is_a_numerical_error():
     # a constant feature duplicates the dummy column, and a ridge of 1e-300
     # vanishes next to the unit entries: U'U + aI is exactly singular
     with pytest.raises(NumericalError, match=r"^ridge Gram matrix U'U \+ aI of order 2 .* minor of order 2"):
-        RidgeResidualMap(np.ones((3, 1)), 3, FeatureSchedule(ridge=1e-300))
+        RidgeResidualMap(np.ones((3, 2)), 1e-300)
 
 
 def test_only_the_kernel_imports_scipy_cholesky():

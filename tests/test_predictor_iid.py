@@ -5,16 +5,18 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from oracles import iid_dense_tables, iid_per_probe_region, ridge_residual_affine
+from oracles import iid_dense_tables, iid_per_probe_region, ridge_design, ridge_residual_affine
 
 from cpreg import (
     AffineResiduals,
     FeatureSchedule,
+    GaussPredictor,
     IidGaussPredictor,
     IidPredictor,
     Observation,
     PredictionRegion,
     RandomStream,
+    RidgeResidualMap,
     RunConfig,
     SyntheticSpec,
     critical_points,
@@ -22,6 +24,7 @@ from cpreg import (
     iid_pvalue,
     run_online,
 )
+from cpreg.design import DesignState
 from cpreg.predictors.iid import PARALLEL_TOL, IidStepContext
 
 
@@ -329,3 +332,38 @@ def test_sweep_tables_equal_the_dense_oracle_on_small_integer_lines():
         seen["double root"] += bool(np.any(double))
         seen["no critical point"] += n > 1 and ctx.crit.size == 0
     assert len(seen) == 4 and min(seen.values()) >= 10, seen
+
+
+def test_iid_keeps_only_its_rows(monkeypatch):
+    # no moment fold, no moments, and each step's design U is a view of the
+    # row buffer rather than a stacked copy
+    folds, designs = [], []
+    fold, init = DesignState.append, RidgeResidualMap.__init__
+
+    def spy_fold(state, x, y):
+        folds.append(state)
+        fold(state, x, y)
+
+    def spy_init(rmap, design, ridge):
+        designs.append(design)
+        init(rmap, design, ridge)
+
+    monkeypatch.setattr(DesignState, "append", spy_fold)
+    monkeypatch.setattr(RidgeResidualMap, "__init__", spy_init)
+    k, schedule = 20, FeatureSchedule()
+    stream = generate(SyntheticSpec(k=k, n=40, seed=0))
+    pred = IidPredictor(schedule)
+    for n, obs in enumerate(stream, start=1):
+        pred.begin_step(obs.x)
+        design = designs[-1]
+        assert np.shares_memory(design, pred.design.with_row(obs.x))
+        assert design.strides == (8 * (k + 1), 8)  # the buffer's rows, read in place
+        xs = np.array([o.x for o in stream[:n]])
+        assert np.array_equal(design, ridge_design(xs, n, schedule))
+        pred.observe(obs)
+    assert folds == []
+    assert not hasattr(pred.design, "comoment") and not hasattr(pred.design, "mean")
+    # the spy does see the fold of a predictor that reads moments
+    gauss = GaussPredictor()
+    gauss.observe(stream[0])
+    assert folds == [gauss.design]

@@ -26,6 +26,7 @@ from oracles import (
     TIE_RTOL,
     iidgauss_grid_region,
     iidgauss_sample_conditional,
+    ridge_design,
     slice_geometry,
 )
 
@@ -114,7 +115,7 @@ def test_slice_radius_matches_null_direction_projection():
     assert ctx.exact and ctx.atoms.n == 2 * ctx.n
     rows = np.vstack((xs, x_new))
     u = np.linalg.svd(np.column_stack((np.ones(3), rows)))[0][:, -1]
-    residuals = RidgeResidualMap(rows, 3, FeatureSchedule()).apply
+    residuals = RidgeResidualMap(ridge_design(rows, 3, FeatureSchedule()), FeatureSchedule().ridge).apply
     c2, c1, c0 = ctx.rad2
     for y in (-3.0, 0.0, 2.0, 5.5):
         full = np.append(ys, y)
@@ -537,7 +538,7 @@ def _monte_carlo_geometry(monkeypatch, stream, svd):
                 m.setattr(np.linalg, "svd", svd)
             ctx = pred.begin_step(obs.x)
         if not ctx.exact:
-            xs, raw = pred.design.with_row(obs.x).copy(), pred.design.raw_moments()
+            xs, raw = pred.design.with_row(obs.x)[:, 1:].copy(), pred.design.raw_moments()
             steps.append((xs, raw, ctx, dict(draws)))
         pred.observe(obs)
     return steps
@@ -561,7 +562,7 @@ def _assert_matches_slice_geometry(steps, lines=True):
         assert draws["leverage"] == pytest.approx(leverage[slots], rel=1e-9), n
         if not lines:
             continue
-        project = RidgeResidualMap(xs, n, FeatureSchedule()).apply
+        project = RidgeResidualMap(ridge_design(xs, n, FeatureSchedule()), FeatureSchedule().ridge).apply
         base, slope = project(v00)[slots], project(v01)[slots]
         assert ctx.slot_base == pytest.approx(base, rel=1e-9, abs=1e-9 * np.abs(base).max()), n
         assert ctx.slot_slope == pytest.approx(slope, rel=1e-9, abs=1e-9 * np.abs(slope).max()), n

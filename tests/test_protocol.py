@@ -10,6 +10,7 @@ from cpreg import (
     PValueTrace,
     RunConfig,
     SyntheticSpec,
+    binomial_band,
     error_frequency_check,
     generate,
     independence_test,
@@ -130,6 +131,30 @@ def test_overflowing_ridge_gram_fails_at_step_1(kind):
         run_online(RunConfig(predictor=kind, epsilons=(0.5,)), stream(1e200))
 
 
+def huge_responses(scale):
+    return [Observation(o.x, o.y * scale) for o in generate(SyntheticSpec(k=2, n=60, seed=1))]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_iid_folds_no_moments_to_overflow(scale):
+    # iid reads only its rows, so responses whose square overflows change
+    # nothing: its p-values are ranks of residuals linear in y
+    config = RunConfig(predictor="iid")
+    plain = run_trace(config, huge_responses(1.0))
+    assert run_trace(config, huge_responses(scale)).pvalues == plain.pvalues
+    ledger, _ = run_online(config, huge_responses(scale))
+    assert ledger.steps == 60
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("kind", ["gauss", "mva", "iid-gauss"])
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_the_moment_fold_refuses_overflowing_responses(kind, scale):
+    with pytest.raises(NumericalError, match=rf"^{kind} step 1: design moments have non-finite"):
+        run_trace(RunConfig(predictor=kind), huge_responses(scale))
+
+
 def test_uniformity_battery():
     rng = np.random.default_rng(0)
     grid = (np.arange(1, 501) - 0.5) / 500.0
@@ -143,6 +168,41 @@ def test_uniformity_battery():
         uniformity_test(PValueTrace(smoothed=False, pvalues=list(grid), taus=[1.0] * 500))
     with pytest.raises(ValueError):
         uniformity_test(PValueTrace(smoothed=True, pvalues=[0.5] * 99, taus=[0.5] * 99))
+
+
+def test_uniformity_battery_is_bitwise_scipy_kstest():
+    from scipy import stats
+
+    rng = np.random.default_rng(3)
+    samples = [rng.uniform(size=n) for n in (100, 257, 1000)]
+    samples += [
+        np.round(rng.uniform(size=300), 2),  # ties
+        rng.uniform(size=400) ** 3,  # far from uniform
+        np.zeros(100),
+        np.ones(100),
+        np.repeat([0.0, 1.0], 60),
+    ]
+    stream = generate(SyntheticSpec(k=2, n=210, seed=4))
+    for kind in ("iid", "wilks", "gauss"):
+        samples.append(run_trace(RunConfig(predictor=kind, seed=4), stream).pvalue_array())
+    for sample in samples:
+        trace = PValueTrace(smoothed=True, pvalues=sample.tolist(), taus=[0.5] * sample.size)
+        report = uniformity_test(trace)
+        oracle = stats.kstest(sample, "uniform")
+        assert report.statistic == oracle.statistic
+        assert report.pvalue == oracle.pvalue
+        assert report.passed == (oracle.pvalue > report.level)
+
+
+def test_binomial_band_is_the_two_quantiles():
+    from scipy import stats
+
+    for trials in (0, 1, 7, 120, 207, 1000):
+        for eps in (0.005, 0.05, 0.5):
+            for level in (0.01, 1e-6):
+                lower = int(stats.binom.ppf(level / 2.0, trials, eps))
+                upper = int(stats.binom.ppf(1.0 - level / 2.0, trials, eps))
+                assert binomial_band(trials, eps, level) == (lower, upper)
 
 
 def test_independence_battery():

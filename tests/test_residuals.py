@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from oracles import ridge_residual_affine
+from oracles import ridge_design, ridge_residual_affine
 
 from cpreg import AffineResiduals, FeatureSchedule, RidgeResidualMap
-from cpreg.design import DesignState
+from cpreg.design import DesignRows, DesignState
 from cpreg.linalg import NumericalError
+from cpreg.residuals import LEADING_BLOCK
 
 # Intercept-only designs admit exact rational residual coefficients:
 # with m stored responses plus the candidate, the smoother weight is
@@ -83,7 +84,7 @@ def test_residual_map_linear_action():
     rng = np.random.default_rng(8)
     xs = rng.standard_normal((5, 2))
     sched = FeatureSchedule()
-    rmap = RidgeResidualMap(xs, 5, sched)
+    rmap = RidgeResidualMap(ridge_design(xs, 5, sched), sched.ridge)
     ys = rng.standard_normal(4)
     aff = rmap.affine_in_last(ys)
     base = rmap.apply(np.concatenate((ys, [0.0])))
@@ -109,11 +110,36 @@ def test_projector_from_a_moment_gram_matches_the_rows():
     gram = (raw[:-1, :-1] + np.outer(z_n, z_n))[:11, :11]
     design = np.column_stack((np.ones(30), xs[:, :10]))
     v = rng.standard_normal((30, 3))
-    rows = RidgeResidualMap(xs, 30, sched).apply(v)
+    rows = RidgeResidualMap(ridge_design(xs, 30, sched), sched.ridge).apply(v)
     from_gram = RidgeResidualMap.from_gram(design, gram, sched.ridge)
     assert from_gram.apply(v) == pytest.approx(rows, rel=1e-10, abs=1e-12)
     with pytest.raises(NumericalError):
         RidgeResidualMap.from_gram(design, np.full((11, 11), np.inf), sched.ridge)
+
+
+@pytest.mark.parametrize("k", [2, 20, 100])
+def test_projector_of_a_buffer_view_is_bitwise_the_contiguous_one(k):
+    # the predictors hand RidgeResidualMap a row-strided view of their
+    # buffer; BLAS must give it the same bits as a contiguous copy
+    rng = np.random.default_rng(k)
+    n = k + 30
+    rows = DesignRows()
+    for x in 1.0 + 3.0 * rng.standard_normal((n - 1, k)):
+        rows.append(x, 0.0)
+    design = rows.with_row(rng.standard_normal(k))
+    ys = rng.standard_normal(n - 1)
+    v = rng.standard_normal((n, 4))
+    for width in sorted({min(LEADING_BLOCK, k) + 1, k + 1}):
+        view = design[:, :width]
+        assert view.flags.c_contiguous == (width == k + 1)
+        assert np.shares_memory(view, design)
+        strided = RidgeResidualMap(view, 0.01)
+        contiguous = RidgeResidualMap(np.ascontiguousarray(view), 0.01)
+        assert np.array_equal(strided.apply(v), contiguous.apply(v))
+        assert np.array_equal(strided.apply(v[:, 0]), contiguous.apply(v[:, 0]))
+        a, b = strided.affine_in_last(ys), contiguous.affine_in_last(ys)
+        assert np.array_equal(a.slopes, b.slopes)
+        assert np.array_equal(a.intercepts, b.intercepts)
 
 
 def test_schedule_validation():
