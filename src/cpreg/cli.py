@@ -204,16 +204,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"cpreg: usage error: {exc}", file=sys.stderr)
         return 1
-    except DataFormatError as exc:
-        print(f"cpreg: data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cpreg: data error: {exc}", file=sys.stderr)
-        return 2
     except ArithmeticError as exc:
         print(f"cpreg: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # DataFormatError included
         print(f"cpreg: data error: {exc}", file=sys.stderr)
         return 2
 

@@ -164,6 +164,8 @@ def read_ledger(path) -> LedgerTable:
             levels.append(float(tags.pop()))
         except ValueError as exc:
             raise DataFormatError(f"bad significance level in header: {exc}") from exc
+    if len(set(levels)) != len(levels):
+        raise DataFormatError(f"significance levels must be distinct, got {levels}")
     columns = [([], [], [], []) for _ in levels]
     for row, line in enumerate(lines[1:], start=1):
         if not line:
@@ -173,24 +175,24 @@ def read_ledger(path) -> LedgerTable:
             raise DataFormatError(f"row {row}: expected {len(header)} fields, got {len(fields)}")
         try:
             index = int(fields[0])
-            parsed = []
-            for idx in range(len(levels)):
-                base = 1 + 4 * idx
-                parsed.append(
-                    (
-                        int(fields[base]),
-                        int(fields[base + 1]),
-                        float(fields[base + 2]),
-                        float(fields[base + 3]),
-                    )
-                )
+            parsed = [
+                (int(fields[j]), int(fields[j + 1]), float(fields[j + 2]), float(fields[j + 3]))
+                for j in range(1, len(header), 4)
+            ]
         except ValueError as exc:
             raise DataFormatError(f"row {row}: non-numeric field ({exc})") from exc
         if index != row:
             raise DataFormatError(f"row {row}: step index {fields[0]} out of order")
-        for (err_col, cum_col, width_col, median_col), (err, cum, width, median) in zip(
-            columns, parsed
+        for j, (err_col, cum_col, width_col, median_col), (err, cum, width, median) in zip(
+            range(1, len(header), 4), columns, parsed
         ):
+            running = (cum_col[-1] if cum_col else 0) + err
+            valid = (err in (0, 1), cum == running, width >= 0.0, median >= 0.0)
+            if not all(valid):  # only what ``record_step`` writes; inf is a valid width
+                at = valid.index(False)
+                want = ("0 or 1", f"the running error count {running}", "a width >= 0")[min(at, 2)]
+                name, value = header[j + at], fields[j + at]
+                raise DataFormatError(f"row {row}: {name} is {value}, expected {want}")
             err_col.append(err)
             cum_col.append(cum)
             width_col.append(width)
@@ -227,20 +229,25 @@ def read_plot_data(path) -> dict[tuple[str, float], tuple[np.ndarray, np.ndarray
         if key is not None:
             curves[key] = (np.array(steps, dtype=int), np.array(values, dtype=float))
 
-    for line in lines:
+    for number, line in enumerate(lines, start=1):
         if line.startswith("#"):
             flush()
             try:
                 name, eps_part = line[1:].strip().rsplit(" eps=", 1)
                 key = (name, float(eps_part))
             except ValueError as exc:
-                raise DataFormatError(f"malformed block header {line!r}") from exc
+                raise DataFormatError(f"line {number}: malformed block header {line!r}") from exc
+            if key in curves:
+                raise DataFormatError(f"line {number}: repeated block header {line!r}")
             steps, values = [], []
         elif line:
             if key is None:
-                raise DataFormatError(f"data line {line!r} before any block header")
-            n_str, v_str = line.split(",", 1)
-            steps.append(int(n_str))
-            values.append(float(v_str))
+                raise DataFormatError(f"line {number}: data line {line!r} before any block header")
+            try:
+                n_str, v_str = line.split(",", 1)
+                steps.append(int(n_str))
+                values.append(float(v_str))
+            except ValueError as exc:
+                raise DataFormatError(f"line {number}: malformed data line {line!r}") from exc
     flush()
     return curves

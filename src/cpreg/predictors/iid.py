@@ -1,8 +1,9 @@
 """Exchangeability-based predictor with ridge-residual nonconformity.
 
-At step n every observation's ridge residual is an affine function of the
-candidate response y, so the nonconformity comparison pattern can change
-only where some |e_i(y)| crosses |e_n(y)|, i.e. where e_i(y) = +-e_n(y).
+At step n every observation's ridge residual (``ridge_lines``, as on the
+exact steps of iid-gauss) is an affine function of the candidate response
+y, so the nonconformity comparison pattern can change only where some
+|e_i(y)| crosses |e_n(y)|, i.e. where e_i(y) = +-e_n(y).
 Those roots, merged within ``MERGE_TOL``, are the critical points, and the
 region {y : p(y) > eps} is assembled by sweeping them (the Ridge Regression
 Confidence Machine): the p-value is constant on each open gap between
@@ -25,13 +26,14 @@ and the region is built from one interval per run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ..design import DesignRows
 from ..regions import Interval, PredictionRegion, runs
-from ..residuals import AffineResiduals, FeatureSchedule, RidgeResidualMap
+from ..residuals import AffineResiduals, FeatureSchedule, ridge_lines
 from ..stream import Observation
 from .base import OnlinePredictor, check_epsilon, check_tau
 
@@ -91,20 +93,15 @@ def critical_points(residuals: AffineResiduals) -> NDArray[np.float64]:
 class IidStepContext:
     n: int  # number of residual lines, the p-value denominator
     residuals: AffineResiduals  # the observed (scored) line last
-    # Sweep tables, filled on first region request (a p-value at the realized
-    # response never needs them).
-    crit: NDArray[np.float64] | None = None
-    greater: NDArray[np.int64] | None = None
-    ties: NDArray[np.int64] | None = None
 
-    def sweep(self) -> None:
-        """Count greater and tied scores on every piece of the critical grid.
+    @cached_property
+    def tables(self) -> tuple[NDArray[np.float64], NDArray[np.int64], NDArray[np.int64]]:
+        """Critical points, and greater and tied score counts on every piece.
 
-        Table layout: [left ray, crit_0, gap_01, crit_1, ..., crit_last,
-        right ray], or a single entry when there are no critical points.
+        Count layout: [left ray, crit_0, gap_01, crit_1, ..., crit_last, right
+        ray], or a single entry when there are no critical points.  Built on
+        the first region request; a p-value never needs them.
         """
-        if self.crit is not None:
-            return
         roots = _roots(self.residuals)
         crit = _merge(roots)
         m = crit.size
@@ -133,18 +130,16 @@ class IidStepContext:
         greater[1::2] = gaps[:m] - per_point(lo[above]) - per_point(hi[~above])
         ties = np.full(2 * m + 1, np.count_nonzero(tied) + 1, dtype=np.int64)
         ties[1::2] += per_point(lo) + per_point(hi)
-        self.crit = crit
-        self.greater = greater
-        self.ties = ties
+        return crit, greater, ties
 
     def region(self, eps: float, tau: float) -> PredictionRegion:
         """{y : p(y) > eps}, one interval per run of consecutive kept probes."""
-        self.sweep()
-        keep = (self.greater + tau * self.ties) / self.n > eps
+        crit, greater, ties = self.tables
+        keep = (greater + tau * ties) / self.n > eps
         # Probe i spans (bounds[(i + 1) // 2], bounds[i // 2 + 1]) and is the
         # closed point there when i is odd.
         first, last = runs(keep)
-        bounds = np.concatenate(([-np.inf], self.crit, [np.inf]))
+        bounds = np.concatenate(([-np.inf], crit, [np.inf]))
         return PredictionRegion(
             map(
                 Interval,
@@ -164,12 +159,8 @@ class IidPredictor(OnlinePredictor):
         self.design = DesignRows()
 
     def begin_step(self, x_new) -> IidStepContext:
-        design = self.design.with_row(x_new)
-        n, cols = design.shape
-        used = self.schedule.features_used(n, cols - 1)
-        rmap = RidgeResidualMap(design[:, : used + 1], self.schedule.ridge)
-        residuals = rmap.affine_in_last(self.design.y)
-        return IidStepContext(n=n, residuals=residuals)
+        _, residuals = ridge_lines(self.design.with_row(x_new), self.design.y, self.schedule)
+        return IidStepContext(n=residuals.slopes.size, residuals=residuals)
 
     def raw_region(self, ctx: IidStepContext, eps: float, tau: float) -> PredictionRegion:
         check_epsilon(eps)

@@ -90,7 +90,7 @@ from ..design import DesignState
 from ..linalg import RANK_RTOL, NumericalError, cholesky_factor, cholesky_solve
 from ..randomness import RandomStream
 from ..regions import Interval, PredictionRegion, runs
-from ..residuals import AffineResiduals, FeatureSchedule, RidgeResidualMap
+from ..residuals import AffineResiduals, FeatureSchedule, RidgeResidualMap, ridge_lines
 from ..stream import Observation
 from .base import OnlinePredictor, check_epsilon, check_tau
 from .iid import IidStepContext, iid_pvalue
@@ -304,9 +304,7 @@ class IidGaussPredictor(OnlinePredictor):
             leverage = np.einsum("ij,ij->j", half, half)
         self._staged = (zn[1:].copy(), leverage)
         ridged = self.schedule.features_used(n, cols - 1) + 1  # the ridge design's columns
-        rmap = RidgeResidualMap.from_gram(
-            design[:, :ridged], gram[:ridged, :ridged], self.schedule.ridge
-        )
+        rmap = RidgeResidualMap(design[:, :ridged], gram[:ridged, :ridged], self.schedule.ridge)
         # the response (candidate slot zeroed), the candidate's unit vector and
         # the slice point's intercept and slope, through one projector solve
         cols4 = np.zeros((n, 4))
@@ -324,9 +322,7 @@ class IidGaussPredictor(OnlinePredictor):
         """Any step from an SVD of Z, which also decides its rank."""
         n, cols = design.shape
         ys, t0, syy = self.design.y, raw[:-1, -1], raw[-1, -1]
-        ridged = self.schedule.features_used(n, cols - 1) + 1  # the ridge design's columns
-        rmap = RidgeResidualMap(design[:, :ridged], self.schedule.ridge)
-        aff = rmap.affine_in_last(ys)
+        rmap, aff = ridge_lines(design, ys, self.schedule)
         ea = (float(aff.slopes[-1]), float(aff.intercepts[-1]))
         # While n <= K + 2 the slice has d <= 1 unless Z is rank-deficient;
         # the full left factor is then small and holds the null direction.

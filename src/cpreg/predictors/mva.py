@@ -11,8 +11,10 @@ is t-distributed with n - 2 degrees of freedom.  Every ingredient is a
 polynomial in the candidate y with coefficients computable from the sums
 alone, so the level-eps region is the solution set of one quadratic
 inequality A y^2 + B y + C < 0 (an open interval, two open rays, the whole
-line, or nothing).  The ridge term also penalises the dummy column, so the
-statistic is not equivariant under shifts of y, by design.
+line, or nothing).  Its ridge system U'U + aI, read from the sums and the
+new row, goes through ``ridge_factor`` as iid's does.  The ridge term also
+penalises the dummy column, so the statistic is not equivariant under
+shifts of y, by design.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..design import DesignState
-from ..linalg import cholesky_factor, cholesky_solve
+from ..linalg import cholesky_solve
 from ..regions import Interval, PredictionRegion
-from ..residuals import FeatureSchedule
+from ..residuals import FeatureSchedule, ridge_factor
 from ..stream import Observation
 from ..studentt import t_sf, t_upper_point
 from .base import OnlinePredictor, check_epsilon, check_tau
@@ -95,11 +97,9 @@ class MvaPredictor(OnlinePredictor):
         raw = self.design.raw_moments()
         u = np.concatenate(([1.0], x_new[:kd]))
         gram = raw[: kd + 1, : kd + 1] + np.outer(u, u)
-        colsum = gram[0].copy()  # U'1 over all n rows, dummy column first
+        colsum = gram[0]  # U'1 over all n rows, dummy column first
         q0, syy = raw[: kd + 1, -1], raw[-1, -1]
-        gram.flat[:: kd + 2] += a  # the diagonal
-        factor = cholesky_factor(gram, "ridge system U'U + aI")
-        solved = cholesky_solve(factor, np.column_stack((q0, u)))
+        solved = cholesky_solve(ridge_factor(gram, a), np.column_stack((q0, u)))
         w0, wu = solved[:, 0], solved[:, 1]
         # e_n(y) and the total residual sum 1'e(y), both affine in y.
         last = (1.0 - float(u @ wu), -float(u @ w0))

@@ -2,9 +2,11 @@
 
 When the candidate response y of the newest observation is left symbolic,
 every residual of the ridge fit is an affine function of y.  This module
-computes those slope/intercept pairs and exposes the residual projector
-``v -> (I - U (U'U + aI)^{-1} U') v`` itself, which several predictors
-share.
+owns the ridge system U'U + aI that iid, iid-gauss and mva solve:
+:func:`ridge_factor` is the one place that forms and factors it,
+:class:`RidgeResidualMap` is the residual projector
+``v -> (I - U (U'U + aI)^{-1} U') v`` built on it, and :func:`ridge_lines`
+gives a step's slope/intercept pairs from the rows.
 
 The feature schedule decides how many explanatory columns enter the
 design at a given step: the first ``LEADING_BLOCK`` early on, all of them
@@ -65,6 +67,19 @@ class AffineResiduals:
         return self.intercepts + self.slopes * y
 
 
+def ridge_factor(gram: NDArray[np.float64], ridge: float) -> NDArray[np.float64]:
+    """Cholesky factor of the ridge system U'U + aI, given U'U (not penalised).
+
+    The one place that forms and factors the system: the ridge goes onto
+    the diagonal of a copy, so ``gram`` is left as it was.
+    """
+    if not np.isfinite(gram).all():
+        raise NumericalError("ridge Gram matrix U'U has non-finite entries (features too large)")
+    system = gram.copy()
+    system.reshape(-1)[:: system.shape[0] + 1] += ridge  # the diagonal, in place
+    return cholesky_factor(system, "ridge Gram matrix U'U + aI")
+
+
 class RidgeResidualMap:
     """The residual projector v -> (I - U (U'U + aI)^{-1} U') v of one step.
 
@@ -73,30 +88,14 @@ class RidgeResidualMap:
     observation's row last.  The caller passes U itself, typically the
     leading ``features_used + 1`` columns of a
     :class:`~cpreg.design.DesignRows` view, which stores the dummy column
-    first.  Two constructors: ``RidgeResidualMap(design, ridge)`` forms
-    U'U, and ``from_gram`` takes a U'U the caller already holds (read from
-    running moments, say), so that building the map costs no O(n K^2)
-    product.  Either way, applying it costs O(n K) per column.
+    first, together with its Gram matrix U'U, formed from the rows
+    (:func:`ridge_lines`) or read from running moments, so that building
+    the map from moments costs no O(n K^2) product.  Applying it costs
+    O(n K) per column.
     """
 
-    def __init__(self, design: NDArray[np.float64], ridge: float):
-        self._setup(design, design.T @ design, ridge)
-
-    @classmethod
-    def from_gram(
-        cls, design: NDArray[np.float64], gram: NDArray[np.float64], ridge: float
-    ) -> "RidgeResidualMap":
-        """The projector of the design U, ones column first, given U'U (not penalised)."""
-        rmap = cls.__new__(cls)
-        rmap._setup(design, gram.copy(), ridge)
-        return rmap
-
-    def _setup(self, design: NDArray[np.float64], gram: NDArray[np.float64], ridge: float) -> None:
-        """Factor U'U + aI, adding the ridge to ``gram`` in place."""
-        if not np.isfinite(gram).all():
-            raise NumericalError("ridge Gram matrix U'U has non-finite entries (features too large)")
-        gram.flat[:: gram.shape[0] + 1] += ridge  # the diagonal
-        self._factor = cholesky_factor(gram, "ridge Gram matrix U'U + aI")
+    def __init__(self, design: NDArray[np.float64], gram: NDArray[np.float64], ridge: float):
+        self._factor = ridge_factor(gram, ridge)
         self.design = design
         self.n = design.shape[0]
 
@@ -120,3 +119,18 @@ class RidgeResidualMap:
         rhs[-1, 1] = 1.0
         both = self.apply(rhs)
         return AffineResiduals(slopes=both[:, 1], intercepts=both[:, 0])
+
+
+def ridge_lines(
+    design: NDArray[np.float64], y_past: NDArray[np.float64], schedule: FeatureSchedule
+) -> tuple[RidgeResidualMap, AffineResiduals]:
+    """The projector of a step's scheduled design U, and its residual lines.
+
+    ``design`` is the step's full design [1, X], the new row last, and
+    ``y_past`` the other rows' responses.  U is its dummy column and the
+    ``schedule``'s leading feature columns, and U'U is formed from the rows.
+    """
+    n, cols = design.shape
+    u = design[:, : schedule.features_used(n, cols - 1) + 1]
+    rmap = RidgeResidualMap(u, u.T @ u, schedule.ridge)
+    return rmap, rmap.affine_in_last(y_past)

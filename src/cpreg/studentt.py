@@ -24,10 +24,6 @@ def t_sf(x: float, df: float) -> float:
     _check_df(df)
     if math.isnan(x):
         raise ValueError("x must not be NaN")
-    if math.isinf(x):
-        return 0.0 if x > 0 else 1.0
-    if x == 0.0:
-        return 0.5
     return float(special.stdtr(df, -x))
 
 

@@ -195,12 +195,11 @@ def iid_dense_tables(
 def iid_per_probe_region(ctx, eps: float, tau: float) -> PredictionRegion:
     """The iid region as one piece per kept sweep probe, merged by the region.
 
-    Probe layout of ``IidStepContext.sweep``: [left ray, crit_0, gap_01,
+    Probe layout of ``IidStepContext.tables``: [left ray, crit_0, gap_01,
     crit_1, ..., crit_last, right ray], or one probe for the whole line.
     """
-    ctx.sweep()
-    keep = (ctx.greater + tau * ctx.ties) / ctx.n > eps
-    crit = ctx.crit
+    crit, greater, ties = ctx.tables
+    keep = (greater + tau * ties) / ctx.n > eps
     if crit.size == 0:
         return PredictionRegion.real_line() if keep[0] else PredictionRegion.empty()
     pieces: list[Interval] = []
@@ -311,7 +310,8 @@ def ridge_residual_affine(
         x_history = x_history.reshape(len(y_history), -1)
     rows = np.vstack([x_history, x_new[None, :]]) if x_history.shape[0] else x_new[None, :]
     step = rows.shape[0]
-    rmap = RidgeResidualMap(ridge_design(rows, step, schedule), schedule.ridge)
+    design = ridge_design(rows, step, schedule)
+    rmap = RidgeResidualMap(design, design.T @ design, schedule.ridge)
     return rmap.affine_in_last(np.asarray(y_history, dtype=float))
 
 

@@ -175,6 +175,33 @@ def test_ledger_file_errors(tmp_path):
         read_ledger(path)
 
 
+def test_ledger_values_the_ledger_never_writes_are_refused(tmp_path):
+    path = tmp_path / "bad.csv"
+    header = "n,err_0.05,Err_0.05,L_0.05,M_0.05,err_0.01,Err_0.01,L_0.01,M_0.01\n"
+    for rows, where in (
+        ("1,0,0,-1.0,nan,0,0,inf,inf\n", "row 1: L_0.05 is -1.0"),
+        ("1,0,0,1.0,nan,0,0,inf,inf\n", "row 1: M_0.05 is nan"),
+        ("1,0,0,1.0,1.0,0,0,nan,inf\n", "row 1: L_0.01 is nan"),
+        ("1,2,2,1.0,1.0,0,0,inf,inf\n", "row 1: err_0.05 is 2, expected 0 or 1"),
+        ("1,0,0,1.0,1.0,-1,0,inf,inf\n", "row 1: err_0.01 is -1"),
+        ("1,0,1,1.0,1.0,0,0,inf,inf\n", "row 1: Err_0.05 is 1, expected the running error count 0"),
+        ("1,1,1,1.0,1.0,0,0,inf,inf\n2,1,1,1.0,1.0,0,0,inf,inf\n", "row 2: Err_0.05 is 1"),
+    ):
+        path.write_text(header + rows)
+        with pytest.raises(DataFormatError, match=f"^{where}"):
+            read_ledger(path)
+    # infinite widths and medians are what an unbounded region writes
+    path.write_text(header + "1,1,1,inf,inf,0,0,inf,inf\n2,0,1,2.5,inf,1,1,inf,inf\n")
+    assert read_ledger(path).cumulative_errors(0.05) == [1, 1]
+
+
+def test_duplicated_ledger_levels_are_a_format_error(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("n,err_0.05,Err_0.05,L_0.05,M_0.05,err_0.050,Err_0.050,L_0.050,M_0.050\n")
+    with pytest.raises(DataFormatError, match="distinct"):
+        read_ledger(path)
+
+
 def test_plot_data_round_trip(tmp_path):
     ledger = make_ledger()
     path = tmp_path / "plot.csv"
@@ -202,4 +229,23 @@ def test_plot_data_format_errors(tmp_path):
         read_plot_data(path)
     path.write_text("# median-accuracy\n1,2.0\n")
     with pytest.raises(DataFormatError, match="block header"):
+        read_plot_data(path)
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("# median-accuracy eps=0.05\n1,2.0\n12.0\n", "line 3: malformed data line '12.0'"),
+        ("# cumulative-errors eps=0.05\nx,2.0\n", "line 2: malformed data line 'x,2.0'"),
+        (
+            "# cumulative-errors eps=0.05\n1,0\n\n# cumulative-errors eps=0.05\n1,1\n",
+            "line 4: repeated block header",
+        ),
+    ],
+    ids=["no comma", "non-integer step", "repeated block"],
+)
+def test_plot_data_errors_name_the_line(tmp_path, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(DataFormatError, match=f"^{where}"):
         read_plot_data(path)

@@ -130,7 +130,8 @@ def test_singular_ridge_gram_is_a_numerical_error():
     # a constant feature duplicates the dummy column, and a ridge of 1e-300
     # vanishes next to the unit entries: U'U + aI is exactly singular
     with pytest.raises(NumericalError, match=r"^ridge Gram matrix U'U \+ aI of order 2 .* minor of order 2"):
-        RidgeResidualMap(np.ones((3, 2)), 1e-300)
+        design = np.ones((3, 2))
+        RidgeResidualMap(design, design.T @ design, 1e-300)
 
 
 def test_only_the_kernel_imports_scipy_cholesky():

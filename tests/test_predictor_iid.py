@@ -279,8 +279,7 @@ def test_region_equals_per_probe_oracle(steps):
 
 
 def assert_dense_tables(ctx):
-    ctx.sweep()
-    for got, want in zip((ctx.crit, ctx.greater, ctx.ties), iid_dense_tables(ctx.residuals)):
+    for got, want in zip(ctx.tables, iid_dense_tables(ctx.residuals)):
         assert got.dtype == want.dtype and np.array_equal(got, want), ctx.n
 
 
@@ -330,7 +329,7 @@ def test_sweep_tables_equal_the_dense_oracle_on_small_integer_lines():
         seen["signed copy of e_n"] += bool(np.any(copy))
         seen["parallel, not a copy"] += bool(np.any(parallel & ~copy))
         seen["double root"] += bool(np.any(double))
-        seen["no critical point"] += n > 1 and ctx.crit.size == 0
+        seen["no critical point"] += n > 1 and ctx.tables[0].size == 0
     assert len(seen) == 4 and min(seen.values()) >= 10, seen
 
 
@@ -344,9 +343,9 @@ def test_iid_keeps_only_its_rows(monkeypatch):
         folds.append(state)
         fold(state, x, y)
 
-    def spy_init(rmap, design, ridge):
+    def spy_init(rmap, design, gram, ridge):
         designs.append(design)
-        init(rmap, design, ridge)
+        init(rmap, design, gram, ridge)
 
     monkeypatch.setattr(DesignState, "append", spy_fold)
     monkeypatch.setattr(RidgeResidualMap, "__init__", spy_init)

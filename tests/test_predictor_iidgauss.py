@@ -115,7 +115,8 @@ def test_slice_radius_matches_null_direction_projection():
     assert ctx.exact and ctx.atoms.n == 2 * ctx.n
     rows = np.vstack((xs, x_new))
     u = np.linalg.svd(np.column_stack((np.ones(3), rows)))[0][:, -1]
-    residuals = RidgeResidualMap(ridge_design(rows, 3, FeatureSchedule()), FeatureSchedule().ridge).apply
+    design = ridge_design(rows, 3, FeatureSchedule())
+    residuals = RidgeResidualMap(design, design.T @ design, FeatureSchedule().ridge).apply
     c2, c1, c0 = ctx.rad2
     for y in (-3.0, 0.0, 2.0, 5.5):
         full = np.append(ys, y)
@@ -386,8 +387,7 @@ def test_monte_carlo_region_is_the_exact_pvalue_super_level_set(k, size):
     exact_slices = set()  # slice dimensions d of the exact steps checked
     for pred, ctx in _steps(k, size, seed=4):
         if ctx.exact:
-            ctx.atoms.sweep()
-            events = ctx.atoms.crit
+            events = ctx.atoms.tables[0]
         else:
             steps += 1
             events, counts = ctx.crossings
@@ -562,7 +562,8 @@ def _assert_matches_slice_geometry(steps, lines=True):
         assert draws["leverage"] == pytest.approx(leverage[slots], rel=1e-9), n
         if not lines:
             continue
-        project = RidgeResidualMap(ridge_design(xs, n, FeatureSchedule()), FeatureSchedule().ridge).apply
+        ridged = ridge_design(xs, n, FeatureSchedule())
+        project = RidgeResidualMap(ridged, ridged.T @ ridged, FeatureSchedule().ridge).apply
         base, slope = project(v00)[slots], project(v01)[slots]
         assert ctx.slot_base == pytest.approx(base, rel=1e-9, abs=1e-9 * np.abs(base).max()), n
         assert ctx.slot_slope == pytest.approx(slope, rel=1e-9, abs=1e-9 * np.abs(slope).max()), n
@@ -767,13 +768,13 @@ def test_chained_monte_carlo_steps_form_no_product_of_the_rows(monkeypatch, k, s
     # product of the rows once the chain has started
     pred = fresh(0, mc_samples=50)
     solves = _spy_leverage_solves(monkeypatch, pred)
-    built, init = [], RidgeResidualMap.__init__
+    built, lines = [], iid_gauss.ridge_lines
 
-    def spy_init(rmap, *args, **kwargs):
+    def spy_lines(*args, **kwargs):
         built.append(pred.design.count + 1)
-        init(rmap, *args, **kwargs)
+        return lines(*args, **kwargs)
 
-    monkeypatch.setattr(RidgeResidualMap, "__init__", spy_init)
+    monkeypatch.setattr(iid_gauss, "ridge_lines", spy_lines)
     monte_carlo = []
     for obs in generate(SyntheticSpec(k=k, n=size, seed=0)):
         ctx = pred.begin_step(obs.x)

@@ -10,9 +10,12 @@ from oracles import mva_residual_affine, ridge_residual_affine
 from cpreg import (
     FeatureSchedule,
     MvaPredictor,
+    NumericalError,
     Observation,
     PredictionRegion,
+    RunConfig,
     open_solution_set,
+    run_online,
     t_sf,
 )
 
@@ -211,3 +214,14 @@ def test_dimension_bookkeeping():
     with pytest.raises(ValueError):
         pred.begin_step(np.array([1.0, 2.0]))
     assert pred.design.count == 2
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_an_overflowing_ridge_gram_is_refused_before_it_is_factored():
+    # the new row's square overflows U'U at step 5; the ridge system's one
+    # builder refuses it by name instead of factoring an infinite matrix
+    stream = [Observation([0.1 * i], i) for i in range(4)] + [Observation([1e200], 1)]
+    with pytest.raises(
+        NumericalError, match=r"^mva step 5: ridge Gram matrix U'U has non-finite entries"
+    ):
+        run_online(RunConfig(predictor="mva"), stream)

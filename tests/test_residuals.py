@@ -1,14 +1,24 @@
 """Feature schedule and the shared ridge-residual affine machinery."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from oracles import ridge_design, ridge_residual_affine
 
-from cpreg import AffineResiduals, FeatureSchedule, RidgeResidualMap
+from cpreg import (
+    AffineResiduals,
+    FeatureSchedule,
+    RidgeResidualMap,
+    RunConfig,
+    SyntheticSpec,
+    generate,
+    run_online,
+)
 from cpreg.design import DesignRows, DesignState
-from cpreg.linalg import NumericalError
-from cpreg.residuals import LEADING_BLOCK
+from cpreg.linalg import NumericalError, cholesky_factor
+from cpreg.residuals import LEADING_BLOCK, ridge_factor
 
 # Intercept-only designs admit exact rational residual coefficients:
 # with m stored responses plus the candidate, the smoother weight is
@@ -84,7 +94,8 @@ def test_residual_map_linear_action():
     rng = np.random.default_rng(8)
     xs = rng.standard_normal((5, 2))
     sched = FeatureSchedule()
-    rmap = RidgeResidualMap(ridge_design(xs, 5, sched), sched.ridge)
+    design = ridge_design(xs, 5, sched)
+    rmap = RidgeResidualMap(design, design.T @ design, sched.ridge)
     ys = rng.standard_normal(4)
     aff = rmap.affine_in_last(ys)
     base = rmap.apply(np.concatenate((ys, [0.0])))
@@ -110,11 +121,12 @@ def test_projector_from_a_moment_gram_matches_the_rows():
     gram = (raw[:-1, :-1] + np.outer(z_n, z_n))[:11, :11]
     design = np.column_stack((np.ones(30), xs[:, :10]))
     v = rng.standard_normal((30, 3))
-    rows = RidgeResidualMap(ridge_design(xs, 30, sched), sched.ridge).apply(v)
-    from_gram = RidgeResidualMap.from_gram(design, gram, sched.ridge)
+    stacked = ridge_design(xs, 30, sched)
+    rows = RidgeResidualMap(stacked, stacked.T @ stacked, sched.ridge).apply(v)
+    from_gram = RidgeResidualMap(design, gram, sched.ridge)
     assert from_gram.apply(v) == pytest.approx(rows, rel=1e-10, abs=1e-12)
     with pytest.raises(NumericalError):
-        RidgeResidualMap.from_gram(design, np.full((11, 11), np.inf), sched.ridge)
+        RidgeResidualMap(design, np.full((11, 11), np.inf), sched.ridge)
 
 
 @pytest.mark.parametrize("k", [2, 20, 100])
@@ -133,13 +145,58 @@ def test_projector_of_a_buffer_view_is_bitwise_the_contiguous_one(k):
         view = design[:, :width]
         assert view.flags.c_contiguous == (width == k + 1)
         assert np.shares_memory(view, design)
-        strided = RidgeResidualMap(view, 0.01)
-        contiguous = RidgeResidualMap(np.ascontiguousarray(view), 0.01)
+        copy = np.ascontiguousarray(view)
+        strided = RidgeResidualMap(view, view.T @ view, 0.01)
+        contiguous = RidgeResidualMap(copy, copy.T @ copy, 0.01)
         assert np.array_equal(strided.apply(v), contiguous.apply(v))
         assert np.array_equal(strided.apply(v[:, 0]), contiguous.apply(v[:, 0]))
         a, b = strided.affine_in_last(ys), contiguous.affine_in_last(ys)
         assert np.array_equal(a.slopes, b.slopes)
         assert np.array_equal(a.intercepts, b.intercepts)
+
+
+def test_ridge_factor_leaves_its_argument_unchanged():
+    rng = np.random.default_rng(10)
+    design = np.column_stack((np.ones(8), rng.standard_normal((8, 3))))
+    gram = design.T @ design
+    before = gram.copy()
+    factor = ridge_factor(gram, 0.5)
+    assert np.array_equal(gram, before)
+    want = cholesky_factor(before + 0.5 * np.eye(4))
+    assert np.array_equal(np.tril(factor), np.tril(want))
+
+
+def test_every_ridge_factorisation_goes_through_ridge_factor(monkeypatch):
+    # iid, mva and iid-gauss factor U'U + aI once per informative step, each
+    # time inside ridge_factor, and no other Cholesky call factors it
+    inside, ridged, kernel_calls = [False], [], []
+    factor_ridge, kernel = ridge_factor, cholesky_factor
+
+    def spy_ridge(gram, ridge):
+        ridged.append(gram.shape[0])
+        inside[0] = True
+        try:
+            return factor_ridge(gram, ridge)
+        finally:
+            inside[0] = False
+
+    def spy_kernel(matrix, name="matrix"):
+        kernel_calls.append((name, inside[0]))
+        return kernel(matrix, name)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("cpreg")]:
+        for attr, spy in (("ridge_factor", spy_ridge), ("cholesky_factor", spy_kernel)):
+            if getattr(module, attr, None) in (factor_ridge, kernel):
+                monkeypatch.setattr(module, attr, spy)
+    stream = generate(SyntheticSpec(k=20, n=120, seed=0))  # the paper-online size
+    for kind, informative_from in (("iid", 1), ("mva", 3), ("iid-gauss", 1)):
+        ridged.clear()
+        kernel_calls.clear()
+        run_online(RunConfig(predictor=kind, smoothed=False), stream)
+        assert len(ridged) == 120 - informative_from + 1, kind
+        within = [name for name, nested in kernel_calls if nested]
+        assert within == ["ridge Gram matrix U'U + aI"] * len(ridged), kind
+        assert not any("U'U" in name for name, nested in kernel_calls if not nested), kind
 
 
 def test_schedule_validation():

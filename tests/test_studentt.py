@@ -56,6 +56,12 @@ def test_cdf_basics():
             assert t_sf(-x, df) == pytest.approx(1.0 - t_sf(x, df), abs=1e-13)
 
 
+@pytest.mark.parametrize("df", [0.001, 0.5, 1, 2.5, 117, 1e20, math.inf])
+def test_tail_is_exact_at_zero_and_at_the_infinities(df):
+    assert t_sf(0.0, df) == 0.5 and t_sf(-0.0, df) == 0.5
+    assert t_sf(math.inf, df) == 0.0 and t_sf(-math.inf, df) == 1.0
+
+
 def test_cdf_monotone_and_limits():
     # +-50 rather than +-30: the df=1 tail decays like 1/(pi*x), so the
     # 1e-2 bound needs the wider window (1/(50*pi) ~ 0.0064).
