@@ -17,7 +17,7 @@ import numpy as np
 
 from .ledger import LedgerTable
 from .randomness import RandomStream
-from .stream import Observation
+from .stream import Observation, check_stream
 
 
 class DataFormatError(ValueError):
@@ -75,10 +75,17 @@ def _fmt(v: float) -> str:
 def write_stream(path, stream, dim: int | None = None) -> None:
     """Write observations as CSV with header x1,...,xK,y (LF endings).
 
-    ``dim`` fixes the header width when the stream is empty.
+    ``dim`` fixes the header width when the stream is empty; for a
+    non-empty stream it must equal the rows' width.  Raises ``ValueError``
+    for a ragged stream or a contradicting ``dim``, which would give a file
+    that :func:`read_stream` rejects.
     """
     stream = list(stream)
-    k = stream[0].x.size if stream else (dim or 0)
+    k = check_stream(stream)
+    if not stream:
+        k = dim or 0
+    elif dim is not None and dim != k:
+        raise ValueError(f"dim={dim} contradicts the stream's {k} features")
     names = [f"x{j + 1}" for j in range(k)] + ["y"]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(names) + "\n")

@@ -84,10 +84,16 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dtrcon, dtrtrs
 
 from ..design import DesignState
-from ..linalg import RANK_RTOL, NumericalError, cholesky_factor, cholesky_solve
+from ..linalg import (
+    RANK_RTOL,
+    NumericalError,
+    cholesky_factor,
+    cholesky_solve,
+    reciprocal_condition,
+    triangular_solve,
+)
 from ..randomness import RandomStream
 from ..regions import Interval, PredictionRegion, runs
 from ..residuals import AffineResiduals, FeatureSchedule, RidgeResidualMap, ridge_lines
@@ -289,7 +295,7 @@ class IidGaussPredictor(OnlinePredictor):
             factor = cholesky_factor(gram, "design Gram matrix Z'Z")
         except NumericalError:
             return None
-        if dtrcon(factor, norm="1", uplo="L")[0] < _CHOLESKY_MIN_RCOND:
+        if reciprocal_condition(factor) < _CHOLESKY_MIN_RCOND:
             return None
         t0, syy = raw[:-1, -1], raw[-1, -1]  # (sum y, sum y*x) and sum y^2
         coef = cholesky_solve(factor, np.column_stack((t0, zn)))
@@ -300,7 +306,7 @@ class IidGaussPredictor(OnlinePredictor):
         if self._leverage is not None and rad2[0] >= _MIN_CARRY_SLACK:
             leverage = np.append(self._leverage - fitted[:-1, 1] ** 2 / rad2[0], h_n)
         else:
-            half = dtrtrs(factor, design.T, lower=1)[0]  # L^{-1} Z'
+            half = triangular_solve(factor, design.T)  # L^{-1} Z'
             leverage = np.einsum("ij,ij->j", half, half)
         self._staged = (zn[1:].copy(), leverage)
         ridged = self.schedule.features_used(n, cols - 1) + 1  # the ridge design's columns

@@ -3,15 +3,25 @@
 Thin wrappers over the compiled ufuncs ``stdtr`` and ``stdtrit`` of
 ``scipy.special`` that add the input checks and special cases of this
 package and always return a Python ``float``.  ``scipy.stats`` is not
-involved, so the predictors' hot path loads none of it.  The test suite
-checks every function against an independent quadrature oracle.
+involved, so the predictors' hot path loads none of it.  This is the only
+module that touches ``scipy.special``, and it binds it on the first call
+of either function, not on import: only the gauss and mva predictors take
+a t tail or quantile.  The test suite checks every function against an
+independent quadrature oracle.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 
-from scipy import special
+
+@cache
+def _special():
+    """``scipy.special``, imported on the first call only."""
+    from scipy import special
+
+    return special
 
 
 def _check_df(df: float) -> None:
@@ -24,7 +34,7 @@ def t_sf(x: float, df: float) -> float:
     _check_df(df)
     if math.isnan(x):
         raise ValueError("x must not be NaN")
-    return float(special.stdtr(df, -x))
+    return float(_special().stdtr(df, -x))
 
 
 def t_upper_point(delta: float, df: float) -> float:
@@ -38,4 +48,4 @@ def t_upper_point(delta: float, df: float) -> float:
     # relative precision for small delta: P(T > -t) = 1 - P(T > t).
     if delta > 0.5:
         return -t_upper_point(1.0 - delta, df)
-    return float(-special.stdtrit(df, delta))
+    return float(-_special().stdtrit(df, delta))

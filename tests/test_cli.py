@@ -18,17 +18,30 @@ SEED_VERDICTS = [f"seed {s}: uniformity=ok independence=ok frequency=ok" for s i
 SUMMARY = ["uniformity: 2/2 pass", "independence: 2/2 pass", "frequency: 2/2 pass", "overall: PASS"]
 
 # Exercises the CLI in a fresh interpreter, where sys.modules shows what
-# each subcommand really imported.
+# each subcommand really imported: after each step, the step and the scipy
+# subpackages loaded so far.
 IMPORT_BUDGET_SCRIPT = """
 import sys
 import cpreg
 from cpreg.cli import main
-print("import", "scipy.stats" in sys.modules)
-main(["generate", "--out", sys.argv[1], "--k", "3", "--n", "230", "--seed", "5"])
-main(["run", "--data", sys.argv[1], "--predictor", "gauss", "--out", sys.argv[2]])
-print("run", "scipy.stats" in sys.modules)
-code = main(["validate", "--data", sys.argv[1], "--predictor", "gauss", "--seeds", "2"])
-print("validate", "scipy.stats" in sys.modules, code)
+data, ledger, curves = sys.argv[1:]
+
+def loaded(step):
+    print(step, *[m for m in ("scipy.linalg", "scipy.special", "scipy.stats") if m in sys.modules])
+
+loaded("import")
+main(["generate", "--out", data, "--k", "3", "--n", "230", "--seed", "5"])
+loaded("generate")
+main(["run", "--data", data, "--predictor", "wilks", "--out", ledger])
+loaded("run-wilks")
+main(["report", "--ledger", ledger, "--out", curves])
+loaded("report")
+main(["run", "--data", data, "--predictor", "iid", "--out", ledger])
+loaded("run-iid")
+main(["run", "--data", data, "--predictor", "gauss", "--out", ledger])
+loaded("run-gauss")
+code = main(["validate", "--data", data, "--predictor", "gauss", "--seeds", "2"])
+loaded(f"validate-{code}")
 """
 
 
@@ -192,7 +205,7 @@ def test_only_validate_loads_scipy_stats(tmp_path):
     src = str(Path(cpreg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-c", IMPORT_BUDGET_SCRIPT, str(tmp_path / "d.csv"), str(tmp_path / "l.csv")],
+        [sys.executable, "-c", IMPORT_BUDGET_SCRIPT, *(str(tmp_path / f) for f in ("d.csv", "l.csv", "c.txt"))],
         env=env,
         capture_output=True,
         text=True,
@@ -200,8 +213,17 @@ def test_only_validate_loads_scipy_stats(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     out = done.stdout.splitlines()
-    assert out[:2] == ["import False", "run False"]
-    assert out[2:] == SUMMARY + ["validate True 0"]
+    # only the commands that factor a matrix load scipy.linalg, and only
+    # those that take a t tail or quantile load scipy.special
+    assert out[:6] == [
+        "import",
+        "generate",
+        "run-wilks",
+        "report",
+        "run-iid scipy.linalg",
+        "run-gauss scipy.linalg scipy.special",
+    ]
+    assert out[6:] == SUMMARY + ["validate-0 scipy.linalg scipy.special scipy.stats"]
     assert [line for line in done.stderr.splitlines() if line.startswith("seed")] == SEED_VERDICTS
 
 

@@ -95,6 +95,25 @@ def test_empty_stream_file_keeps_the_header(tmp_path):
     assert read_stream(path) == []
 
 
+def test_a_ragged_stream_is_not_written(tmp_path):
+    # its second row would sit under an x1,x2,y header with two fields
+    path = tmp_path / "ragged.csv"
+    ragged = [Observation(np.array([1.0, 2.0]), 0.0), Observation(np.array([3.0]), 1.0)]
+    with pytest.raises(ValueError, match="observation 2 has 1 features, expected 2"):
+        write_stream(path, ragged)
+    assert not path.exists()
+
+
+def test_a_dim_that_contradicts_the_rows_is_refused(tmp_path):
+    path = tmp_path / "stream.csv"
+    stream = generate(SyntheticSpec(k=2, n=3, seed=1))
+    with pytest.raises(ValueError, match="dim=5 contradicts the stream's 2 features"):
+        write_stream(path, stream, dim=5)
+    assert not path.exists()
+    write_stream(path, stream, dim=2)  # a dim that agrees is fine
+    assert read_stream(path) == stream
+
+
 def test_stream_file_errors(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("")

@@ -6,11 +6,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dtrcon, dtrtrs
 
 from oracles import least_squares, leverage, residual_variance, ridge_solve, spd_solve
 
 from cpreg import RidgeResidualMap
-from cpreg.linalg import NumericalError, cholesky_factor, cholesky_solve
+from cpreg.linalg import (
+    NumericalError,
+    cholesky_factor,
+    cholesky_solve,
+    reciprocal_condition,
+    triangular_solve,
+)
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cpreg"
 
@@ -134,20 +141,68 @@ def test_singular_ridge_gram_is_a_numerical_error():
         RidgeResidualMap(design, design.T @ design, 1e-300)
 
 
-def test_only_the_kernel_imports_scipy_cholesky():
-    wrappers = {"cho_factor", "cho_solve"}
-    offenders = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        if path.name == "linalg.py" and path.parent == PACKAGE:
+def test_triangular_wrappers_are_bitwise_lapack():
+    rng = np.random.default_rng(9)
+    for order in (1, 2, 5, 21):
+        m = rng.standard_normal((order + 3, order))
+        factor = cholesky_factor(m.T @ m)
+        assert reciprocal_condition(factor) == dtrcon(factor, norm="1", uplo="L")[0]
+        for rhs in (rng.standard_normal(order), rng.standard_normal((order, 7))):
+            got = triangular_solve(factor, rhs)
+            assert got.shape == rhs.shape
+            assert np.array_equal(got, dtrtrs(factor, rhs, lower=1)[0]), order
+
+
+def test_triangular_solve_names_the_zero_diagonal_entry():
+    factor = np.array([[2.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 3.0]])
+    message = r"^triangular factor of order 3 is singular: its diagonal entry 2 is zero$"
+    with pytest.raises(NumericalError, match=message):
+        triangular_solve(factor, np.ones(3))
+
+
+# The one module of the package that may import each scipy subpackage, and
+# then only inside a function, so that ``import cpreg`` loads no scipy.
+SCIPY_IMPORTERS = {"scipy.linalg": "linalg.py", "scipy.special": "studentt.py", "scipy.stats": "protocol.py"}
+
+
+def _scipy_imports(tree):
+    """(line, scipy subpackage or None for bare scipy, inside a function) of each scipy import."""
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    nested = {id(node) for function in functions for node in ast.walk(function)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [f"{node.module}.{alias.name}" for alias in node.names]  # from scipy import stats
+        else:
             continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        for parts in (module.split(".") for module in modules):
+            if parts[0] == "scipy":
+                yield node.lineno, ".".join(parts[:2]) if len(parts) > 1 else None, id(node) in nested
+
+
+def test_each_scipy_subpackage_has_one_lazy_importer():
+    offenders, importers = [], set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        where = str(path.relative_to(PACKAGE))
+        for line, subpackage, nested in _scipy_imports(tree):
+            if not nested:
+                offenders.append(f"{where}:{line}: scipy imported at module level")
+            if SCIPY_IMPORTERS.get(subpackage) != where:
+                offenders.append(f"{where}:{line}: imports {subpackage or 'scipy'}")
+            importers.add((subpackage, where))
+        if where == "linalg.py":
+            continue
+        for node in ast.walk(tree):  # no cho_factor/cho_solve by any route
             if isinstance(node, ast.ImportFrom):
                 names = {alias.name for alias in node.names}
             elif isinstance(node, ast.Attribute):
                 names = {node.attr}
             else:
                 continue
-            if names & wrappers:
-                offenders.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+            if names & {"cho_factor", "cho_solve"}:
+                offenders.append(f"{where}:{node.lineno}: calls the scipy Cholesky wrappers")
     assert len(list(PACKAGE.rglob("*.py"))) > 10
     assert not offenders, offenders
+    assert importers == set(SCIPY_IMPORTERS.items())  # the walk sees every importer

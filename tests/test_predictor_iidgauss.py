@@ -604,13 +604,13 @@ def _qr_leverages(rows):
 
 def _spy_leverage_solves(monkeypatch, pred):
     """Steps at which ``pred`` solves for its slot leverages with ``dtrtrs``."""
-    steps, solve = [], iid_gauss.dtrtrs
+    steps, solve = [], iid_gauss.triangular_solve
 
     def spy(*args, **kwargs):
         steps.append(pred.design.count + 1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(iid_gauss, "dtrtrs", spy)
+    monkeypatch.setattr(iid_gauss, "triangular_solve", spy)
     return steps
 
 
@@ -642,7 +642,7 @@ def _other_row(obs):
 
 def _break_by_dtrcon(monkeypatch, pred, obs):
     with monkeypatch.context() as m:
-        m.setattr(iid_gauss, "dtrcon", lambda *args, **kwargs: (0.0, 0))
+        m.setattr(iid_gauss, "reciprocal_condition", lambda factor: 0.0)
         assert not pred.begin_step(obs.x).exact  # a Monte-Carlo step, from the SVD
     pred.observe(obs)
 
