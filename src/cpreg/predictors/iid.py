@@ -18,9 +18,8 @@ count of greater scores on every gap in O(n log n).  Ties: a line with a
 root at a critical point ties there (a double root touches once and flips
 nothing); a line that ties on the left ray, away from every root, is
 +-e_n itself and ties on every gap and at every critical point; the
-observed line ties itself.  The probes partition the line in order, so
-each run of consecutive kept probes is one connected piece of the region,
-and the region is built from one interval per run.
+observed line ties itself.  ``cpreg.regions.super_level_set`` turns
+these tables into the region.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..design import DesignRows
-from ..regions import Interval, PredictionRegion, runs
+from ..regions import PredictionRegion, super_level_set
 from ..residuals import AffineResiduals, FeatureSchedule, ridge_lines
 from ..stream import Observation
 from .base import OnlinePredictor, check_epsilon, check_tau
@@ -132,24 +131,6 @@ class IidStepContext:
         ties[1::2] += per_point(lo) + per_point(hi)
         return crit, greater, ties
 
-    def region(self, eps: float, tau: float) -> PredictionRegion:
-        """{y : p(y) > eps}, one interval per run of consecutive kept probes."""
-        crit, greater, ties = self.tables
-        keep = (greater + tau * ties) / self.n > eps
-        # Probe i spans (bounds[(i + 1) // 2], bounds[i // 2 + 1]) and is the
-        # closed point there when i is odd.
-        first, last = runs(keep)
-        bounds = np.concatenate(([-np.inf], crit, [np.inf]))
-        return PredictionRegion(
-            map(
-                Interval,
-                bounds[(first + 1) // 2].tolist(),
-                bounds[last // 2 + 1].tolist(),
-                (first % 2 == 1).tolist(),
-                (last % 2 == 1).tolist(),
-            )
-        )
-
 
 class IidPredictor(OnlinePredictor):
     """On-line conformal predictor under the exchangeability model."""
@@ -165,7 +146,7 @@ class IidPredictor(OnlinePredictor):
     def raw_region(self, ctx: IidStepContext, eps: float, tau: float) -> PredictionRegion:
         check_epsilon(eps)
         check_tau(tau)
-        return ctx.region(eps, tau)
+        return super_level_set(*ctx.tables, ctx.n, eps, tau)
 
     def pvalue(self, ctx: IidStepContext, y: float, tau: float) -> float:
         return iid_pvalue(np.abs(ctx.residuals.at(float(y))), tau)

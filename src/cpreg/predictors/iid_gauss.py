@@ -65,17 +65,21 @@ quadratics per draw, so at most four crossings; with the zeros of the two
 right-hand sides (where rounding can hide a root) they are the draw's
 candidates.  Each draw's score comparison is evaluated once inside every
 gap between its sorted candidates, which drops the spurious roots that
-squaring adds, and the flips of all draws, sorted and summed, give the
-exact draw count on every open segment between crossings.  The candidates,
-probes and scores are laid out event-major, one row per candidate point and
-one column per draw, so that every array operation runs along the long draw
-axis.  That sweep runs
-once per step and serves every epsilon and tau; the region is the union of
-the segments whose count clears the level, each finite endpoint closed when
-the p-value there does.  Exact steps (d <= 1) sweep the critical points
-of their residual lines as the exchangeability predictor does (the Ridge
-Regression Confidence Machine): the observed line ties itself structurally,
-not within a rounding band, and the region is exact as well.
+squaring adds, and the flips of all draws, summed per crossing, give the
+exact draw counts on every open segment and at every crossing.  A draw
+ties at a crossing where its comparison flips, once however many of its
+roots meet there, as a residual line ties at its critical points in the
+exchangeability sweep; every other draw keeps its state on both sides.
+The candidates, probes and scores are laid out event-major, one row per
+candidate point and one column per draw, so that every array operation
+runs along the long draw axis.  That sweep runs once per step and serves
+every epsilon and tau.  Exact steps (d <= 1) sweep the critical points of
+their residual lines as the exchangeability predictor does (the Ridge
+Regression Confidence Machine): the observed line ties itself
+structurally, not within a rounding band.  Both tables share one layout,
+and ``cpreg.regions.super_level_set`` turns either into the region, so an
+endpoint is closed by the counts at its crossing, not by the p-value at a
+rounded point.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ from ..linalg import (
     triangular_solve,
 )
 from ..randomness import RandomStream
-from ..regions import Interval, PredictionRegion, runs
+from ..regions import PredictionRegion, super_level_set
 from ..residuals import AffineResiduals, FeatureSchedule, RidgeResidualMap, ridge_lines
 from ..stream import Observation
 from .base import OnlinePredictor, check_epsilon, check_tau
@@ -161,12 +165,15 @@ class IidGaussStepContext:
         return np.abs(self.slot_base + self.slot_slope * ys + self.slot_mix * self.radius(ys))
 
     @cached_property
-    def crossings(self) -> tuple[np.ndarray, np.ndarray]:
-        """Monte-Carlo step: sorted crossing points and the segment counts.
+    def crossings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Monte-Carlo step table: sorted crossing points, greater and tied draws.
 
-        Returns ``(events, counts)``: ``counts[j]`` is the number of draws
-        whose score is at least the observed score on the open segment
-        between ``events[j - 1]`` and ``events[j]`` (rays at both ends).
+        Returns ``(events, greater, ties)`` in the layout of
+        ``IidStepContext.tables``: [left ray, events[0], gap, events[1], ...,
+        right ray].  On a gap, ``greater`` counts the draws whose score is at
+        least the observed score and no draw ties.  At an event a draw ties
+        if its comparison flips there, once however many times it flips, and
+        otherwise counts by the state it keeps on both sides.
         """
         a, b, m = self.slot_base, self.slot_slope, self.slot_mix
         e0, e1 = self.ea
@@ -197,20 +204,28 @@ class IidGaussStepContext:
         probes[1:-1] = 0.5 * (cand[:-1] + cand[1:])
         probes[-1] = cand[-1] + (1.0 + np.abs(cand[-1]))
         above = self.draw_scores(probes) >= np.abs(e0 * probes + e1)
-        # A draw rises to the observed score where its comparison turns true,
-        # and falls below it where it turns false; the count on the segment
-        # right of an event is the left ray's plus the rises minus the falls
-        # up to and including that event (coinciding flips all counted).
-        rises = np.sort(cand[above[1:] > above[:-1]])
-        falls = np.sort(cand[above[1:] < above[:-1]])
-        points = np.sort(np.concatenate((rises, falls)))
-        last = np.ones(points.size, dtype=bool)  # the last of each run of equal points
-        last[:-1] = points[1:] != points[:-1]
-        events = points[last]
-        base = np.count_nonzero(above[0])
-        counts = base + np.searchsorted(rises, events, "right")
-        counts -= np.searchsorted(falls, events, "right")
-        return events, np.concatenate(([base], counts))
+        # Every flip of a draw's comparison, in draw order: candidate row,
+        # draw, and whether the draw rises to the observed score there.  A
+        # draw ties at an event with its first flip there; that flip is a
+        # fall exactly when the draw was above on the gap to the left.
+        draw, row = np.nonzero((above[1:] != above[:-1]).T)
+        at = cand[row, draw]
+        rise = above[row + 1, draw]
+        first = np.ones(at.size, dtype=bool)
+        first[1:] = (draw[1:] != draw[:-1]) | (at[1:] != at[:-1])
+        events, index = np.unique(at, return_inverse=True)
+        m = events.size
+
+        def per_event(where):
+            return np.bincount(index[where], minlength=m)
+
+        greater = np.empty(2 * m + 1, dtype=np.int64)
+        greater[0] = np.count_nonzero(above[0])
+        greater[2::2] = greater[0] + np.cumsum(per_event(rise) - per_event(~rise))
+        greater[1::2] = greater[0:-1:2] - per_event(first & ~rise)
+        ties = np.zeros(2 * m + 1, dtype=np.int64)
+        ties[1::2] = per_event(first)
+        return events, greater, ties
 
 
 _SIGNS = np.array([[1.0], [-1.0]])
@@ -394,18 +409,8 @@ class IidGaussPredictor(OnlinePredictor):
         if ctx.n < min(np.ceil(1.0 / eps), ctx.k + 3):
             return PredictionRegion.real_line()
         if ctx.exact:
-            return ctx.atoms.region(eps, tau)
-        # {y : p(y) > eps} of a Monte-Carlo step, one piece per kept run
-        events, counts = ctx.crossings
-        first, last = runs(counts / self.mc_samples > eps)
-        # segment j spans (bounds[j], bounds[j + 1])
-        bounds = np.concatenate(([-np.inf], events, [np.inf]))
-        lo, hi = bounds[first], bounds[last + 1]
-        ends = np.concatenate((lo, hi))
-        closed = np.isfinite(ends)
-        closed[closed] = self._pvalues(ctx, ends[closed], tau) > eps
-        closed = closed.reshape(2, -1).tolist()
-        return PredictionRegion(map(Interval, lo.tolist(), hi.tolist(), *closed))
+            return super_level_set(*ctx.atoms.tables, ctx.atoms.n, eps, tau)
+        return super_level_set(*ctx.crossings, self.mc_samples, eps, tau)
 
     def pvalue(self, ctx: IidGaussStepContext, y: float, tau: float) -> float:
         if ctx.exact:

@@ -166,15 +166,27 @@ class PredictionRegion:
         return True
 
 
-def runs(keep: NDArray[np.bool_]) -> tuple[NDArray[np.intp], NDArray[np.intp]]:
-    """First and last index of every run of consecutive True entries, in order.
+def super_level_set(
+    points: NDArray, greater: NDArray, ties: NDArray, denominator: int, eps: float, tau: float
+) -> PredictionRegion:
+    """{y : p(y) > eps} of a p-value that is a step function of y.
 
-    A mask over cells that partition the line in order (open gaps, say, and
-    the points between them) keeps one connected piece of a region per run.
+    ``points`` are the sorted steps (m of them), and ``greater`` and ``ties``
+    count the scores above and tied with the observed one on each of the
+    2m + 1 cells [left ray, points[0], gap, points[1], ..., right ray], where
+    p = (greater + tau * ties) / denominator.  The cells partition the line
+    in order, so each run of consecutive kept cells is one connected piece.
     """
+    keep = (greater + tau * ties) / denominator > eps
     padded = np.concatenate(([False], keep, [False]))
     edges = np.flatnonzero(padded[1:] != padded[:-1])
-    return edges[0::2], edges[1::2] - 1
+    first, last = edges[0::2], edges[1::2] - 1
+    # Cell i spans (bounds[(i + 1) // 2], bounds[i // 2 + 1]) and is the
+    # closed point there when i is odd.
+    bounds = np.concatenate(([-INF], points, [INF]))
+    lo, hi = bounds[(first + 1) // 2].tolist(), bounds[last // 2 + 1].tolist()
+    lo_closed, hi_closed = (first % 2 == 1).tolist(), (last % 2 == 1).tolist()
+    return PredictionRegion(map(Interval, lo, hi, lo_closed, hi_closed))
 
 
 def _covers(big: Interval, small: Interval) -> bool:

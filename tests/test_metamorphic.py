@@ -2,7 +2,8 @@
 
 gauss is equivariant under shifts of the response and of the features, and
 its p-values must not notice an offset.  Every model predictor is invariant
-under a rescaling of the response.  mva and iid are not shift-equivariant,
+under a rescaling of the response, and so are the open and closed ends of
+the iid-gauss Monte-Carlo regions.  mva and iid are not shift-equivariant,
 by design: their ridge term also shrinks the dummy intercept column, so an
 offset changes the residuals themselves.
 """
@@ -21,6 +22,7 @@ from cpreg import (
     RunConfig,
     SyntheticSpec,
     generate,
+    make_predictor,
     run_trace,
     t_sf,
 )
@@ -67,6 +69,33 @@ def test_pvalues_ignore_a_response_scale(kind, scale):
     config = RunConfig(predictor=kind)
     want = run_trace(config, stream).pvalues
     assert run_trace(config, scaled).pvalues == pytest.approx(want, rel=1e-9)
+
+
+def monte_carlo_closed_flags(stream, seed):
+    """Closed flags of every iid-gauss Monte-Carlo region of a deterministic run."""
+    pred = make_predictor(RunConfig(predictor="iid-gauss", smoothed=False, seed=seed))
+    flags = []
+    for obs in stream:
+        ctx = pred.begin_step(obs.x)
+        if not ctx.exact:
+            for tau in (0.0, 0.37, 1.0):
+                for eps in (0.05, 0.01, 0.005):
+                    pieces = pred.raw_region(ctx, eps, tau).pieces
+                    flags.append([(p.lo_closed, p.hi_closed) for p in pieces])
+        pred.observe(obs)
+    return flags
+
+
+@pytest.mark.parametrize("seed", [0, 23])
+def test_iid_gauss_closed_flags_ignore_a_response_scale(seed):
+    # an endpoint is a crossing whose draws tie there, so rounding the
+    # crossing point, which the scale changes, must not open or close it
+    stream = generate(SyntheticSpec(k=20, n=120, seed=seed))
+    want = monte_carlo_closed_flags(stream, seed)
+    assert len(want) == 9 * 98
+    for scale in (1e-6, 1e6):
+        scaled = [Observation(obs.x, obs.y * scale) for obs in stream]
+        assert monte_carlo_closed_flags(scaled, seed) == want, scale
 
 
 def mva_pvalue_from_scratch(xs, ys, x_new, y_new):

@@ -351,14 +351,23 @@ def _away_from_ends(region, ys):
 
 
 def _end_pvalue(pred, ctx, end, tau):
-    """p-value at a region endpoint.
+    """p-value at a region endpoint, from the structure rather than the rounded point.
 
     An exact step's endpoints are critical points, where an atom line meets
     the observed one; it ties there, which the rounded crossing point only
-    shows within the sweep's relative tie band.
+    shows within the sweep's relative tie band.  A Monte-Carlo step's
+    endpoints are crossings: a draw whose comparison differs on the two
+    neighbouring segments ties there, and any other draw counts by the state
+    it keeps on both.
     """
     if not ctx.exact:
-        return pred.pvalue(ctx, end, tau)
+        events = ctx.crossings[0]
+        at = np.searchsorted(events, end)
+        assert events[at] == end
+        sides = _segment_points(events)[at : at + 2, None]
+        above = ctx.draw_scores(sides) >= np.abs(ctx.ea[0] * sides + ctx.ea[1])
+        ties = np.count_nonzero(above[0] != above[1])
+        return (np.count_nonzero(above[0] & above[1]) + tau * ties) / pred.mc_samples
     scores = np.abs(ctx.atoms.residuals.at(end))
     own, rest = scores[-1], scores[:-1]
     tol = TIE_RTOL * max(1.0, own)
@@ -390,12 +399,12 @@ def test_monte_carlo_region_is_the_exact_pvalue_super_level_set(k, size):
             events = ctx.atoms.tables[0]
         else:
             steps += 1
-            events, counts = ctx.crossings
-            assert events.size
+            events, greater, ties = ctx.crossings
+            assert events.size and not ties[0::2].any()
         assert np.all(np.diff(events) > 0)
         mids = _segment_points(events) if events.size else np.zeros(1)
         if not ctx.exact:
-            assert np.array_equal(counts / pred.mc_samples, pred._pvalues(ctx, mids, 1.0))
+            assert np.array_equal(greater[0::2] / pred.mc_samples, pred._pvalues(ctx, mids, 1.0))
         probes = rng.uniform(mids[0], mids[-1], 200)
         for tau in (0.0, 0.37, 1.0):
             if ctx.exact:
@@ -425,24 +434,39 @@ def test_monte_carlo_region_is_the_exact_pvalue_super_level_set(k, size):
     assert exact_slices == {0, 1}
 
 
+def test_monte_carlo_endpoints_close_by_their_ties():
+    # last step of a deterministic run: one draw crosses at each endpoint, so
+    # the ends are closed at tau = 1 and open at tau = 0 whatever the rounding
+    pred, ctx = _deterministic_context(20, 120, 23, 120)
+    assert not ctx.exact
+    for tau, closed in ((1.0, True), (0.0, False)):
+        (piece,) = pred.raw_region(ctx, 0.05, tau).pieces
+        assert (piece.lo, piece.hi) == pytest.approx((87.9757, 92.0724), abs=1e-4)
+        assert piece.lo_closed == piece.hi_closed == closed
+
+
 def test_noise_free_stream_counts_are_exact_outside_a_rounding_band():
     # y = 1 + x exactly: the past residual sum of squares is zero up to
     # rounding, so the slice radius vanishes at the fitted value, where draws
     # of the last slot tie with the observed score and the squared crossing
     # equations lose roots to rounding.  The counts must stay exact outside
-    # a rounding-wide band around the fitted value.
+    # a rounding-wide band around the fitted value, and several draws may
+    # flip at one event, each tying there once.
     xs = np.random.default_rng(1).normal(size=(30, 1))
     pred = fresh(2, mc_samples=300)
     for x in xs:
         ctx = pred.begin_step(x)
         if not ctx.exact:
-            events, counts = ctx.crossings
+            events, greater, ties = ctx.crossings
             mids = _segment_points(events)
             c2, c1, _ = ctx.rad2
             fit = -c1 / (2.0 * c2)
             far = np.abs(mids - fit) > 1e-6 * max(1.0, abs(fit))
-            got = counts[far] / pred.mc_samples
+            got = greater[0::2][far] / pred.mc_samples
             assert np.array_equal(got, pred._pvalues(ctx, mids[far], 1.0)), ctx.n
+            at, tied = greater[1::2], ties[1::2]
+            assert np.all(at >= 0) and np.all(tied >= 1), ctx.n
+            assert np.all(at + tied <= pred.mc_samples), ctx.n
         pred.observe(Observation(x, 1.0 + x[0]))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpreg import Interval, PredictionRegion, check_nested, point
-from cpreg.regions import runs
+from cpreg.regions import super_level_set
 
 
 def test_interval_validation():
@@ -86,8 +86,21 @@ def test_region_ordering_is_canonical():
     assert los == sorted(los)
 
 
-def test_runs_of_a_mask():
-    first, last = runs(np.array([True, False, True, True, False, True]))
-    assert first.tolist() == [0, 2, 5] and last.tolist() == [0, 3, 5]
-    assert [a.tolist() for a in runs(np.ones(3, dtype=bool))] == [[0], [2]]
-    assert [a.size for a in runs(np.zeros(0, dtype=bool))] == [0, 0]
+def mask_region(keep):
+    """The region of the cells [ray, 0, gap, 1, ..., ray] that ``keep`` keeps."""
+    keep = np.asarray(keep, dtype=int)
+    points = np.arange((keep.size - 1) // 2, dtype=float)
+    return super_level_set(points, keep, np.zeros_like(keep), 1, 0.5, 0.37)
+
+
+def test_super_level_set_of_a_mask():
+    # one piece per run of kept cells; a run ends closed at a point, open at a gap
+    region = mask_region([True, False, True, True, False, True, False])
+    assert region.pieces == (
+        Interval(-np.inf, 0.0, False, False),
+        Interval(0.0, 1.0, False, True),
+        point(2.0),
+    )
+    assert mask_region(np.ones(3, dtype=bool)) == PredictionRegion.real_line()
+    assert mask_region(np.zeros(1, dtype=bool)).is_empty
+
