@@ -6,9 +6,11 @@ protocol's information flow:
 1. ``begin_step(x_new)`` sees only the new feature vector and returns a
    step context holding everything expensive (factorizations, critical
    points, Monte-Carlo draws).
-2. ``raw_region(ctx, eps, tau)`` and ``pvalue(ctx, y, tau)`` read the
+2. ``raw_regions(ctx, levels, tau)`` and ``pvalue(ctx, y, tau)`` read the
    context; the true response enters only through ``pvalue`` and the
-   subsequent ``observe``.
+   subsequent ``observe``.  One ``raw_regions`` call gives the regions of
+   every significance level of the step, so a predictor that builds them
+   from one table reads it once; ``raw_region`` is that call at one level.
 
 ``tau`` is the smoothing draw of the step: pass 1.0 for the deterministic
 variant, a fresh uniform draw for the smoothed one.  One tau serves every
@@ -18,7 +20,7 @@ significance level of the step.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -34,8 +36,10 @@ class OnlinePredictor(ABC):
         """Prepare the step for a new feature vector (response unseen)."""
 
     @abstractmethod
-    def raw_region(self, ctx: Any, eps: float, tau: float) -> PredictionRegion:
-        """Prediction region {y : p(y) > eps} before any hulling."""
+    def raw_regions(
+        self, ctx: Any, levels: Sequence[float], tau: float
+    ) -> list[PredictionRegion]:
+        """Prediction regions {y : p(y) > eps} before any hulling, one per level."""
 
     @abstractmethod
     def pvalue(self, ctx: Any, y: float, tau: float) -> float:
@@ -52,6 +56,10 @@ class OnlinePredictor(ABC):
         bare smoothing draw, so error-frequency checks start here.
         """
         return 1
+
+    def raw_region(self, ctx: Any, eps: float, tau: float) -> PredictionRegion:
+        """Prediction region {y : p(y) > eps} at one level before any hulling."""
+        return self.raw_regions(ctx, (eps,), tau)[0]
 
     def region(self, ctx: Any, eps: float, tau: float) -> PredictionRegion:
         """Region as reported in the ledger: the convex hull of the raw region."""

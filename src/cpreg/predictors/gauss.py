@@ -21,6 +21,7 @@ real line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -84,15 +85,22 @@ class GaussPredictor(OnlinePredictor):
     def first_informative_step(self, k: int) -> int:
         return k + 3
 
-    def raw_region(self, ctx: GaussStepContext, eps: float, tau: float) -> PredictionRegion:
-        check_epsilon(eps)
+    def raw_regions(
+        self, ctx: GaussStepContext, levels: Sequence[float], tau: float
+    ) -> list[PredictionRegion]:
+        levels = [check_epsilon(eps) for eps in levels]
         check_tau(tau)
         if not ctx.informative:
-            return PredictionRegion.real_line()
+            return [PredictionRegion.real_line() for _ in levels]
         if ctx.scale == 0.0:
-            return PredictionRegion([point(ctx.center)])
-        half = t_upper_point(eps / 2.0, ctx.df) * ctx.scale
-        return PredictionRegion([Interval(ctx.center - half, ctx.center + half, False, False)])
+            return [PredictionRegion([point(ctx.center)]) for _ in levels]
+        regions = []
+        for eps in levels:
+            half = t_upper_point(eps / 2.0, ctx.df) * ctx.scale
+            regions.append(
+                PredictionRegion([Interval(ctx.center - half, ctx.center + half, False, False)])
+            )
+        return regions
 
     def pvalue(self, ctx: GaussStepContext, y: float, tau: float) -> float:
         check_tau(tau)

@@ -18,20 +18,21 @@ count of greater scores on every gap in O(n log n).  Ties: a line with a
 root at a critical point ties there (a double root touches once and flips
 nothing); a line that ties on the left ray, away from every root, is
 +-e_n itself and ties on every gap and at every critical point; the
-observed line ties itself.  ``cpreg.regions.super_level_set`` turns
-these tables into the region.
+observed line ties itself.  ``cpreg.regions.super_level_sets`` turns
+these tables into the region of every level in one pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
 from ..design import DesignRows
-from ..regions import PredictionRegion, super_level_set
+from ..regions import PredictionRegion, super_level_sets
 from ..residuals import AffineResiduals, FeatureSchedule, ridge_lines
 from ..stream import Observation
 from .base import OnlinePredictor, check_epsilon, check_tau
@@ -143,10 +144,12 @@ class IidPredictor(OnlinePredictor):
         _, residuals = ridge_lines(self.design.with_row(x_new), self.design.y, self.schedule)
         return IidStepContext(n=residuals.slopes.size, residuals=residuals)
 
-    def raw_region(self, ctx: IidStepContext, eps: float, tau: float) -> PredictionRegion:
-        check_epsilon(eps)
+    def raw_regions(
+        self, ctx: IidStepContext, levels: Sequence[float], tau: float
+    ) -> list[PredictionRegion]:
+        levels = [check_epsilon(eps) for eps in levels]
         check_tau(tau)
-        return super_level_set(*ctx.tables, ctx.n, eps, tau)
+        return super_level_sets(*ctx.tables, ctx.n, levels, tau)
 
     def pvalue(self, ctx: IidStepContext, y: float, tau: float) -> float:
         return iid_pvalue(np.abs(ctx.residuals.at(float(y))), tau)

@@ -72,20 +72,24 @@ roots meet there, as a residual line ties at its critical points in the
 exchangeability sweep; every other draw keeps its state on both sides.
 The candidates, probes and scores are laid out event-major, one row per
 candidate point and one column per draw, so that every array operation
-runs along the long draw axis.  That sweep runs once per step and serves
+runs along the long draw axis: a fixed sorting network orders each
+draw's six candidates, and one sort of all the flips by their point
+groups them into events.  That sweep runs once per step and serves
 every epsilon and tau.  Exact steps (d <= 1) sweep the critical points of
 their residual lines as the exchangeability predictor does (the Ridge
 Regression Confidence Machine): the observed line ties itself
 structurally, not within a rounding band.  Both tables share one layout,
-and ``cpreg.regions.super_level_set`` turns either into the region, so an
-endpoint is closed by the counts at its crossing, not by the p-value at a
-rounded point.
+and ``cpreg.regions.super_level_sets`` turns either into the regions of
+every level at once, so an endpoint is closed by the counts at its
+crossing, not by the p-value at a rounded point.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -99,7 +103,7 @@ from ..linalg import (
     triangular_solve,
 )
 from ..randomness import RandomStream
-from ..regions import PredictionRegion, super_level_set
+from ..regions import PredictionRegion, super_level_sets
 from ..residuals import AffineResiduals, FeatureSchedule, RidgeResidualMap, ridge_lines
 from ..stream import Observation
 from .base import OnlinePredictor, check_epsilon, check_tau
@@ -151,19 +155,6 @@ class IidGaussStepContext:
     slot_slope: np.ndarray | None = None
     slot_mix: np.ndarray | None = None
 
-    def radius(self, ys: np.ndarray) -> np.ndarray:
-        """Slice radius at each candidate y."""
-        c2, c1, c0 = self.rad2
-        return np.sqrt(np.maximum(c2 * ys * ys + c1 * ys + c0, 0.0))
-
-    def draw_scores(self, ys: np.ndarray) -> np.ndarray:
-        """Monte-Carlo scores, event-major: column i is draw i at ``ys``.
-
-        ``ys`` has shape (P, 1), one candidate per row, or (P, mc), one per
-        draw; the scores have shape (P, mc).
-        """
-        return np.abs(self.slot_base + self.slot_slope * ys + self.slot_mix * self.radius(ys))
-
     @cached_property
     def crossings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Monte-Carlo step table: sorted crossing points, greater and tied draws.
@@ -188,51 +179,104 @@ class IidGaussStepContext:
         # and confines such a loss to a rounding-wide interval.
         p = _SIGNS * e0 - b  # (2, mc): row 0 for s = +1, row 1 for s = -1
         q = _SIGNS * e1 - a
+        cand = np.empty((6, a.size))  # column i holds draw i's candidates
+        pairs = cand.reshape(3, 2, a.size)
+        _quadratic_roots(m2 * c2 - p * p, m2 * c1 - 2.0 * p * q, m2 * c0 - q * q, out=pairs[:2])
         with np.errstate(divide="ignore", invalid="ignore"):
-            zeros = -q / p
-        roots = _quadratic_roots(m2 * c2 - p * p, m2 * c1 - 2.0 * p * q, m2 * c0 - q * q)
-        cand = np.concatenate((*roots, zeros))  # (6, mc): column i holds draw i's candidates
+            np.divide(-q, p, out=pairs[2])
         # Missing (NaN) or infinite candidates become one point right of every
         # root, so all draws have as many gaps; the extra ones lie on the right ray.
         missing = ~np.isfinite(cand)
         top = np.max(cand, where=~missing, initial=0.0)
         np.copyto(cand, 2.0 * top + 1.0, where=missing)
-        cand.sort(axis=0)
+        _sort_columns(cand)
         # one probe inside each gap of each draw, rays included
         probes = np.empty((cand.shape[0] + 1, cand.shape[1]))
         probes[0] = cand[0] - (1.0 + np.abs(cand[0]))
-        probes[1:-1] = 0.5 * (cand[:-1] + cand[1:])
+        np.add(cand[:-1], cand[1:], out=probes[1:-1])
+        probes[1:-1] *= 0.5
         probes[-1] = cand[-1] + (1.0 + np.abs(cand[-1]))
-        above = self.draw_scores(probes) >= np.abs(e0 * probes + e1)
-        # Every flip of a draw's comparison, in draw order: candidate row,
-        # draw, and whether the draw rises to the observed score there.  A
-        # draw ties at an event with its first flip there; that flip is a
-        # fall exactly when the draw was above on the gap to the left.
-        draw, row = np.nonzero((above[1:] != above[:-1]).T)
-        at = cand[row, draw]
-        rise = above[row + 1, draw]
-        first = np.ones(at.size, dtype=bool)
-        first[1:] = (draw[1:] != draw[:-1]) | (at[1:] != at[:-1])
-        events, index = np.unique(at, return_inverse=True)
+        # |a + b*y + m*r(y)| >= |e0*y + e1| at every probe, in two buffers,
+        # with r(y) = sqrt(max(c2*y*y + c1*y + c0, 0)) as ``pvalue`` forms it
+        radius = np.multiply(probes, c2)
+        radius *= probes
+        score = np.multiply(probes, c1)
+        radius += score
+        radius += c0
+        np.maximum(radius, 0.0, out=radius)
+        np.sqrt(radius, out=radius)
+        np.multiply(probes, b, out=score)
+        score += a
+        score += np.multiply(radius, m, out=radius)
+        np.abs(score, out=score)
+        observed = np.multiply(probes, e0, out=radius)
+        observed += e1
+        np.abs(observed, out=observed)
+        above = score >= observed
+        # A draw's comparison flips at candidate row r where the probes on
+        # either side differ.  Equal candidates are one point, and the probes
+        # between them sit on it, so a draw flips there at most twice: into
+        # its state on the point and out of it.  It ties at an event only
+        # with its first flip there, the one that leaves the state it had to
+        # the left of the point.
+        flips = above[1:] != above[:-1]
+        left = above[:-1].copy()  # the state left of each candidate's point
+        same = cand[1:] == cand[:-1]
+        for row in range(1, cand.shape[0]):
+            np.copyto(left[row], left[row - 1], where=same[row - 1])
+        first = flips & (left == above[:-1])
+        # Every flip in the order of its point; per event, counts read at the
+        # last flip there from running sums of rises, first flips and first
+        # flips that fall (the draw was above on the gap to the left).
+        index = np.flatnonzero(flips)
+        at = cand.ravel()[index]
+        order = at.argsort()
+        index, at = index[order], at[order]
+        sums = np.empty((3, index.size), dtype=np.int64)
+        sums[0] = above[1:].ravel()[index]
+        sums[1] = first.ravel()[index]
+        np.greater(sums[1], sums[0], out=sums[2])
+        np.cumsum(sums, axis=1, out=sums)
+        last = np.ones(at.size, dtype=bool)
+        np.not_equal(at[1:], at[:-1], out=last[:-1])
+        ends = np.flatnonzero(last)
+        events = at[ends]
+        rises, tied, falls = sums.take(ends, axis=1)
+        tied[1:] -= tied[:-1]
+        falls[1:] -= falls[:-1]
         m = events.size
-
-        def per_event(where):
-            return np.bincount(index[where], minlength=m)
-
         greater = np.empty(2 * m + 1, dtype=np.int64)
         greater[0] = np.count_nonzero(above[0])
-        greater[2::2] = greater[0] + np.cumsum(per_event(rise) - per_event(~rise))
-        greater[1::2] = greater[0:-1:2] - per_event(first & ~rise)
+        greater[2::2] = greater[0] + 2 * rises - (ends + 1)  # rises less falls so far
+        greater[1::2] = greater[0:-1:2] - falls
         ties = np.zeros(2 * m + 1, dtype=np.int64)
-        ties[1::2] = per_event(first)
+        ties[1::2] = tied
         return events, greater, ties
 
 
 _SIGNS = np.array([[1.0], [-1.0]])
 
+# An optimal sorting network for six keys, twelve comparators in five
+# layers, one layer a line (Knuth, TAOCP vol. 3, section 5.3.4).
+_SORT6 = (
+    (0, 5), (1, 3), (2, 4),
+    (1, 2), (3, 4),
+    (0, 3), (2, 5),
+    (0, 1), (2, 3), (4, 5),
+    (1, 2), (3, 4),
+)
 
-def _quadratic_roots(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real roots of a*y^2 + b*y + c, NaN where there is none.
+
+def _sort_columns(rows: np.ndarray) -> None:
+    """Sort every column of a (6, n) array in place, one row pair at a time."""
+    for i, j in _SORT6:
+        low = np.minimum(rows[i], rows[j])
+        np.maximum(rows[i], rows[j], out=rows[j])
+        rows[i] = low
+
+
+def _quadratic_roots(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
+    """Real roots of a*y^2 + b*y + c into ``out[0]`` and ``out[1]``, NaN where there is none.
 
     Uses the cancellation-free pair q/a, c/q with q = -(b + sign(b) sqrt(D))/2,
     which also yields the single root of a linear (a = 0) equation.
@@ -240,7 +284,8 @@ def _quadratic_roots(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.nd
     disc = b * b - 4.0 * a * c
     with np.errstate(divide="ignore", invalid="ignore"):
         q = -0.5 * (b + np.copysign(np.sqrt(disc), b))
-        return q / a, c / q
+        np.divide(q, a, out=out[0])
+        np.divide(c, q, out=out[1])
 
 
 def null_slot_coordinates(rng: RandomStream, leverage: np.ndarray, d: int) -> np.ndarray:
@@ -345,9 +390,10 @@ class IidGaussPredictor(OnlinePredictor):
         ys, t0, syy = self.design.y, raw[:-1, -1], raw[-1, -1]
         rmap, aff = ridge_lines(design, ys, self.schedule)
         ea = (float(aff.slopes[-1]), float(aff.intercepts[-1]))
-        # While n <= K + 2 the slice has d <= 1 unless Z is rank-deficient;
-        # the full left factor is then small and holds the null direction.
-        left, sing, right_t = np.linalg.svd(design, full_matrices=n <= cols + 1)
+        # While n <= K + 2 the slice has d <= 1 unless Z is rank-deficient.
+        # The reduced left factor is square while n <= K + 1; at n = K + 2 it
+        # lacks the null direction, and only that step asks for the full one.
+        left, sing, right_t = np.linalg.svd(design, full_matrices=n == cols + 1)
         rank = int(np.sum(sing > RANK_RTOL * (sing[0] if sing.size else 0.0)))
         d = n - rank
 
@@ -387,17 +433,10 @@ class IidGaussPredictor(OnlinePredictor):
         ctx.slot_base = ev_base[slots]
         ctx.slot_slope = ev_slope[slots]
 
-    def _pvalues(self, ctx: IidGaussStepContext, ys: np.ndarray, tau: float) -> np.ndarray:
-        """Monte-Carlo p-value at each candidate y."""
-        ys = np.asarray(ys, dtype=float)[:, None]
-        obs = np.abs(ctx.ea[0] * ys + ctx.ea[1])
-        vals = ctx.draw_scores(ys)
-        greater = np.count_nonzero(vals > obs, axis=1)
-        ties = np.count_nonzero(vals == obs, axis=1)
-        return (greater + tau * ties) / self.mc_samples
-
-    def raw_region(self, ctx: IidGaussStepContext, eps: float, tau: float) -> PredictionRegion:
-        check_epsilon(eps)
+    def raw_regions(
+        self, ctx: IidGaussStepContext, levels: Sequence[float], tau: float
+    ) -> list[PredictionRegion]:
+        levels = [check_epsilon(eps) for eps in levels]
         check_tau(tau)
         # Degenerate-conditional convention: while the slice is atomic
         # (n <= k + 2) and the slot atoms alone cannot reach the level
@@ -406,17 +445,29 @@ class IidGaussPredictor(OnlinePredictor):
         # and push a tail p-value to 1/(2n), bounding the region one step
         # before the continuous regime; the advertised threshold is
         # min(ceil(1/eps), k + 3).  The p-value trace is unaffected.
-        if ctx.n < min(np.ceil(1.0 / eps), ctx.k + 3):
-            return PredictionRegion.real_line()
+        informative = [ctx.n >= min(np.ceil(1.0 / eps), ctx.k + 3) for eps in levels]
+        if not any(informative):
+            return [PredictionRegion.real_line() for _ in levels]
         if ctx.exact:
-            return super_level_set(*ctx.atoms.tables, ctx.atoms.n, eps, tau)
-        return super_level_set(*ctx.crossings, self.mc_samples, eps, tau)
+            table = (*ctx.atoms.tables, ctx.atoms.n)
+        else:
+            table = (*ctx.crossings, self.mc_samples)
+        kept = [eps for eps, use in zip(levels, informative) if use]
+        regions = iter(super_level_sets(*table, kept, tau))
+        return [next(regions) if use else PredictionRegion.real_line() for use in informative]
 
     def pvalue(self, ctx: IidGaussStepContext, y: float, tau: float) -> float:
         if ctx.exact:
             return iid_pvalue(np.abs(ctx.atoms.residuals.at(float(y))), tau)
-        check_tau(tau)
-        return float(self._pvalues(ctx, np.array([float(y)]), tau)[0])
+        tau = check_tau(tau)
+        y = float(y)
+        c2, c1, c0 = ctx.rad2
+        radius = math.sqrt(max(c2 * y * y + c1 * y + c0, 0.0))
+        observed = abs(ctx.ea[0] * y + ctx.ea[1])
+        scores = np.abs(ctx.slot_base + ctx.slot_slope * y + ctx.slot_mix * radius)
+        greater = int(np.count_nonzero(scores > observed))
+        ties = int(np.count_nonzero(scores == observed))
+        return (greater + tau * ties) / self.mc_samples
 
     def observe(self, obs: Observation) -> None:
         staged, self._staged = self._staged, None

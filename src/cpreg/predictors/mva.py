@@ -20,6 +20,7 @@ shifts of y, by design.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -121,20 +122,27 @@ class MvaPredictor(OnlinePredictor):
     def first_informative_step(self, k: int) -> int:
         return 3
 
-    def raw_region(self, ctx: MvaStepContext, eps: float, tau: float) -> PredictionRegion:
-        check_epsilon(eps)
+    def raw_regions(
+        self, ctx: MvaStepContext, levels: Sequence[float], tau: float
+    ) -> list[PredictionRegion]:
+        levels = [check_epsilon(eps) for eps in levels]
         check_tau(tau)
         if not ctx.informative:
-            return PredictionRegion.real_line()
+            return [PredictionRegion.real_line() for _ in levels]
         n = ctx.n
         gap = (ctx.last[0] - ctx.mean[0], ctx.last[1] - ctx.mean[1])
         cf = (n - 1.0) * (n - 2.0) / n
-        t2 = t_upper_point(eps / 2.0, n - 2) ** 2
-        return open_solution_set(
-            cf * gap[0] ** 2 - t2 * ctx.spread[0],
-            cf * 2.0 * gap[0] * gap[1] - t2 * ctx.spread[1],
-            cf * gap[1] ** 2 - t2 * ctx.spread[2],
-        )
+        regions = []
+        for eps in levels:
+            t2 = t_upper_point(eps / 2.0, n - 2) ** 2
+            regions.append(
+                open_solution_set(
+                    cf * gap[0] ** 2 - t2 * ctx.spread[0],
+                    cf * 2.0 * gap[0] * gap[1] - t2 * ctx.spread[1],
+                    cf * gap[1] ** 2 - t2 * ctx.spread[2],
+                )
+            )
+        return regions
 
     def pvalue(self, ctx: MvaStepContext, y: float, tau: float) -> float:
         check_tau(tau)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -67,15 +68,21 @@ class WilksPredictor(OnlinePredictor):
             n=len(self._sorted) + 1, sorted_history=np.asarray(self._sorted, dtype=float)
         )
 
-    def raw_region(self, ctx: WilksStepContext, eps: float, tau: float) -> PredictionRegion:
-        check_epsilon(eps)
+    def raw_regions(
+        self, ctx: WilksStepContext, levels: Sequence[float], tau: float
+    ) -> list[PredictionRegion]:
+        levels = [check_epsilon(eps) for eps in levels]
         check_tau(tau)
-        depth = math.floor(eps * ctx.n / 2.0 - tau) + 1
-        if depth < 1:
-            return PredictionRegion.real_line()
-        if ctx.n <= 2 * depth:
-            return PredictionRegion.empty()
-        return wilks_region(ctx.sorted_history, depth)[0]
+        regions = []
+        for eps in levels:
+            depth = math.floor(eps * ctx.n / 2.0 - tau) + 1
+            if depth < 1:
+                regions.append(PredictionRegion.real_line())
+            elif ctx.n <= 2 * depth:
+                regions.append(PredictionRegion.empty())
+            else:
+                regions.append(wilks_region(ctx.sorted_history, depth)[0])
+        return regions
 
     def pvalue(self, ctx: WilksStepContext, y: float, tau: float) -> float:
         check_tau(tau)

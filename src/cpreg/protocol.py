@@ -119,8 +119,8 @@ def _run(config: RunConfig, stream, ledger: OnlineLedger | None) -> PValueTrace:
             ctx = predictor.begin_step(obs.x)
             if ledger is not None:
                 errors, raw_errors, widths = {}, {}, {}
-                for eps in config.epsilons:
-                    raw = predictor.raw_region(ctx, eps, tau)
+                raws = predictor.raw_regions(ctx, config.epsilons, tau)
+                for eps, raw in zip(config.epsilons, raws):
                     reported = raw.convex_hull()
                     errors[eps] = 0 if reported.contains(obs.y) else 1
                     raw_errors[eps] = 0 if raw.contains(obs.y) else 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -166,27 +166,39 @@ class PredictionRegion:
         return True
 
 
-def super_level_set(
-    points: NDArray, greater: NDArray, ties: NDArray, denominator: int, eps: float, tau: float
-) -> PredictionRegion:
-    """{y : p(y) > eps} of a p-value that is a step function of y.
+def super_level_sets(
+    points: NDArray,
+    greater: NDArray,
+    ties: NDArray,
+    denominator: int,
+    levels: Sequence[float],
+    tau: float,
+) -> list[PredictionRegion]:
+    """{y : p(y) > eps} for every eps in ``levels``, of a p-value that is a
+    step function of y.
 
     ``points`` are the sorted steps (m of them), and ``greater`` and ``ties``
     count the scores above and tied with the observed one on each of the
     2m + 1 cells [left ray, points[0], gap, points[1], ..., right ray], where
     p = (greater + tau * ties) / denominator.  The cells partition the line
     in order, so each run of consecutive kept cells is one connected piece.
+    p is formed once, and one comparison and one edge search serve every
+    level.
     """
-    keep = (greater + tau * ties) / denominator > eps
-    padded = np.concatenate(([False], keep, [False]))
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    first, last = edges[0::2], edges[1::2] - 1
+    pvalue = (greater + tau * ties) / denominator
+    cells = pvalue.size
+    keep = np.zeros((len(levels), cells + 2), dtype=bool)  # padded with a dropped cell each side
+    np.greater(pvalue, np.asarray(levels, dtype=float)[:, None], out=keep[:, 1:-1])
+    row, cell = np.divmod(np.flatnonzero(keep[:, 1:] != keep[:, :-1]), cells + 1)
+    first, last = cell[0::2], cell[1::2] - 1
     # Cell i spans (bounds[(i + 1) // 2], bounds[i // 2 + 1]) and is the
     # closed point there when i is odd.
     bounds = np.concatenate(([-INF], points, [INF]))
     lo, hi = bounds[(first + 1) // 2].tolist(), bounds[last // 2 + 1].tolist()
     lo_closed, hi_closed = (first % 2 == 1).tolist(), (last % 2 == 1).tolist()
-    return PredictionRegion(map(Interval, lo, hi, lo_closed, hi_closed))
+    pieces = list(map(Interval, lo, hi, lo_closed, hi_closed))
+    ends = np.cumsum(np.bincount(row[0::2], minlength=len(levels))).tolist()
+    return [PredictionRegion(pieces[a:b]) for a, b in zip([0] + ends, ends)]
 
 
 def _covers(big: Interval, small: Interval) -> bool:

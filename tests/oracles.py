@@ -215,6 +215,29 @@ def iid_per_probe_region(ctx, eps: float, tau: float) -> PredictionRegion:
     return PredictionRegion(pieces)
 
 
+def iidgauss_draw_scores(ctx, ys) -> Matrix:
+    """Monte-Carlo scores |a + b*y + m*r(y)| of an iid-gauss step, event-major.
+
+    ``ys`` has shape (P, 1), one candidate per row, or (P, mc), one per
+    draw; column i of the (P, mc) result is draw i.  r(y) is the slice
+    radius sqrt(max(c2*y*y + c1*y + c0, 0)).
+    """
+    c2, c1, c0 = ctx.rad2
+    radius = np.sqrt(np.maximum(c2 * ys * ys + c1 * ys + c0, 0.0))
+    return np.abs(ctx.slot_base + ctx.slot_slope * ys + ctx.slot_mix * radius)
+
+
+def iidgauss_pvalues(ctx, ys, tau: float) -> Vector:
+    """Monte-Carlo p-value of an iid-gauss step at every candidate in ``ys``,
+    all draws scored at all candidates in one array."""
+    ys = np.asarray(ys, dtype=float)[:, None]
+    obs = np.abs(ctx.ea[0] * ys + ctx.ea[1])
+    vals = iidgauss_draw_scores(ctx, ys)
+    greater = np.count_nonzero(vals > obs, axis=1)
+    ties = np.count_nonzero(vals == obs, axis=1)
+    return (greater + tau * ties) / vals.shape[1]
+
+
 def iidgauss_grid_region(pred, ctx, eps: float, tau: float) -> tuple[PredictionRegion, float]:
     """Hull of a Monte-Carlo iid-gauss region by grid search and bisection.
 
@@ -233,7 +256,7 @@ def iidgauss_grid_region(pred, ctx, eps: float, tau: float) -> tuple[PredictionR
     rss = max(c0 - c1 * c1 / (4.0 * c2), 0.0)
     half = t_upper_point(0.025, ctx.n - ctx.k - 2) * np.sqrt(rss / (ctx.n - ctx.k - 2) / c2)
     grid = np.linspace(center - 8.0 * half, center + 8.0 * half, GRID_POINTS)
-    keep = pred._pvalues(ctx, grid, tau) > eps
+    keep = iidgauss_pvalues(ctx, grid, tau) > eps
     if not keep.any():
         return PredictionRegion.empty(), half
     if keep.all():

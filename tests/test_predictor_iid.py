@@ -219,13 +219,49 @@ GOLDEN_RUNS = [
 ]
 
 
+# Every other predictor, deterministic (seed 0) and smoothed (seed 1), on the
+# paper's n/K = 6 and on a stream with more features than steps (K >= n).
+OTHER_DIGESTS = {
+    ("gauss", 20, 120, False): "8422b7c7b157491dce4d0882ffb074f1f49ca4f74d114d02223326002c1f9d26",
+    ("gauss", 20, 120, True): "0cced03c24875af7412134f04fdf8cd48c7caf9368e40aae0096491a1cab711c",
+    ("gauss", 30, 25, False): "2013edead6ad40945868518979538e9330c171fea6ba2140784a9573c2b030c8",
+    ("gauss", 30, 25, True): "7e77150a72856c1af5ee083b67df25adb643f4ff1be842feea1d4c7be800f978",
+    ("mva", 20, 120, False): "a9291dbb49bc72a1ba86a842ad2140e3dc2c758d9dabe84c1feb55bcec42de9a",
+    ("mva", 20, 120, True): "8d74e36595d4d74ac41f44a82ebf9f9804c828409433f313da56c57a847dc449",
+    ("mva", 30, 25, False): "e616db38bbe44650f94f233cba0e18224d8357f8d676379bf4eb8d0fd0168f80",
+    ("mva", 30, 25, True): "f1dfc5a3876eb83095783378fde1b9266a942ff3c9ef023c38ec86ee86198b3c",
+    ("iid-gauss", 20, 120, False): "37b1b69d1b27898dcf83516647a2010ac625c0d3b8e1df8b881a83aa170433a8",
+    ("iid-gauss", 20, 120, True): "2a0b234c59853a156a87b1ed14e84530d853db734a1c453461ccc2e42eaa19ad",
+    ("iid-gauss", 30, 25, False): "08e3cbb1accb38b13a4ad45e7ce8e1c5c10406d32b7f605c5b95324c737adc38",
+    ("iid-gauss", 30, 25, True): "cc7afc66099423db80ff15a16687683d8fea9be913a8dbb0b5b8a005ec2ad3f5",
+    ("wilks", 20, 120, False): "5b619db21c6be89b0331263e16ac68afeae98f51052c80c60def3f0db3b5e9fa",
+    ("wilks", 20, 120, True): "fd26cdb206fb5a1f0d62fc7ff4cb4e00f1422b749dd37ec563a0a5b00623b36e",
+    ("wilks", 30, 25, False): "ac50e280019d16722031dcb4624b3868a85161e1bf81434064ef82d6c5bcae3d",
+    ("wilks", 30, 25, True): "c15f5095b233c40ba446a0442d2aba0876b381d6653509b2fdc86bd4310fcde8",
+}
+OTHER_RUNS = [
+    pytest.param(
+        RunConfig(predictor=kind, smoothed=smoothed, seed=int(smoothed)),
+        lambda k=k, n=n: generate(SyntheticSpec(k=k, n=n, seed=0)),
+        digest,
+        id=f"{kind}-k{k}-n{n}-{'smoothed' if smoothed else 'deterministic'}",
+    )
+    for (kind, k, n, smoothed), digest in OTHER_DIGESTS.items()
+]
+
+
 @pytest.mark.parametrize(
     "config, make_stream, digest",
-    GOLDEN_RUNS,
-    ids=["k20-seed0-deterministic", "k20-seed1-smoothed", "tie-heavy-smoothed"],
+    [
+        pytest.param(*run, id=name)
+        for run, name in zip(
+            GOLDEN_RUNS, ["k20-seed0-deterministic", "k20-seed1-smoothed", "tie-heavy-smoothed"]
+        )
+    ]
+    + OTHER_RUNS,
 )
 def test_golden_ledger_and_trace(config, make_stream, digest):
-    """Ledgers and traces pinned bit for bit on three streams."""
+    """Ledgers and traces of every predictor pinned bit for bit."""
     assert run_digest(config, make_stream()) == digest
 
 

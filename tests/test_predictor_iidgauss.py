@@ -24,7 +24,9 @@ from cpreg.regions import check_nested
 from oracles import (
     REFINE_RTOL,
     TIE_RTOL,
+    iidgauss_draw_scores,
     iidgauss_grid_region,
+    iidgauss_pvalues,
     iidgauss_sample_conditional,
     ridge_design,
     slice_geometry,
@@ -365,7 +367,7 @@ def _end_pvalue(pred, ctx, end, tau):
         at = np.searchsorted(events, end)
         assert events[at] == end
         sides = _segment_points(events)[at : at + 2, None]
-        above = ctx.draw_scores(sides) >= np.abs(ctx.ea[0] * sides + ctx.ea[1])
+        above = iidgauss_draw_scores(ctx, sides) >= np.abs(ctx.ea[0] * sides + ctx.ea[1])
         ties = np.count_nonzero(above[0] != above[1])
         return (np.count_nonzero(above[0] & above[1]) + tau * ties) / pred.mc_samples
     scores = np.abs(ctx.atoms.residuals.at(end))
@@ -404,13 +406,13 @@ def test_monte_carlo_region_is_the_exact_pvalue_super_level_set(k, size):
         assert np.all(np.diff(events) > 0)
         mids = _segment_points(events) if events.size else np.zeros(1)
         if not ctx.exact:
-            assert np.array_equal(greater[0::2] / pred.mc_samples, pred._pvalues(ctx, mids, 1.0))
+            assert np.array_equal(greater[0::2] / pred.mc_samples, iidgauss_pvalues(ctx, mids, 1.0))
         probes = rng.uniform(mids[0], mids[-1], 200)
         for tau in (0.0, 0.37, 1.0):
             if ctx.exact:
                 pmid = np.array([pred.pvalue(ctx, y, tau) for y in mids])
             else:
-                pmid = pred._pvalues(ctx, mids, tau)
+                pmid = iidgauss_pvalues(ctx, mids, tau)
             pprobe = np.array([pred.pvalue(ctx, y, tau) for y in probes])
             regions = {}
             for eps in LEVELS:
@@ -463,11 +465,61 @@ def test_noise_free_stream_counts_are_exact_outside_a_rounding_band():
             fit = -c1 / (2.0 * c2)
             far = np.abs(mids - fit) > 1e-6 * max(1.0, abs(fit))
             got = greater[0::2][far] / pred.mc_samples
-            assert np.array_equal(got, pred._pvalues(ctx, mids[far], 1.0)), ctx.n
+            assert np.array_equal(got, iidgauss_pvalues(ctx, mids[far], 1.0)), ctx.n
             at, tied = greater[1::2], ties[1::2]
             assert np.all(at >= 0) and np.all(tied >= 1), ctx.n
             assert np.all(at + tied <= pred.mc_samples), ctx.n
         pred.observe(Observation(x, 1.0 + x[0]))
+
+
+def test_a_draw_that_touches_the_observed_score_ties_there_once():
+    # observed score |y|; draw 0 is |r(y)| with r(y)^2 = 0.5 y^2 + 2 y - 2,
+    # below |y| except where it touches it, at 0 (r clamped to 0) and at 2
+    # (a double root); draw 1 is the constant 1, above |y| on [-1, 1].  At
+    # each touch draw 0 flips into its state on the point and out again: it
+    # ties there once and counts as below on both sides
+    ctx = iid_gauss.IidGaussStepContext(
+        n=10,
+        k=1,
+        ea=(1.0, 0.0),
+        exact=False,
+        rad2=(0.5, 2.0, -2.0),
+        slot_base=np.array([0.0, 1.0]),
+        slot_slope=np.zeros(2),
+        slot_mix=np.array([1.0, 0.0]),
+    )
+    events, greater, ties = ctx.crossings
+    assert events.tolist() == [-1.0, 0.0, 1.0, 2.0]
+    assert greater.tolist() == [0, 0, 1, 1, 1, 0, 0, 0, 0]
+    assert ties.tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 0]
+    # the p-value at each event is the counts there
+    assert iidgauss_pvalues(ctx, events, 1.0).tolist() == [0.5, 1.0, 0.5, 0.5]
+
+
+def test_sorting_network_sorts_every_column():
+    # by the 0-1 principle, a comparator network that sorts all 64 columns
+    # of zeros and ones sorts every column of six keys
+    bits = ((np.arange(64) >> np.arange(6)[:, None]) & 1).astype(float)
+    want = np.sort(bits, axis=0)
+    iid_gauss._sort_columns(bits)
+    assert np.array_equal(bits, want)
+    rng = np.random.default_rng(0)
+    for rows in (rng.integers(-2, 3, (6, 500)).astype(float), rng.normal(size=(6, 500))):
+        want = np.sort(rows, axis=0)
+        iid_gauss._sort_columns(rows)
+        assert np.array_equal(rows, want)
+
+
+def test_monte_carlo_pvalue_equals_the_array_reference():
+    # bit for bit, at every event of the step table and at random candidates
+    rng = np.random.default_rng(11)
+    for pred, ctx in _monte_carlo_steps(3, 40, seed=6, mc_samples=200):
+        events = ctx.crossings[0]
+        spread = max(np.ptp(events), 1.0)
+        ys = np.concatenate((events, rng.uniform(events[0] - spread, events[-1] + spread, 50)))
+        for tau in (0.0, 0.37, 1.0):
+            got = np.array([pred.pvalue(ctx, y, tau) for y in ys])
+            assert np.array_equal(got, iidgauss_pvalues(ctx, ys, tau)), (ctx.n, tau)
 
 
 @MC_STREAMS
@@ -598,6 +650,24 @@ def test_full_rank_monte_carlo_steps_take_no_svd(monkeypatch, k, size):
     steps = _monte_carlo_geometry(monkeypatch, generate(SyntheticSpec(k=k, n=size, seed=0)), _no_svd)
     assert len(steps) == size - k - 2  # every step from n = K + 3 on
     _assert_matches_slice_geometry(steps)
+
+
+@pytest.mark.parametrize("k, size", [(8, 20), (30, 25)], ids=["k8", "k30-wide"])
+def test_svd_asks_for_the_full_left_factor_only_at_n_equal_k_plus_2(monkeypatch, k, size):
+    # below n = K + 2 the reduced left factor is already square
+    requests, svd = [], np.linalg.svd
+
+    def spy(design, full_matrices=True, **kwargs):
+        requests.append((design.shape[0], full_matrices))
+        return svd(design, full_matrices=full_matrices, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    pred = fresh()
+    for obs in generate(SyntheticSpec(k=k, n=size, seed=3)):
+        pred.begin_step(obs.x)
+        pred.observe(obs)
+    steps = range(1, min(size, k + 2) + 1)  # every step before n = K + 3
+    assert requests == [(n, n == k + 2) for n in steps]
 
 
 @pytest.mark.parametrize("hostile", ["duplicated column", "x offset 1e6"])

@@ -8,12 +8,14 @@ from cpreg import (
     Observation,
     OnlineLedger,
     PValueTrace,
+    PREDICTOR_KINDS,
     RunConfig,
     SyntheticSpec,
     binomial_band,
     error_frequency_check,
     generate,
     independence_test,
+    make_predictor,
     run_online,
     run_trace,
     uniformity_test,
@@ -59,6 +61,27 @@ def test_reruns_are_bit_identical_and_trace_matches_full_run():
     trace_c = run_trace(config, stream)
     assert trace_c.pvalues == trace_a.pvalues
     assert trace_c.taus == trace_a.taus
+
+
+@pytest.mark.parametrize("kind", PREDICTOR_KINDS)
+def test_run_online_asks_for_every_level_in_one_call(kind, monkeypatch):
+    # one raw_regions call per step with all the levels; none without a ledger
+    config = RunConfig(predictor=kind, epsilons=(0.3, 0.1, 0.05), mc_samples=100)
+    cls = type(make_predictor(config))
+    regions_of = cls.raw_regions
+    calls = []
+
+    def spy(predictor, ctx, levels, tau):
+        calls.append(tuple(levels))
+        return regions_of(predictor, ctx, levels, tau)
+
+    monkeypatch.setattr(cls, "raw_regions", spy)
+    stream = small_stream(n=30, k=2, seed=5)
+    run_online(config, stream)
+    assert calls == [config.epsilons] * len(stream)
+    calls.clear()
+    run_trace(config, stream)
+    assert calls == []
 
 
 def test_uninformative_steps_cannot_err():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpreg import Interval, PredictionRegion, check_nested, point
-from cpreg.regions import super_level_set
+from cpreg.regions import super_level_sets
 
 
 def test_interval_validation():
@@ -90,7 +90,7 @@ def mask_region(keep):
     """The region of the cells [ray, 0, gap, 1, ..., ray] that ``keep`` keeps."""
     keep = np.asarray(keep, dtype=int)
     points = np.arange((keep.size - 1) // 2, dtype=float)
-    return super_level_set(points, keep, np.zeros_like(keep), 1, 0.5, 0.37)
+    return super_level_sets(points, keep, np.zeros_like(keep), 1, (0.5,), 0.37)[0]
 
 
 def test_super_level_set_of_a_mask():
@@ -103,4 +103,17 @@ def test_super_level_set_of_a_mask():
     )
     assert mask_region(np.ones(3, dtype=bool)) == PredictionRegion.real_line()
     assert mask_region(np.zeros(1, dtype=bool)).is_empty
-
+    # several levels in one call, in any order and some keeping nothing or
+    # everything: each is its single-level call, and they nest
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        m = int(rng.integers(0, 6))
+        points = np.sort(rng.choice(20, m, replace=False)).astype(float)
+        greater, ties = rng.integers(0, 6, (2, 2 * m + 1))
+        levels = rng.permutation([0.95, 0.6, 0.45, 0.3, 0.1, 0.01])
+        tau = float(rng.uniform())
+        regions = super_level_sets(points, greater, ties, 10, levels, tau)
+        for eps, region in zip(levels, regions):
+            assert region == super_level_sets(points, greater, ties, 10, (eps,), tau)[0]
+        assert check_nested(dict(zip(levels, regions)))
+    assert super_level_sets(points, greater, ties, 10, (), tau) == []
