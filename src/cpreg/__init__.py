@@ -38,6 +38,7 @@ from .protocol import (
     RunConfig,
     binomial_band,
     error_frequency_check,
+    frequency_window,
     independence_test,
     make_predictor,
     run_online,
@@ -86,6 +87,7 @@ __all__ = [
     "uniformity_test",
     "independence_test",
     "error_frequency_check",
+    "frequency_window",
     "binomial_band",
     "SyntheticSpec",
     "beta_vector",

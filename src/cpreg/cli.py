@@ -24,6 +24,7 @@ from .dataset import (
     write_plot_data,
     write_stream,
 )
+from .predictors import check_epsilon
 from .protocol import (
     PREDICTOR_KINDS,
     RunConfig,
@@ -153,8 +154,10 @@ def cmd_run(args) -> int:
 def cmd_validate(args) -> int:
     if args.seeds < 1:
         raise UsageError(f"need at least one seed, got {args.seeds}")
-    if not 0.0 < args.eps < 1.0:
-        raise UsageError(f"significance level must lie in (0, 1), got {args.eps}")
+    try:
+        check_epsilon(args.eps)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     file_stream = read_stream(args.data) if args.data else None
     if file_stream is not None and not file_stream:
         raise DataFormatError(f"no observations in {args.data}")

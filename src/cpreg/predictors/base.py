@@ -14,7 +14,9 @@ protocol's information flow:
 
 ``tau`` is the smoothing draw of the step: pass 1.0 for the deterministic
 variant, a fresh uniform draw for the smoothed one.  One tau serves every
-significance level of the step.
+significance level of the step.  ``raw_regions`` and ``pvalue`` check the
+levels and tau here, once for every predictor, and hand them as floats to
+the predictor's ``_raw_regions`` and ``_pvalue``.
 """
 
 from __future__ import annotations
@@ -36,14 +38,14 @@ class OnlinePredictor(ABC):
         """Prepare the step for a new feature vector (response unseen)."""
 
     @abstractmethod
-    def raw_regions(
-        self, ctx: Any, levels: Sequence[float], tau: float
+    def _raw_regions(
+        self, ctx: Any, levels: list[float], tau: float
     ) -> list[PredictionRegion]:
-        """Prediction regions {y : p(y) > eps} before any hulling, one per level."""
+        """``raw_regions`` on levels and tau already checked."""
 
     @abstractmethod
-    def pvalue(self, ctx: Any, y: float, tau: float) -> float:
-        """Realized p-value of a candidate response."""
+    def _pvalue(self, ctx: Any, y: float, tau: float) -> float:
+        """``pvalue`` on a tau already checked."""
 
     @abstractmethod
     def observe(self, obs: Observation) -> None:
@@ -56,6 +58,16 @@ class OnlinePredictor(ABC):
         bare smoothing draw, so error-frequency checks start here.
         """
         return 1
+
+    def raw_regions(
+        self, ctx: Any, levels: Sequence[float], tau: float
+    ) -> list[PredictionRegion]:
+        """Prediction regions {y : p(y) > eps} before any hulling, one per level."""
+        return self._raw_regions(ctx, [check_epsilon(eps) for eps in levels], check_tau(tau))
+
+    def pvalue(self, ctx: Any, y: float, tau: float) -> float:
+        """Realized p-value of a candidate response."""
+        return self._pvalue(ctx, y, check_tau(tau))
 
     def raw_region(self, ctx: Any, eps: float, tau: float) -> PredictionRegion:
         """Prediction region {y : p(y) > eps} at one level before any hulling."""

@@ -21,7 +21,6 @@ real line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from ..linalg import RANK_RTOL, NumericalError, cholesky_factor, cholesky_solve
 from ..regions import Interval, PredictionRegion, point
 from ..stream import Observation
 from ..studentt import t_sf, t_upper_point
-from .base import OnlinePredictor, check_epsilon, check_tau
+from .base import OnlinePredictor
 
 # Residual sums below this (relative to the centred sum of squares of y)
 # are treated as an exact fit.
@@ -85,11 +84,9 @@ class GaussPredictor(OnlinePredictor):
     def first_informative_step(self, k: int) -> int:
         return k + 3
 
-    def raw_regions(
-        self, ctx: GaussStepContext, levels: Sequence[float], tau: float
+    def _raw_regions(
+        self, ctx: GaussStepContext, levels: list[float], tau: float
     ) -> list[PredictionRegion]:
-        levels = [check_epsilon(eps) for eps in levels]
-        check_tau(tau)
         if not ctx.informative:
             return [PredictionRegion.real_line() for _ in levels]
         if ctx.scale == 0.0:
@@ -97,13 +94,14 @@ class GaussPredictor(OnlinePredictor):
         regions = []
         for eps in levels:
             half = t_upper_point(eps / 2.0, ctx.df) * ctx.scale
-            regions.append(
-                PredictionRegion([Interval(ctx.center - half, ctx.center + half, False, False)])
-            )
+            lo, hi = ctx.center - half, ctx.center + half
+            # Below the float spacing at the center the interval rounds to
+            # the center alone, where p = 1.
+            piece = Interval(lo, hi, False, False) if lo < hi else point(ctx.center)
+            regions.append(PredictionRegion([piece]))
         return regions
 
-    def pvalue(self, ctx: GaussStepContext, y: float, tau: float) -> float:
-        check_tau(tau)
+    def _pvalue(self, ctx: GaussStepContext, y: float, tau: float) -> float:
         if not ctx.informative:
             # No studentized statistic exists yet; the smoothed p-value is
             # pure tie-breaking noise, matching the everywhere-real region.

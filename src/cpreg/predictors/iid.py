@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -35,7 +34,7 @@ from ..design import DesignRows
 from ..regions import PredictionRegion, super_level_sets
 from ..residuals import AffineResiduals, FeatureSchedule, ridge_lines
 from ..stream import Observation
-from .base import OnlinePredictor, check_epsilon, check_tau
+from .base import OnlinePredictor, check_tau
 
 # Two residual lines closer in slope than this never cross.
 PARALLEL_TOL = 1e-12
@@ -144,14 +143,12 @@ class IidPredictor(OnlinePredictor):
         _, residuals = ridge_lines(self.design.with_row(x_new), self.design.y, self.schedule)
         return IidStepContext(n=residuals.slopes.size, residuals=residuals)
 
-    def raw_regions(
-        self, ctx: IidStepContext, levels: Sequence[float], tau: float
+    def _raw_regions(
+        self, ctx: IidStepContext, levels: list[float], tau: float
     ) -> list[PredictionRegion]:
-        levels = [check_epsilon(eps) for eps in levels]
-        check_tau(tau)
         return super_level_sets(*ctx.tables, ctx.n, levels, tau)
 
-    def pvalue(self, ctx: IidStepContext, y: float, tau: float) -> float:
+    def _pvalue(self, ctx: IidStepContext, y: float, tau: float) -> float:
         return iid_pvalue(np.abs(ctx.residuals.at(float(y))), tau)
 
     def observe(self, obs: Observation) -> None:

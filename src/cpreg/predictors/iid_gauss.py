@@ -89,7 +89,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -106,7 +105,7 @@ from ..randomness import RandomStream
 from ..regions import PredictionRegion, super_level_sets
 from ..residuals import AffineResiduals, FeatureSchedule, RidgeResidualMap, ridge_lines
 from ..stream import Observation
-from .base import OnlinePredictor, check_epsilon, check_tau
+from .base import OnlinePredictor
 from .iid import IidStepContext, iid_pvalue
 
 # Smallest LAPACK dtrcon estimate of the 1-norm reciprocal condition of the
@@ -433,11 +432,9 @@ class IidGaussPredictor(OnlinePredictor):
         ctx.slot_base = ev_base[slots]
         ctx.slot_slope = ev_slope[slots]
 
-    def raw_regions(
-        self, ctx: IidGaussStepContext, levels: Sequence[float], tau: float
+    def _raw_regions(
+        self, ctx: IidGaussStepContext, levels: list[float], tau: float
     ) -> list[PredictionRegion]:
-        levels = [check_epsilon(eps) for eps in levels]
-        check_tau(tau)
         # Degenerate-conditional convention: while the slice is atomic
         # (n <= k + 2) and the slot atoms alone cannot reach the level
         # (n < 1/eps), the step is declared non-informative.  Without this the
@@ -456,10 +453,9 @@ class IidGaussPredictor(OnlinePredictor):
         regions = iter(super_level_sets(*table, kept, tau))
         return [next(regions) if use else PredictionRegion.real_line() for use in informative]
 
-    def pvalue(self, ctx: IidGaussStepContext, y: float, tau: float) -> float:
+    def _pvalue(self, ctx: IidGaussStepContext, y: float, tau: float) -> float:
         if ctx.exact:
             return iid_pvalue(np.abs(ctx.atoms.residuals.at(float(y))), tau)
-        tau = check_tau(tau)
         y = float(y)
         c2, c1, c0 = ctx.rad2
         radius = math.sqrt(max(c2 * y * y + c1 * y + c0, 0.0))

@@ -20,7 +20,6 @@ shifts of y, by design.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from ..regions import Interval, PredictionRegion
 from ..residuals import FeatureSchedule, ridge_factor
 from ..stream import Observation
 from ..studentt import t_sf, t_upper_point
-from .base import OnlinePredictor, check_epsilon, check_tau
+from .base import OnlinePredictor
 
 # Relative cutoff for deciding a quadratic coefficient is exactly zero.
 COEF_RTOL = 1e-14
@@ -122,11 +121,9 @@ class MvaPredictor(OnlinePredictor):
     def first_informative_step(self, k: int) -> int:
         return 3
 
-    def raw_regions(
-        self, ctx: MvaStepContext, levels: Sequence[float], tau: float
+    def _raw_regions(
+        self, ctx: MvaStepContext, levels: list[float], tau: float
     ) -> list[PredictionRegion]:
-        levels = [check_epsilon(eps) for eps in levels]
-        check_tau(tau)
         if not ctx.informative:
             return [PredictionRegion.real_line() for _ in levels]
         n = ctx.n
@@ -144,8 +141,7 @@ class MvaPredictor(OnlinePredictor):
             )
         return regions
 
-    def pvalue(self, ctx: MvaStepContext, y: float, tau: float) -> float:
-        check_tau(tau)
+    def _pvalue(self, ctx: MvaStepContext, y: float, tau: float) -> float:
         if not ctx.informative:
             return tau
         y = float(y)

@@ -12,13 +12,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ..regions import Interval, PredictionRegion
 from ..stream import Observation
-from .base import OnlinePredictor, check_epsilon, check_tau
+from .base import OnlinePredictor
 
 
 def wilks_region(sorted_history, r: int) -> tuple[PredictionRegion, float]:
@@ -68,11 +67,9 @@ class WilksPredictor(OnlinePredictor):
             n=len(self._sorted) + 1, sorted_history=np.asarray(self._sorted, dtype=float)
         )
 
-    def raw_regions(
-        self, ctx: WilksStepContext, levels: Sequence[float], tau: float
+    def _raw_regions(
+        self, ctx: WilksStepContext, levels: list[float], tau: float
     ) -> list[PredictionRegion]:
-        levels = [check_epsilon(eps) for eps in levels]
-        check_tau(tau)
         regions = []
         for eps in levels:
             depth = math.floor(eps * ctx.n / 2.0 - tau) + 1
@@ -84,8 +81,7 @@ class WilksPredictor(OnlinePredictor):
                 regions.append(wilks_region(ctx.sorted_history, depth)[0])
         return regions
 
-    def pvalue(self, ctx: WilksStepContext, y: float, tau: float) -> float:
-        check_tau(tau)
+    def _pvalue(self, ctx: WilksStepContext, y: float, tau: float) -> float:
         y = float(y)
         low = int(np.searchsorted(ctx.sorted_history, y, side="left"))
         high = ctx.sorted_history.size - int(np.searchsorted(ctx.sorted_history, y, side="right"))

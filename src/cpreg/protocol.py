@@ -26,6 +26,7 @@ from .predictors import (
     MvaPredictor,
     OnlinePredictor,
     WilksPredictor,
+    check_epsilon,
 )
 
 PREDICTOR_KINDS = ("iid", "gauss", "mva", "iid-gauss", "wilks")
@@ -50,11 +51,9 @@ class RunConfig:
             raise ValueError(
                 f"unknown predictor {self.predictor!r}; choose one of {PREDICTOR_KINDS}"
             )
-        eps = tuple(float(e) for e in self.epsilons)
+        eps = tuple(check_epsilon(e) for e in self.epsilons)
         if not eps:
             raise ValueError("need at least one significance level")
-        if any(not 0.0 < e < 1.0 for e in eps):
-            raise ValueError(f"significance levels must lie in (0, 1), got {eps}")
         if any(a <= b for a, b in zip(eps, eps[1:])):
             raise ValueError(f"significance levels must be strictly decreasing, got {eps}")
         if self.mc_samples < 1:

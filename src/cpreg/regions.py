@@ -1,9 +1,11 @@
 """Prediction regions on the real line.
 
 A region is a finite union of disjoint intervals, each endpoint carrying
-an open/closed flag.  Infinite endpoints are always open.  Construction
-normalizes the pieces: they are sorted, overlapping or touching pieces are
-merged, and degenerate pieces collapse to closed points.
+an open/closed flag.  Infinite endpoints are always open and degenerate
+pieces are closed points.  Construction checks that the pieces are in
+normal form (sorted, pairwise disjoint and not touching, so that the
+union of two neighbours is never connected) and refuses them otherwise;
+it does not repair them.
 """
 
 from __future__ import annotations
@@ -58,36 +60,18 @@ def point(y: float) -> Interval:
     return Interval(y, y, True, True)
 
 
-def _touches(a: Interval, b: Interval) -> bool:
-    """Whether a union of a and b (with a.lo <= b.lo) is connected."""
-    if b.lo < a.hi:
-        return True
-    if b.lo == a.hi:
-        return a.hi_closed or b.lo_closed
-    return False
-
-
 class PredictionRegion:
-    """A finite union of disjoint, non-touching intervals."""
+    """A finite union of sorted, disjoint, non-touching intervals."""
 
     __slots__ = ("pieces",)
 
     def __init__(self, pieces: Iterable[Interval] = ()):
-        merged: list[Interval] = []
-        for piece in sorted(pieces, key=lambda p: (p.lo, not p.lo_closed)):
-            if merged and _touches(merged[-1], piece):
-                last = merged[-1]
-                if piece.hi > last.hi:
-                    hi, hi_closed = piece.hi, piece.hi_closed
-                elif piece.hi == last.hi:
-                    hi, hi_closed = last.hi, last.hi_closed or piece.hi_closed
-                else:
-                    hi, hi_closed = last.hi, last.hi_closed
-                lo_closed = last.lo_closed or (piece.lo == last.lo and piece.lo_closed)
-                merged[-1] = Interval(last.lo, hi, lo_closed, hi_closed)
-            else:
-                merged.append(piece)
-        object.__setattr__(self, "pieces", tuple(merged))
+        pieces = tuple(pieces)
+        for a, b in zip(pieces, pieces[1:]):
+            # b must start right of a; at a shared endpoint both ends open
+            if b.lo < a.hi or (b.lo == a.hi and (a.hi_closed or b.lo_closed)):
+                raise ValueError(f"region pieces not sorted, disjoint and apart: {a} then {b}")
+        object.__setattr__(self, "pieces", pieces)
 
     def __setattr__(self, name, value):  # keep instances immutable
         raise AttributeError("PredictionRegion is immutable")

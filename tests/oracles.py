@@ -25,7 +25,7 @@ from cpreg import (
     critical_points,
 )
 from cpreg.linalg import RANK_RTOL, NumericalError
-from cpreg.regions import Interval, point
+from cpreg.regions import Interval
 from cpreg.studentt import t_upper_point
 
 Vector = NDArray[np.float64]
@@ -193,25 +193,29 @@ def iid_dense_tables(
 
 
 def iid_per_probe_region(ctx, eps: float, tau: float) -> PredictionRegion:
-    """The iid region as one piece per kept sweep probe, merged by the region.
+    """The iid region joined probe by probe: each run of kept sweep probes
+    is one piece.
 
     Probe layout of ``IidStepContext.tables``: [left ray, crit_0, gap_01,
     crit_1, ..., crit_last, right ray], or one probe for the whole line.
+    Odd probes are the closed critical points, even ones the open gaps.
     """
     crit, greater, ties = ctx.tables
     keep = (greater + tau * ties) / ctx.n > eps
-    if crit.size == 0:
-        return PredictionRegion.real_line() if keep[0] else PredictionRegion.empty()
+    bounds = [-np.inf, *crit.tolist(), np.inf]
     pieces: list[Interval] = []
-    if keep[0]:
-        pieces.append(Interval(-np.inf, crit[0], False, False))
-    for j, t in enumerate(crit):
-        if keep[1 + 2 * j]:
-            pieces.append(point(t))
-        if j + 1 < crit.size and keep[2 + 2 * j]:
-            pieces.append(Interval(t, crit[j + 1], False, False))
-    if keep[-1]:
-        pieces.append(Interval(crit[-1], np.inf, False, False))
+    start = None  # (lo, lo_closed) of the run being joined
+    for i, kept in enumerate(keep):
+        is_point = i % 2 == 1
+        left = bounds[(i + 1) // 2]
+        if kept and start is None:
+            start = (left, is_point)
+        elif not kept and start is not None:
+            # the run ends open at a point probe, closed at the point before a gap
+            pieces.append(Interval(start[0], left, start[1], not is_point))
+            start = None
+    if start is not None:
+        pieces.append(Interval(start[0], np.inf, start[1], False))
     return PredictionRegion(pieces)
 
 

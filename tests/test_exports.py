@@ -36,6 +36,7 @@ PUBLIC = [
     "check_stream",
     "critical_points",
     "error_frequency_check",
+    "frequency_window",
     "generate",
     "iid_pvalue",
     "independence_test",

@@ -9,6 +9,9 @@ from cpreg import (
     NumericalError,
     Observation,
     PredictionRegion,
+    RunConfig,
+    point,
+    run_online,
     t_sf,
     t_upper_point,
 )
@@ -162,15 +165,24 @@ def test_interval_geometry_and_nesting():
     assert pred.pvalue(ctx, y, 1.0) == pytest.approx(2.0 * t_sf(t, ctx.df), rel=1e-12)
 
 
-def test_level_and_tie_parameter_validation():
+def test_an_interval_below_the_float_spacing_is_its_center():
+    # ys sit at 1e8 to within a float step: at step 21 the interval's
+    # half-width at the widest level rounds away on both sides
+    rng = np.random.default_rng(0)
+    xs = rng.standard_normal((40, 1))
+    ys = 1e8 + 4e-9 * rng.standard_normal(40)
+    stream = [Observation(x, float(y)) for x, y in zip(xs, ys)]
+    levels = (0.05, 0.01, 0.005)
+    ledger, _ = run_online(RunConfig(predictor="gauss", epsilons=levels, smoothed=False), stream)
+    assert ledger.steps == 40
     pred = GaussPredictor()
-    ctx = pred.begin_step(np.array([0.0]))
-    for eps in (0.0, 1.0, -0.1, np.nan):
-        with pytest.raises(ValueError):
-            pred.raw_region(ctx, eps, 1.0)
-    for tau in (-0.1, 1.5, np.nan):
-        with pytest.raises(ValueError):
-            pred.pvalue(ctx, 0.0, tau)
+    feed(pred, xs[:20], ys[:20])
+    ctx = pred.begin_step(xs[20])
+    assert ctx.center == 1e8 and 0.0 < ctx.scale < 1e-8
+    raws = pred.raw_regions(ctx, levels, 1.0)
+    assert raws[0] == PredictionRegion([point(ctx.center)])
+    for eps, raw in zip(levels, raws):
+        assert raw.contains(ys[20]) == (pred.pvalue(ctx, ys[20], 1.0) > eps), eps
 
 
 def test_dimension_bookkeeping():

@@ -84,6 +84,34 @@ def test_run_online_asks_for_every_level_in_one_call(kind, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "kind, past",
+    [("iid", 10), ("gauss", 10), ("mva", 10), ("wilks", 10), ("iid-gauss", 2), ("iid-gauss", 10)],
+    ids=["iid", "gauss", "mva", "wilks", "iid-gauss-exact", "iid-gauss-mc"],
+)
+def test_level_and_tie_parameter_validation(kind, past):
+    # OnlinePredictor checks every level and tau before the predictor sees them
+    pred = make_predictor(RunConfig(predictor=kind, mc_samples=100))
+    stream = small_stream(n=past + 1, k=1)
+    for obs in stream[:past]:
+        pred.observe(obs)
+    ctx = pred.begin_step(stream[past].x)
+    if kind == "iid-gauss":
+        assert ctx.exact == (past == 2)
+    for eps in (0.0, 1.0, -0.1, 1.5, np.nan):
+        with pytest.raises(ValueError, match="significance level"):
+            pred.raw_region(ctx, eps, 1.0)
+        with pytest.raises(ValueError, match="significance level"):
+            pred.raw_regions(ctx, (0.05, eps), 1.0)
+    for tau in (-0.1, 1.5, np.nan):
+        with pytest.raises(ValueError, match="smoothing draw"):
+            pred.raw_regions(ctx, (0.05,), tau)
+        with pytest.raises(ValueError, match="smoothing draw"):
+            pred.pvalue(ctx, 0.0, tau)
+    assert len(pred.raw_regions(ctx, (0.3, 0.05), 0.5)) == 2
+    assert 0.0 <= pred.pvalue(ctx, stream[past].y, 0.5) <= 1.0
+
+
 def test_uninformative_steps_cannot_err():
     stream = small_stream(n=8, k=1)
     ledger, trace = run_online(RunConfig(predictor="gauss", epsilons=(0.5,), seed=1), stream)

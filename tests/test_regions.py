@@ -1,9 +1,9 @@
-"""Interval/region algebra: construction rules, merging, hulls, nesting."""
+"""Interval/region algebra: construction rules, the normal form, hulls, nesting."""
 
 import numpy as np
 import pytest
 
-from cpreg import Interval, PredictionRegion, check_nested, point
+from cpreg import Interval, PredictionRegion, check_nested, open_solution_set, point
 from cpreg.regions import super_level_sets
 
 
@@ -20,11 +20,21 @@ def test_interval_validation():
     assert p.lo == p.hi == 3.0 and p.lo_closed and p.hi_closed
 
 
-def test_touching_pieces_merge():
-    region = PredictionRegion([Interval(0.0, 1.0, False, False), point(1.0), Interval(1.0, 2.0, False, False)])
-    assert len(region.pieces) == 1
-    merged = region.pieces[0]
-    assert (merged.lo, merged.hi, merged.lo_closed, merged.hi_closed) == (0.0, 2.0, False, False)
+@pytest.mark.parametrize(
+    "pieces",
+    [
+        [Interval(0.0, 2.0, False, False), Interval(1.0, 3.0, False, False)],
+        [Interval(0.0, 1.0, True, True), Interval(1.0, 2.0, True, True)],
+        [Interval(0.0, 1.0, False, False), point(1.0)],
+        [point(1.0), Interval(1.0, 2.0, False, False)],
+        [Interval(0.0, 1.0, False, True), Interval(1.0, 2.0, False, False)],
+    ],
+    ids=["overlap", "closed-closed", "open-point", "point-open", "closed-open"],
+)
+def test_overlapping_or_touching_pieces_are_refused(pieces):
+    # the region checks its normal form and does not merge
+    with pytest.raises(ValueError, match="not sorted, disjoint and apart"):
+        PredictionRegion(pieces)
 
 
 def test_two_open_rays_stay_apart():
@@ -80,10 +90,25 @@ def test_check_nested_helper():
     assert not check_nested(by_level)
 
 
-def test_region_ordering_is_canonical():
-    region = PredictionRegion([point(5.0), Interval(0.0, 1.0, False, False)])
-    los = [piece.lo for piece in region.pieces]
-    assert los == sorted(los)
+def test_unsorted_pieces_are_refused():
+    with pytest.raises(ValueError, match="not sorted"):
+        PredictionRegion([point(5.0), Interval(0.0, 1.0, False, False)])
+    with pytest.raises(ValueError, match="not sorted"):
+        PredictionRegion([point(0.0), point(2.0), point(1.0)])
+
+
+def test_normal_form_is_accepted_as_given():
+    # open pieces may share an endpoint, which neither covers
+    pieces = (Interval(0.0, 1.0, True, False), Interval(1.0, 2.0, False, False), point(3.0))
+    region = PredictionRegion(pieces)
+    assert region.pieces == pieces
+    assert not region.contains(1.0) and region.contains(0.0) and region.contains(3.0)
+    # the two open rays around a double root of a downward parabola
+    rays = open_solution_set(-1.0, 2.0, -1.0)
+    assert rays.pieces == (Interval(-np.inf, 1.0, False, False), Interval(1.0, np.inf, False, False))
+    assert PredictionRegion(rays.pieces) == rays
+    assert PredictionRegion(()).pieces == () and PredictionRegion(iter(())).is_empty
+    assert PredictionRegion([Interval(-np.inf, np.inf, False, False)]) == PredictionRegion.real_line()
 
 
 def mask_region(keep):
