@@ -47,7 +47,7 @@ from .protocol import (
 )
 from .randomness import RandomStream
 from .regions import Interval, PredictionRegion, check_nested, point
-from .residuals import AffineResiduals, FeatureSchedule, RidgeResidualMap
+from .residuals import AffineResiduals, RidgeResidualMap
 from .stream import Observation, check_stream
 from .studentt import t_sf, t_upper_point
 
@@ -61,7 +61,6 @@ __all__ = [
     "PredictionRegion",
     "point",
     "check_nested",
-    "FeatureSchedule",
     "AffineResiduals",
     "RidgeResidualMap",
     "RandomStream",

@@ -35,7 +35,7 @@ from .protocol import (
     run_trace,
     uniformity_test,
 )
-from .residuals import FeatureSchedule
+from .residuals import DEFAULT_RIDGE
 
 DEFAULT_EPS = "0.05,0.01,0.005"
 # Synthetic validation battery dimensions (kept small so 20 seeds run fast).
@@ -90,8 +90,7 @@ def build_parser() -> _Parser:
     run.add_argument("--smoothed", type=_bool_flag, default=True)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--mc-samples", type=int, default=1000)
-    run.add_argument("--schedule-threshold", type=int, default=None)
-    run.add_argument("--ridge", type=float, default=0.01)
+    run.add_argument("--ridge", type=float, default=DEFAULT_RIDGE)
     run.add_argument("--out", required=True, help="output ledger path")
     run.set_defaults(func=cmd_run)
 
@@ -122,13 +121,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _schedule(args) -> FeatureSchedule:
-    try:
-        return FeatureSchedule(ridge=args.ridge, full_from=args.schedule_threshold)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def cmd_run(args) -> int:
     try:
         config = RunConfig(
@@ -137,7 +129,7 @@ def cmd_run(args) -> int:
             smoothed=args.smoothed,
             seed=args.seed,
             mc_samples=args.mc_samples,
-            schedule=_schedule(args),
+            ridge=args.ridge,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

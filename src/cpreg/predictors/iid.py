@@ -32,7 +32,7 @@ from numpy.typing import NDArray
 
 from ..design import DesignRows
 from ..regions import PredictionRegion, super_level_sets
-from ..residuals import AffineResiduals, FeatureSchedule, ridge_lines
+from ..residuals import DEFAULT_RIDGE, AffineResiduals, check_ridge, ridge_lines
 from ..stream import Observation
 from .base import OnlinePredictor, check_tau
 
@@ -135,12 +135,12 @@ class IidStepContext:
 class IidPredictor(OnlinePredictor):
     """On-line conformal predictor under the exchangeability model."""
 
-    def __init__(self, schedule: FeatureSchedule | None = None):
-        self.schedule = schedule or FeatureSchedule()
+    def __init__(self, ridge: float = DEFAULT_RIDGE):
+        self.ridge = check_ridge(ridge)
         self.design = DesignRows()
 
     def begin_step(self, x_new) -> IidStepContext:
-        _, residuals = ridge_lines(self.design.with_row(x_new), self.design.y, self.schedule)
+        _, residuals = ridge_lines(self.design.with_row(x_new), self.design.y, self.ridge)
         return IidStepContext(n=residuals.slopes.size, residuals=residuals)
 
     def _raw_regions(

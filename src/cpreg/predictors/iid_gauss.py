@@ -11,9 +11,9 @@ drawn uniformly from the sphere-slice
 
 where Z is the full design (dummy column plus all K features) in the
 permuted order.  The nonconformity score is the absolute ridge residual of
-the last slot under the feature schedule, so only the last-slot assignment
-of the permutation matters and every draw reduces to picking a slot and a
-point on the slice.
+the last slot, on the ``cpreg.residuals.features_used`` leading columns, so
+only the last-slot assignment of the permutation matters and every draw
+reduces to picking a slot and a point on the slice.
 
 Two regimes:
 
@@ -103,7 +103,14 @@ from ..linalg import (
 )
 from ..randomness import RandomStream
 from ..regions import PredictionRegion, super_level_sets
-from ..residuals import AffineResiduals, FeatureSchedule, RidgeResidualMap, ridge_lines
+from ..residuals import (
+    DEFAULT_RIDGE,
+    AffineResiduals,
+    RidgeResidualMap,
+    check_ridge,
+    features_used,
+    ridge_lines,
+)
 from ..stream import Observation
 from .base import OnlinePredictor
 from .iid import IidStepContext, iid_pvalue
@@ -307,13 +314,13 @@ class IidGaussPredictor(OnlinePredictor):
 
     def __init__(
         self,
-        schedule: FeatureSchedule | None = None,
+        ridge: float = DEFAULT_RIDGE,
         rng: RandomStream | None = None,
         mc_samples: int = 1000,
     ):
         if mc_samples < 1:
             raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
-        self.schedule = schedule or FeatureSchedule()
+        self.ridge = check_ridge(ridge)
         self.mc_samples = int(mc_samples)
         self._rng = rng if rng is not None else RandomStream(0, substream=1)
         self.design = DesignState()
@@ -368,8 +375,8 @@ class IidGaussPredictor(OnlinePredictor):
             half = triangular_solve(factor, design.T)  # L^{-1} Z'
             leverage = np.einsum("ij,ij->j", half, half)
         self._staged = (zn[1:].copy(), leverage)
-        ridged = self.schedule.features_used(n, cols - 1) + 1  # the ridge design's columns
-        rmap = RidgeResidualMap(design[:, :ridged], gram[:ridged, :ridged], self.schedule.ridge)
+        ridged = features_used(n, cols - 1) + 1  # the ridge design's columns
+        rmap = RidgeResidualMap(design[:, :ridged], gram[:ridged, :ridged], self.ridge)
         # the response (candidate slot zeroed), the candidate's unit vector and
         # the slice point's intercept and slope, through one projector solve
         cols4 = np.zeros((n, 4))
@@ -387,7 +394,7 @@ class IidGaussPredictor(OnlinePredictor):
         """Any step from an SVD of Z, which also decides its rank."""
         n, cols = design.shape
         ys, t0, syy = self.design.y, raw[:-1, -1], raw[-1, -1]
-        rmap, aff = ridge_lines(design, ys, self.schedule)
+        rmap, aff = ridge_lines(design, ys, self.ridge)
         ea = (float(aff.slopes[-1]), float(aff.intercepts[-1]))
         # While n <= K + 2 the slice has d <= 1 unless Z is rank-deficient.
         # The reduced left factor is square while n <= K + 1; at n = K + 2 it

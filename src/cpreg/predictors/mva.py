@@ -26,7 +26,7 @@ import numpy as np
 from ..design import DesignState
 from ..linalg import cholesky_solve
 from ..regions import Interval, PredictionRegion
-from ..residuals import FeatureSchedule, ridge_factor
+from ..residuals import DEFAULT_RIDGE, check_ridge, features_used, ridge_factor
 from ..stream import Observation
 from ..studentt import t_sf, t_upper_point
 from .base import OnlinePredictor
@@ -82,8 +82,8 @@ class MvaStepContext:
 class MvaPredictor(OnlinePredictor):
     """On-line predictor reading only cross-moment sums of the data."""
 
-    def __init__(self, schedule: FeatureSchedule | None = None):
-        self.schedule = schedule or FeatureSchedule()
+    def __init__(self, ridge: float = DEFAULT_RIDGE):
+        self.ridge = check_ridge(ridge)
         self.design = DesignState()
 
     def begin_step(self, x_new) -> MvaStepContext:
@@ -92,8 +92,8 @@ class MvaPredictor(OnlinePredictor):
         n = m + 1
         if n < self.first_informative_step(x_new.size):
             return MvaStepContext(n=n, informative=False)
-        kd = self.schedule.features_used(n, x_new.size)
-        a = self.schedule.ridge
+        kd = features_used(n, x_new.size)
+        a = self.ridge
         raw = self.design.raw_moments()
         u = np.concatenate(([1.0], x_new[:kd]))
         gram = raw[: kd + 1, : kd + 1] + np.outer(u, u)

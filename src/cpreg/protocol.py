@@ -17,7 +17,7 @@ import numpy as np
 
 from .ledger import OnlineLedger
 from .randomness import RandomStream
-from .residuals import FeatureSchedule
+from .residuals import DEFAULT_RIDGE, check_ridge
 from .stream import check_stream
 from .predictors import (
     GaussPredictor,
@@ -44,7 +44,7 @@ class RunConfig:
     smoothed: bool = True
     seed: int = 0
     mc_samples: int = 1000
-    schedule: FeatureSchedule = FeatureSchedule()
+    ridge: float = DEFAULT_RIDGE
 
     def __post_init__(self):
         if self.predictor not in PREDICTOR_KINDS:
@@ -58,7 +58,10 @@ class RunConfig:
             raise ValueError(f"significance levels must be strictly decreasing, got {eps}")
         if self.mc_samples < 1:
             raise ValueError(f"mc_samples must be at least 1, got {self.mc_samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         object.__setattr__(self, "epsilons", eps)
+        object.__setattr__(self, "ridge", check_ridge(self.ridge))
 
 
 @dataclass
@@ -89,14 +92,14 @@ class PValueTrace:
 
 def make_predictor(config: RunConfig) -> OnlinePredictor:
     if config.predictor == "iid":
-        return IidPredictor(config.schedule)
+        return IidPredictor(config.ridge)
     if config.predictor == "gauss":
         return GaussPredictor()
     if config.predictor == "mva":
-        return MvaPredictor(config.schedule)
+        return MvaPredictor(config.ridge)
     if config.predictor == "iid-gauss":
         return IidGaussPredictor(
-            config.schedule, RandomStream(config.seed, substream=1), config.mc_samples
+            config.ridge, RandomStream(config.seed, substream=1), config.mc_samples
         )
     return WilksPredictor()
 

@@ -8,13 +8,16 @@ owns the ridge system U'U + aI that iid, iid-gauss and mva solve:
 ``v -> (I - U (U'U + aI)^{-1} U') v`` built on it, and :func:`ridge_lines`
 gives a step's slope/intercept pairs from the rows.
 
-The feature schedule decides how many explanatory columns enter the
-design at a given step: the first ``LEADING_BLOCK`` early on, all of them
-once enough observations have accumulated.
+The ridge design U of step n holds the dummy column and, of the K
+explanatory columns, the first ``LEADING_BLOCK`` (or all K, if fewer)
+before step K + 3 and all K from then on (:func:`features_used`): K + 3
+is the first step at which a classical regression interval exists.  The
+ridge coefficient a is the only model parameter (:func:`check_ridge`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,34 +29,18 @@ DEFAULT_RIDGE = 0.01
 LEADING_BLOCK = 10
 
 
-@dataclass(frozen=True)
-class FeatureSchedule:
-    """Step-indexed choice of design width plus the ridge coefficient.
+def check_ridge(ridge: float) -> float:
+    ridge = float(ridge)
+    if not 0.0 < ridge < math.inf:
+        raise ValueError(f"ridge coefficient must be positive and finite, got {ridge}")
+    return ridge
 
-    ``features_used(n, k_total)`` returns how many explanatory columns the
-    design uses at step ``n`` when the data has ``k_total`` of them: the
-    first ``LEADING_BLOCK`` (capped at ``k_total``) before step
-    ``full_from``, all ``k_total`` from then on.  ``full_from=None``
-    defaults the threshold to ``k_total + 3``, the first step at which a
-    classical regression interval is available.
-    """
 
-    ridge: float = DEFAULT_RIDGE
-    full_from: int | None = None
-
-    def __post_init__(self):
-        if not self.ridge > 0.0:
-            raise ValueError(f"ridge coefficient must be positive, got {self.ridge}")
-        if self.full_from is not None and self.full_from < 1:
-            raise ValueError("schedule threshold must be >= 1")
-
-    def features_used(self, n: int, k_total: int) -> int:
-        if n < 1:
-            raise ValueError(f"step index must be >= 1, got {n}")
-        threshold = self.full_from if self.full_from is not None else k_total + 3
-        if n < threshold:
-            return min(LEADING_BLOCK, k_total)
-        return k_total
+def features_used(n: int, k: int) -> int:
+    """Explanatory columns in the ridge design of step ``n`` out of ``k``."""
+    if n < 1:
+        raise ValueError(f"step index must be >= 1, got {n}")
+    return k if n >= k + 3 else min(LEADING_BLOCK, k)
 
 
 @dataclass(frozen=True)
@@ -83,9 +70,9 @@ def ridge_factor(gram: NDArray[np.float64], ridge: float) -> NDArray[np.float64]
 class RidgeResidualMap:
     """The residual projector v -> (I - U (U'U + aI)^{-1} U') v of one step.
 
-    U is the step's ridge design: the dummy ones column plus the scheduled
-    number of leading feature columns, history rows first and the new
-    observation's row last.  The caller passes U itself, typically the
+    U is the step's ridge design: the dummy ones column plus the
+    :func:`features_used` leading feature columns, history rows first and
+    the new observation's row last.  The caller passes U itself, typically the
     leading ``features_used + 1`` columns of a
     :class:`~cpreg.design.DesignRows` view, which stores the dummy column
     first, together with its Gram matrix U'U, formed from the rows
@@ -122,15 +109,16 @@ class RidgeResidualMap:
 
 
 def ridge_lines(
-    design: NDArray[np.float64], y_past: NDArray[np.float64], schedule: FeatureSchedule
+    design: NDArray[np.float64], y_past: NDArray[np.float64], ridge: float
 ) -> tuple[RidgeResidualMap, AffineResiduals]:
-    """The projector of a step's scheduled design U, and its residual lines.
+    """The projector of a step's ridge design U, and its residual lines.
 
     ``design`` is the step's full design [1, X], the new row last, and
     ``y_past`` the other rows' responses.  U is its dummy column and the
-    ``schedule``'s leading feature columns, and U'U is formed from the rows.
+    :func:`features_used` leading feature columns, and U'U is formed from
+    the rows.
     """
     n, cols = design.shape
-    u = design[:, : schedule.features_used(n, cols - 1) + 1]
-    rmap = RidgeResidualMap(u, u.T @ u, schedule.ridge)
+    u = design[:, : features_used(n, cols - 1) + 1]
+    rmap = RidgeResidualMap(u, u.T @ u, ridge)
     return rmap, rmap.affine_in_last(y_past)

@@ -15,7 +15,6 @@ from scipy.linalg import cho_factor, cho_solve
 
 from cpreg import (
     AffineResiduals,
-    FeatureSchedule,
     GaussPredictor,
     IidGaussPredictor,
     Observation,
@@ -26,6 +25,7 @@ from cpreg import (
 )
 from cpreg.linalg import RANK_RTOL, NumericalError
 from cpreg.regions import Interval
+from cpreg.residuals import DEFAULT_RIDGE, features_used
 from cpreg.studentt import t_upper_point
 
 Vector = NDArray[np.float64]
@@ -320,15 +320,15 @@ def gauss_tstat(state: GaussPredictor, x_new, y_new: float) -> float:
     return (float(y_new) - ctx.center) / ctx.scale
 
 
-def ridge_design(features: Matrix, step: int, schedule: FeatureSchedule) -> Matrix:
-    """The ridge design U of ``step``: a ones column stacked before the scheduled feature columns."""
+def ridge_design(features: Matrix, step: int) -> Matrix:
+    """The ridge design U of ``step``: a ones column stacked before its ``features_used`` columns."""
     features = np.asarray(features, dtype=float)
-    used = schedule.features_used(step, features.shape[1])
+    used = features_used(step, features.shape[1])
     return np.column_stack((np.ones(features.shape[0]), features[:, :used]))
 
 
 def ridge_residual_affine(
-    x_history: Matrix, y_history: Vector, x_new: Vector, schedule: FeatureSchedule
+    x_history: Matrix, y_history: Vector, x_new: Vector, ridge: float = DEFAULT_RIDGE
 ) -> AffineResiduals:
     """Affine residual coefficients for history plus one new feature row."""
     x_history = np.asarray(x_history, dtype=float)
@@ -337,12 +337,12 @@ def ridge_residual_affine(
         x_history = x_history.reshape(len(y_history), -1)
     rows = np.vstack([x_history, x_new[None, :]]) if x_history.shape[0] else x_new[None, :]
     step = rows.shape[0]
-    design = ridge_design(rows, step, schedule)
-    rmap = RidgeResidualMap(design, design.T @ design, schedule.ridge)
+    design = ridge_design(rows, step)
+    rmap = RidgeResidualMap(design, design.T @ design, ridge)
     return rmap.affine_in_last(np.asarray(y_history, dtype=float))
 
 
-def mva_residual_affine(x_history, y_history, x_new, schedule: FeatureSchedule | None = None) -> AffineResiduals:
+def mva_residual_affine(x_history, y_history, x_new, ridge: float = DEFAULT_RIDGE) -> AffineResiduals:
     """Ridge residuals of all n slots as affine functions of the last response.
 
     The decomposition is the one the exchangeability predictor sweeps over,
@@ -354,7 +354,7 @@ def mva_residual_affine(x_history, y_history, x_new, schedule: FeatureSchedule |
         x_history,
         np.asarray(y_history, dtype=float),
         np.asarray(x_new, dtype=float),
-        schedule or FeatureSchedule(),
+        ridge,
     )
 
 

@@ -16,7 +16,6 @@ import scipy.optimize
 import scipy.stats
 
 from cpreg import (
-    FeatureSchedule,
     GaussPredictor,
     IidPredictor,
     MvaPredictor,
@@ -35,6 +34,7 @@ from cpreg import (
     wilks_region,
     write_plot_data,
 )
+from cpreg.residuals import DEFAULT_RIDGE, features_used
 from oracles import gauss_tstat, running_median
 
 EPS = (0.05, 0.01, 0.005)
@@ -132,23 +132,22 @@ def test_criterion_4_deterministic_conservativeness():
     assert ok
 
 
-def _ridge_scores(xs, ys, schedule):
+def _ridge_scores(xs, ys):
     """From-scratch absolute ridge residuals of every slot (grid-vectorized).
 
     ``ys`` may be a matrix whose columns are candidate completions; returns
     the matching matrix of absolute residuals.
     """
     n, k_total = xs.shape
-    used = schedule.features_used(n, k_total)
+    used = features_used(n, k_total)
     design = np.column_stack((np.ones(n), xs[:, :used]))
-    gram = design.T @ design + schedule.ridge * np.eye(used + 1)
+    gram = design.T @ design + DEFAULT_RIDGE * np.eye(used + 1)
     coef = np.linalg.solve(gram, design.T @ ys)
     return np.abs(ys - design @ coef)
 
 
 def test_criterion_5_oracle_equivalence():
     rng = np.random.default_rng(12345)
-    schedule = FeatureSchedule()
     grid = np.linspace(-50.0, 50.0, 2001)
     levels = (0.05, 0.1, 0.3)
     disagreements = 0
@@ -160,14 +159,14 @@ def test_criterion_5_oracle_equivalence():
         xs = rng.normal(size=(n, k))
         ys = rng.normal(size=n - 1) * 3.0
         completions = np.vstack((np.repeat(ys[:, None], grid.size, axis=1), grid[None, :]))
-        scores = _ridge_scores(xs, completions, schedule)
+        scores = _ridge_scores(xs, completions)
         own = scores[-1]
         greater = (scores[:-1] > own[None, :]).sum(axis=0)
         ties = (scores[:-1] == own[None, :]).sum(axis=0) + 1
         iid_member = (greater + ties) / n > eps
 
-        iid = IidPredictor(schedule)
-        mva = MvaPredictor(schedule)
+        iid = IidPredictor()
+        mva = MvaPredictor()
         gauss = GaussPredictor()
         for x, y in zip(xs[:-1], ys):
             obs = Observation(x, float(y))
@@ -185,9 +184,9 @@ def test_criterion_5_oracle_equivalence():
 
         if n >= 3:
             # the statistic needs signed residuals, recomputed from scratch
-            used = schedule.features_used(n, k)
+            used = features_used(n, k)
             design = np.column_stack((np.ones(n), xs[:, :used]))
-            gram = design.T @ design + schedule.ridge * np.eye(used + 1)
+            gram = design.T @ design + DEFAULT_RIDGE * np.eye(used + 1)
             resid = completions - design @ np.linalg.solve(gram, design.T @ completions)
             gap = resid[-1] - resid[:-1].mean(axis=0)
             ss = ((resid[:-1] - resid[:-1].mean(axis=0)[None, :]) ** 2).sum(axis=0)

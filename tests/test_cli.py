@@ -128,6 +128,30 @@ def test_usage_errors_exit_1(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "kind, flags, message",
+    [
+        ("iid", ["--ridge", "inf"], "ridge coefficient must be positive and finite, got inf"),
+        ("iid-gauss", ["--ridge", "inf"], "ridge coefficient must be positive and finite, got inf"),
+        ("mva", ["--ridge", "nan"], "ridge coefficient must be positive and finite, got nan"),
+        ("iid", ["--ridge", "0"], "ridge coefficient must be positive and finite, got 0.0"),
+        ("iid", ["--seed", "-1"], "seed must be non-negative, got -1"),
+        ("iid-gauss", ["--seed", "-1", "--smoothed", "false"], "seed must be non-negative, got -1"),
+        ("iid", ["--schedule-threshold", "5"], "unrecognized arguments: --schedule-threshold 5"),
+    ],
+    ids=["inf-ridge", "inf-ridge-iid-gauss", "nan-ridge-mva", "zero-ridge", "negative-seed",
+         "negative-seed-iid-gauss", "removed-flag"],
+)
+def test_bad_run_settings_exit_1(tmp_path, capsys, kind, flags, message):
+    # settings are checked, with a message naming the bad value, before
+    # any step runs and before a ledger is written
+    data = tmp_path / "d.csv"
+    write_stream(data, [Observation(np.array([0.5 * i]), float(i)) for i in range(6)])
+    out = tmp_path / "out.csv"
+    assert main(["run", "--data", str(data), "--predictor", kind, *flags, "--out", str(out)]) == 1
+    assert f"cpreg: usage error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
 def test_data_errors_exit_2(tmp_path):
     out = tmp_path / "out.csv"
     assert main(["run", "--data", str(tmp_path / "no.csv"), "--predictor", "iid", "--out", str(out)]) == 2

@@ -10,7 +10,6 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PUBLIC = [
     "AffineResiduals",
     "DataFormatError",
-    "FeatureSchedule",
     "GaussPredictor",
     "IidGaussPredictor",
     "IidPredictor",

@@ -9,7 +9,6 @@ from oracles import iid_dense_tables, iid_per_probe_region, ridge_design, ridge_
 
 from cpreg import (
     AffineResiduals,
-    FeatureSchedule,
     GaussPredictor,
     IidGaussPredictor,
     IidPredictor,
@@ -26,6 +25,7 @@ from cpreg import (
 )
 from cpreg.design import DesignState
 from cpreg.predictors.iid import PARALLEL_TOL, IidStepContext
+from cpreg.residuals import DEFAULT_RIDGE, features_used
 
 
 def test_pvalue_counting_rules():
@@ -76,7 +76,7 @@ def test_degenerate_point_region_survives():
 
 
 def test_critical_points_skip_parallel_lines():
-    aff = ridge_residual_affine(np.empty((1, 0)), np.array([2.0]), np.empty(0), FeatureSchedule())
+    aff = ridge_residual_affine(np.empty((1, 0)), np.array([2.0]), np.empty(0))
     pts = critical_points(aff)
     # slopes -100/201 and 101/201: both sign equations have solutions
     assert pts.size == 2
@@ -89,14 +89,14 @@ def test_critical_points_skip_parallel_lines():
     assert pts == pytest.approx(direct, rel=1e-12)
 
 
-def oracle_membership(xs, ys, x_new, y, eps, tau, sched):
+def oracle_membership(xs, ys, x_new, y, eps, tau):
     """From-scratch ridge recompute + direct counting, no shared code path."""
     n = len(ys) + 1
     stacked = np.vstack((np.asarray(xs, dtype=float), np.asarray(x_new, dtype=float)[None, :]))
-    kd = sched.features_used(n, stacked.shape[1])
+    kd = features_used(n, stacked.shape[1])
     design = np.column_stack((np.ones(n), stacked[:, :kd]))
     v = np.concatenate((ys, [y]))
-    coef = np.linalg.solve(design.T @ design + sched.ridge * np.eye(kd + 1), design.T @ v)
+    coef = np.linalg.solve(design.T @ design + DEFAULT_RIDGE * np.eye(kd + 1), design.T @ v)
     scores = np.abs(v - design @ coef)
     p = (np.sum(scores[:-1] > scores[-1]) + tau * (np.sum(scores[:-1] == scores[-1]) + 1)) / n
     return p > eps
@@ -104,7 +104,6 @@ def oracle_membership(xs, ys, x_new, y, eps, tau, sched):
 
 def test_region_matches_dense_grid_oracle():
     rng = np.random.default_rng(100)
-    sched = FeatureSchedule()
     for _ in range(30):
         n = int(rng.integers(2, 13))
         k = int(rng.integers(1, 3))
@@ -112,7 +111,7 @@ def test_region_matches_dense_grid_oracle():
         ys = rng.standard_normal(n - 1) * 3.0
         x_new = rng.standard_normal(k)
         eps = float(rng.uniform(0.05, 0.6))
-        pred = IidPredictor(sched)
+        pred = IidPredictor()
         feed(pred, xs, ys)
         ctx = pred.begin_step(x_new)
         region = pred.raw_region(ctx, eps, 1.0)
@@ -121,7 +120,7 @@ def test_region_matches_dense_grid_oracle():
         for y in grid:
             if any(abs(y - e) < 1e-9 for e in endpoints):
                 continue  # membership at the boundary is resolution-limited
-            want = oracle_membership(xs, ys, x_new, float(y), eps, 1.0, sched)
+            want = oracle_membership(xs, ys, x_new, float(y), eps, 1.0)
             assert region.contains(float(y)) == want, (n, k, eps, y)
 
 
@@ -385,16 +384,16 @@ def test_iid_keeps_only_its_rows(monkeypatch):
 
     monkeypatch.setattr(DesignState, "append", spy_fold)
     monkeypatch.setattr(RidgeResidualMap, "__init__", spy_init)
-    k, schedule = 20, FeatureSchedule()
+    k = 20
     stream = generate(SyntheticSpec(k=k, n=40, seed=0))
-    pred = IidPredictor(schedule)
+    pred = IidPredictor()
     for n, obs in enumerate(stream, start=1):
         pred.begin_step(obs.x)
         design = designs[-1]
         assert np.shares_memory(design, pred.design.with_row(obs.x))
         assert design.strides == (8 * (k + 1), 8)  # the buffer's rows, read in place
         xs = np.array([o.x for o in stream[:n]])
-        assert np.array_equal(design, ridge_design(xs, n, schedule))
+        assert np.array_equal(design, ridge_design(xs, n))
         pred.observe(obs)
     assert folds == []
     assert not hasattr(pred.design, "comoment") and not hasattr(pred.design, "mean")

@@ -5,7 +5,6 @@ import pytest
 from scipy.stats import ks_2samp
 
 from cpreg import (
-    FeatureSchedule,
     IidGaussPredictor,
     IidPredictor,
     Observation,
@@ -20,6 +19,7 @@ from cpreg.predictors import iid_gauss
 from cpreg.predictors.iid_gauss import null_slot_coordinates
 from cpreg.randomness import RandomStream
 from cpreg.regions import check_nested
+from cpreg.residuals import DEFAULT_RIDGE
 
 from oracles import (
     REFINE_RTOL,
@@ -117,8 +117,8 @@ def test_slice_radius_matches_null_direction_projection():
     assert ctx.exact and ctx.atoms.n == 2 * ctx.n
     rows = np.vstack((xs, x_new))
     u = np.linalg.svd(np.column_stack((np.ones(3), rows)))[0][:, -1]
-    design = ridge_design(rows, 3, FeatureSchedule())
-    residuals = RidgeResidualMap(design, design.T @ design, FeatureSchedule().ridge).apply
+    design = ridge_design(rows, 3)
+    residuals = RidgeResidualMap(design, design.T @ design, DEFAULT_RIDGE).apply
     c2, c1, c0 = ctx.rad2
     for y in (-3.0, 0.0, 2.0, 5.5):
         full = np.append(ys, y)
@@ -638,8 +638,8 @@ def _assert_matches_slice_geometry(steps, lines=True):
         assert draws["leverage"] == pytest.approx(leverage[slots], rel=1e-9), n
         if not lines:
             continue
-        ridged = ridge_design(xs, n, FeatureSchedule())
-        project = RidgeResidualMap(ridged, ridged.T @ ridged, FeatureSchedule().ridge).apply
+        ridged = ridge_design(xs, n)
+        project = RidgeResidualMap(ridged, ridged.T @ ridged, DEFAULT_RIDGE).apply
         base, slope = project(v00)[slots], project(v01)[slots]
         assert ctx.slot_base == pytest.approx(base, rel=1e-9, abs=1e-9 * np.abs(base).max()), n
         assert ctx.slot_slope == pytest.approx(slope, rel=1e-9, abs=1e-9 * np.abs(slope).max()), n

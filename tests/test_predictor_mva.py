@@ -8,7 +8,6 @@ import scipy.stats
 from oracles import mva_residual_affine, ridge_residual_affine
 
 from cpreg import (
-    FeatureSchedule,
     MvaPredictor,
     NumericalError,
     Observation,
@@ -48,7 +47,7 @@ def test_residual_decomposition_is_shared():
     ys = rng.normal(size=6)
     x_new = rng.normal(size=2)
     a = mva_residual_affine(xs, ys, x_new)
-    b = ridge_residual_affine(xs, ys, x_new, FeatureSchedule())
+    b = ridge_residual_affine(xs, ys, x_new)
     assert np.array_equal(a.slopes, b.slopes)
     assert np.array_equal(a.intercepts, b.intercepts)
 

@@ -1,4 +1,4 @@
-"""Feature schedule and the shared ridge-residual affine machinery."""
+"""The ridge design's feature rule and the shared ridge-residual affine machinery."""
 
 import sys
 
@@ -9,7 +9,9 @@ from oracles import ridge_design, ridge_residual_affine
 
 from cpreg import (
     AffineResiduals,
-    FeatureSchedule,
+    IidGaussPredictor,
+    IidPredictor,
+    MvaPredictor,
     RidgeResidualMap,
     RunConfig,
     SyntheticSpec,
@@ -18,7 +20,7 @@ from cpreg import (
 )
 from cpreg.design import DesignRows, DesignState
 from cpreg.linalg import NumericalError, cholesky_factor
-from cpreg.residuals import LEADING_BLOCK, ridge_factor
+from cpreg.residuals import DEFAULT_RIDGE, LEADING_BLOCK, check_ridge, features_used, ridge_factor
 
 # Intercept-only designs admit exact rational residual coefficients:
 # with m stored responses plus the candidate, the smoother weight is
@@ -28,32 +30,26 @@ DUMMY_2OBS_SLOPES = (-100.0 / 201.0, 101.0 / 201.0)  # one stored + candidate
 DUMMY_3OBS_SLOPES = (-100.0 / 301.0, -100.0 / 301.0, 201.0 / 301.0)
 
 
-def test_schedule_default_table():
-    sched = FeatureSchedule()
-    assert sched.ridge == pytest.approx(0.01)
-    # large feature count: leading block of 10 until the full threshold
-    assert sched.features_used(102, 100) == 10
-    assert sched.features_used(103, 100) == 100
-    assert sched.features_used(600, 100) == 100
+def test_features_used_table():
+    assert DEFAULT_RIDGE == 0.01
+    # large feature count: leading block of 10 until step K + 3
+    assert features_used(102, 100) == 10
+    assert features_used(103, 100) == 100
+    assert features_used(600, 100) == 100
     # small feature count: the block never exceeds what exists
-    assert sched.features_used(2, 3) == 3
-    assert sched.features_used(50, 3) == 3
-
-
-def test_schedule_override_threshold():
-    sched = FeatureSchedule(full_from=5)
-    assert sched.features_used(4, 20) == 10
-    assert sched.features_used(5, 20) == 20
+    assert features_used(2, 3) == 3
+    assert features_used(50, 3) == 3
+    with pytest.raises(ValueError, match="step index"):
+        features_used(0, 3)
 
 
 def test_dummy_only_affine_oracle():
     """Zero-feature data exercises the smoother against exact fractions."""
-    sched = FeatureSchedule()
-    one = ridge_residual_affine(np.empty((1, 0)), np.array([7.0]), np.empty(0), sched)
+    one = ridge_residual_affine(np.empty((1, 0)), np.array([7.0]), np.empty(0))
     assert one.slopes == pytest.approx(DUMMY_2OBS_SLOPES, rel=1e-14)
     assert one.intercepts == pytest.approx((7.0 * 101.0 / 201.0, -7.0 * 100.0 / 201.0), rel=1e-14)
 
-    two = ridge_residual_affine(np.empty((2, 0)), np.array([1.0, 2.0]), np.empty(0), sched)
+    two = ridge_residual_affine(np.empty((2, 0)), np.array([1.0, 2.0]), np.empty(0))
     assert two.slopes == pytest.approx(DUMMY_3OBS_SLOPES, rel=1e-14)
     # intercept of the candidate slot: -(y1 + y2)/3.01
     assert two.intercepts[-1] == pytest.approx(-3.0 / 3.01, rel=1e-14)
@@ -62,21 +58,20 @@ def test_dummy_only_affine_oracle():
 def test_affine_matches_direct_recompute():
     """e_i(y) from the affine form equals a from-scratch ridge fit at that y."""
     rng = np.random.default_rng(21)
-    sched = FeatureSchedule()
     for _ in range(20):
         n = int(rng.integers(1, 9))
         k = int(rng.integers(1, 4))
         xs = rng.standard_normal((n, k))
         ys = rng.standard_normal(n)
         x_new = rng.standard_normal(k)
-        aff = ridge_residual_affine(xs, ys, x_new, sched)
+        aff = ridge_residual_affine(xs, ys, x_new)
         for y in (-2.0, 0.3, 5.0):
             stacked = np.vstack((xs, x_new[None, :]))
-            kd = sched.features_used(n + 1, k)
+            kd = features_used(n + 1, k)
             design = np.column_stack((np.ones(n + 1), stacked[:, :kd]))
             v = np.concatenate((ys, [y]))
             coef = np.linalg.solve(
-                design.T @ design + sched.ridge * np.eye(kd + 1), design.T @ v
+                design.T @ design + DEFAULT_RIDGE * np.eye(kd + 1), design.T @ v
             )
             direct = v - design @ coef
             assert aff.at(y) == pytest.approx(direct, rel=1e-9, abs=1e-11)
@@ -93,9 +88,8 @@ def test_residual_map_linear_action():
     """The map acts linearly: affine-in-last equals base plus slope action."""
     rng = np.random.default_rng(8)
     xs = rng.standard_normal((5, 2))
-    sched = FeatureSchedule()
-    design = ridge_design(xs, 5, sched)
-    rmap = RidgeResidualMap(design, design.T @ design, sched.ridge)
+    design = ridge_design(xs, 5)
+    rmap = RidgeResidualMap(design, design.T @ design, DEFAULT_RIDGE)
     ys = rng.standard_normal(4)
     aff = rmap.affine_in_last(ys)
     base = rmap.apply(np.concatenate((ys, [0.0])))
@@ -109,10 +103,10 @@ def test_residual_map_linear_action():
 
 def test_projector_from_a_moment_gram_matches_the_rows():
     # iid-gauss reads U'U from running moments; the map it builds must act
-    # as the one that forms U'U from the rows, on the leading block too
+    # as the one that forms U'U from the rows, on the leading block too:
+    # with K >= n the ridge design keeps the first LEADING_BLOCK features
     rng = np.random.default_rng(9)
-    xs = 3.0 + rng.standard_normal((30, 12))
-    sched = FeatureSchedule(full_from=40)
+    xs = 3.0 + rng.standard_normal((30, 30))
     state = DesignState()
     for x in xs[:-1]:
         state.append(x, 0.0)
@@ -121,12 +115,13 @@ def test_projector_from_a_moment_gram_matches_the_rows():
     gram = (raw[:-1, :-1] + np.outer(z_n, z_n))[:11, :11]
     design = np.column_stack((np.ones(30), xs[:, :10]))
     v = rng.standard_normal((30, 3))
-    stacked = ridge_design(xs, 30, sched)
-    rows = RidgeResidualMap(stacked, stacked.T @ stacked, sched.ridge).apply(v)
-    from_gram = RidgeResidualMap(design, gram, sched.ridge)
+    stacked = ridge_design(xs, 30)
+    assert np.array_equal(stacked, design)
+    rows = RidgeResidualMap(stacked, stacked.T @ stacked, DEFAULT_RIDGE).apply(v)
+    from_gram = RidgeResidualMap(design, gram, DEFAULT_RIDGE)
     assert from_gram.apply(v) == pytest.approx(rows, rel=1e-10, abs=1e-12)
     with pytest.raises(NumericalError):
-        RidgeResidualMap(design, np.full((11, 11), np.inf), sched.ridge)
+        RidgeResidualMap(design, np.full((11, 11), np.inf), DEFAULT_RIDGE)
 
 
 @pytest.mark.parametrize("k", [2, 20, 100])
@@ -199,8 +194,13 @@ def test_every_ridge_factorisation_goes_through_ridge_factor(monkeypatch):
         assert not any("U'U" in name for name, nested in kernel_calls if not nested), kind
 
 
-def test_schedule_validation():
-    with pytest.raises(ValueError):
-        FeatureSchedule(ridge=-1.0)
-    with pytest.raises(ValueError):
-        FeatureSchedule(full_from=0)
+def test_ridge_validation():
+    assert check_ridge(1) == 1.0 and type(check_ridge(1)) is float
+    for bad in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="ridge coefficient"):
+            check_ridge(bad)
+        for build in (IidPredictor, MvaPredictor, IidGaussPredictor):
+            with pytest.raises(ValueError, match="ridge coefficient"):
+                build(ridge=bad)
+        with pytest.raises(ValueError, match="ridge coefficient"):
+            RunConfig(predictor="iid", ridge=bad)
