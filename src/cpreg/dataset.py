@@ -10,13 +10,12 @@ round-trip is bit-exact, and infinite widths use the literal token "inf".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ledger import LedgerTable
-from .randomness import RandomStream
+from .randomness import RandomStream, check_integer
 from .stream import Observation, check_stream
 
 
@@ -38,10 +37,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"need at least one explanatory variable, got k={self.k}")
-        if self.n < 0:
-            raise ValueError(f"stream length must be nonnegative, got n={self.n}")
+        for name, minimum in (("k", 1), ("n", 0), ("seed", 0)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
         if not self.noise_std > 0.0:
             raise ValueError(f"noise level must be positive, got {self.noise_std}")
 
@@ -56,12 +53,11 @@ def beta_vector(spec: SyntheticSpec) -> np.ndarray:
     return beta
 
 
-def generate(spec: SyntheticSpec, rng: RandomStream | None = None) -> list[Observation]:
-    """Draw the synthetic stream; deterministic given (spec, rng seed)."""
-    if rng is None:
-        rng = RandomStream(spec.seed)
+def generate(spec: SyntheticSpec) -> list[Observation]:
+    """Draw the synthetic stream; deterministic given the spec."""
     if spec.n == 0:
         return []
+    rng = RandomStream(spec.seed)
     xs = rng.gaussian_matrix(spec.n, spec.k)
     noise = rng.gaussian(spec.n)
     ys = spec.alpha + xs @ beta_vector(spec) + spec.noise_std * noise
@@ -100,12 +96,9 @@ def read_stream(path) -> list[Observation]:
         lines = fh.read().splitlines()
     if not lines:
         raise DataFormatError("empty file: missing header row")
-    header = lines[0].split(",")
-    if header[-1] != "y" or any(
-        name != f"x{j + 1}" for j, name in enumerate(header[:-1])
-    ):
+    k = lines[0].count(",")
+    if lines[0] != ",".join([f"x{j + 1}" for j in range(k)] + ["y"]):
         raise DataFormatError(f"malformed header {lines[0]!r}: expected x1,...,xK,y")
-    k = len(header) - 1
     stream = []
     for row, line in enumerate(lines[1:], start=1):
         if not line:
@@ -115,96 +108,77 @@ def read_stream(path) -> list[Observation]:
             raise DataFormatError(f"row {row}: expected {k + 1} fields, got {len(fields)}")
         try:
             values = [float(f) for f in fields]
+            stream.append(Observation(values[:-1], values[-1]))
         except ValueError as exc:
-            raise DataFormatError(f"row {row}: non-numeric field ({exc})") from exc
-        if not all(math.isfinite(v) for v in values):
-            raise DataFormatError(f"row {row}: non-finite value")
-        stream.append(Observation(values[:-1], values[-1]))
+            raise DataFormatError(f"row {row}: {exc}") from exc
     return stream
+
+
+def _ledger_header(levels: tuple[float, ...]) -> str:
+    names = (f"{name}_{eps!r}" for eps in levels for name in ("err", "Err", "L", "M"))
+    return ",".join(("n", *names))
 
 
 def write_ledger(path, ledger: LedgerTable) -> None:
     """One row per step: n, then err/Err/L/M per significance level."""
     if ledger.steps < 1:
         raise ValueError("refusing to write an empty ledger")
-    levels = ledger.levels
-    columns = ["n"]
-    for eps in levels:
-        tag = repr(float(eps))
-        columns += [f"err_{tag}", f"Err_{tag}", f"L_{tag}", f"M_{tag}"]
-    per_level = {
-        eps: (
-            ledger.errors(eps),
-            ledger.cumulative_errors(eps),
-            ledger.widths(eps),
-            ledger.medians(eps),
-        )
-        for eps in levels
-    }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
+        fh.write(_ledger_header(ledger.levels) + "\n")
         for i in range(ledger.steps):
-            row = [str(i + 1)]
-            for eps in levels:
-                err, cum, width, median = per_level[eps]
-                row += [str(err[i]), str(cum[i]), _fmt(width[i]), _fmt(median[i])]
-            fh.write(",".join(row) + "\n")
+            fields = [str(i + 1)]
+            for err, cum, width, median in ledger.row(i):
+                fields += [str(err), str(cum), _fmt(width), _fmt(median)]
+            fh.write(",".join(fields) + "\n")
 
 
 def read_ledger(path) -> LedgerTable:
-    """Parse a ledger file written by :func:`write_ledger`."""
+    """Parse a ledger file written by :func:`write_ledger`.
+
+    Each row is replayed through :meth:`LedgerTable.append`, which checks
+    err and L and derives Err and M; the file's Err and M must equal those.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise DataFormatError("empty file: missing ledger header")
     header = lines[0].split(",")
-    if header[0] != "n" or (len(header) - 1) % 4 != 0:
+    try:
+        table = LedgerTable(float(name.split("_", 1)[-1]) for name in header[1::4])
+    except ValueError as exc:
+        raise DataFormatError(f"malformed ledger header {lines[0]!r}: {exc}") from exc
+    if _ledger_header(table.levels) != lines[0]:
         raise DataFormatError(f"malformed ledger header {lines[0]!r}")
-    levels = []
-    for j in range(1, len(header), 4):
-        group = header[j : j + 4]
-        prefixes = [name.split("_", 1)[0] for name in group]
-        tags = {name.split("_", 1)[1] for name in group if "_" in name}
-        if prefixes != ["err", "Err", "L", "M"] or len(tags) != 1:
-            raise DataFormatError(f"malformed ledger column group {group}")
-        try:
-            levels.append(float(tags.pop()))
-        except ValueError as exc:
-            raise DataFormatError(f"bad significance level in header: {exc}") from exc
-    if len(set(levels)) != len(levels):
-        raise DataFormatError(f"significance levels must be distinct, got {levels}")
-    columns = [([], [], [], []) for _ in levels]
+    levels = table.levels
     for row, line in enumerate(lines[1:], start=1):
         if not line:
             continue
         fields = line.split(",")
         if len(fields) != len(header):
             raise DataFormatError(f"row {row}: expected {len(header)} fields, got {len(fields)}")
+        if fields[0] != str(table.steps + 1):
+            raise DataFormatError(f"row {row}: step index {fields[0]} out of order")
         try:
-            index = int(fields[0])
-            parsed = [
-                (int(fields[j]), int(fields[j + 1]), float(fields[j + 2]), float(fields[j + 3]))
-                for j in range(1, len(header), 4)
-            ]
+            errors = dict(zip(levels, map(int, fields[1::4])))
+            cums = list(map(int, fields[2::4]))
+            widths = dict(zip(levels, map(float, fields[3::4])))
+            medians = list(map(float, fields[4::4]))
         except ValueError as exc:
             raise DataFormatError(f"row {row}: non-numeric field ({exc})") from exc
-        if index != row:
-            raise DataFormatError(f"row {row}: step index {fields[0]} out of order")
-        for j, (err_col, cum_col, width_col, median_col), (err, cum, width, median) in zip(
-            range(1, len(header), 4), columns, parsed
-        ):
-            running = (cum_col[-1] if cum_col else 0) + err
-            valid = (err in (0, 1), cum == running, width >= 0.0, median >= 0.0)
-            if not all(valid):  # only what ``record_step`` writes; inf is a valid width
-                at = valid.index(False)
-                want = ("0 or 1", f"the running error count {running}", "a width >= 0")[min(at, 2)]
-                name, value = header[j + at], fields[j + at]
-                raise DataFormatError(f"row {row}: {name} is {value}, expected {want}")
-            err_col.append(err)
-            cum_col.append(cum)
-            width_col.append(width)
-            median_col.append(median)
-    return LedgerTable(levels, dict(zip(levels, columns)))
+        try:
+            table.append(errors, widths)
+        except ValueError as exc:
+            raise DataFormatError(f"row {row}: {exc}") from exc
+        derived = table.row(-1)
+        for eps, cum, median, (_, want_cum, _, want_median) in zip(levels, cums, medians, derived):
+            if cum != want_cum:
+                problem = f"Err_{eps!r} is {cum}, expected the running error count {want_cum}"
+            elif median != want_median:
+                problem = f"M_{eps!r} is {median}, expected the running median {want_median}"
+            else:
+                continue
+            raise DataFormatError(f"row {row}: {problem}")
+    return table
 
 
 def write_plot_data(path, ledger: LedgerTable) -> None:

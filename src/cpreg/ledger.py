@@ -33,17 +33,47 @@ def _first_finite(values: list[float]) -> int | None:
 class LedgerTable:
     """Ledger columns err, Err, L and M keyed by significance level.
 
-    ``columns`` maps each level to its lists ``(err, Err, L, M)``, one
-    entry per step; the table reads them in place.
+    Every step, recorded by a run or read back from a file, goes through
+    :meth:`append`, the one place that checks err and L and derives Err and M.
     """
 
-    def __init__(self, levels: Sequence[float], columns: dict[float, tuple[list, ...]]):
+    def __init__(self, levels: Sequence[float]):
         levels = tuple(float(e) for e in levels)
         if len(set(levels)) != len(levels):
             raise ValueError("significance levels must be distinct")
         self.levels = levels
-        self._columns = columns
-        self.steps = len(columns[levels[0]][0]) if levels else 0
+        # Per level: the four ledger columns, then the widths so far in sorted order.
+        self._columns = {eps: ([], [], [], [], []) for eps in levels}
+        self.steps = 0
+
+    def append(self, errors: dict[float, int], widths: dict[float, float]) -> None:
+        """Append one step's err and L per level, deriving its Err and M.
+
+        Every level is checked before the first append, so a rejected step
+        leaves all columns as they were: err must be 0 or 1, and L must not
+        be NaN or negative (an unbounded region has L = inf).
+        """
+        for eps in self.levels:
+            if errors[eps] not in (0, 1):
+                raise ValueError(f"err_{eps!r} is {errors[eps]}, expected 0 or 1")
+            if not widths[eps] >= 0.0:
+                raise ValueError(f"L_{eps!r} is {widths[eps]}, expected a width >= 0")
+        for eps, (err_col, cum_col, width_col, median_col, ordered) in self._columns.items():
+            err = int(errors[eps])
+            width = float(widths[eps])
+            err_col.append(err)
+            cum_col.append((cum_col[-1] if cum_col else 0) + err)
+            width_col.append(width)
+            insort(ordered, width)
+            median_col.append(ordered[len(ordered) // 2])
+        self.steps += 1
+
+    def row(self, step: int) -> list[tuple[int, int, float, float]]:
+        """(err, Err, L, M) of the step at index ``step``, one tuple per level."""
+        return [
+            (err[step], cum[step], width[step], median[step])
+            for err, cum, width, median, _ in self._columns.values()
+        ]
 
     def errors(self, eps: float) -> list[int]:
         return list(self._columns[eps][0])
@@ -70,36 +100,19 @@ class OnlineLedger(LedgerTable):
     """The ledger a run records into, with the raw-region errors as well."""
 
     def __init__(self, levels: Sequence[float]):
-        # Per level, after the four ledger columns: the raw-region errors
-        # and the widths so far in sorted order.
-        super().__init__(levels, {float(eps): ([], [], [], [], [], []) for eps in levels})
+        super().__init__(levels)
+        self._raw = {eps: [] for eps in self.levels}
 
     def record_step(
-        self,
-        errors: dict[float, int],
-        raw_errors: dict[float, int],
-        widths: dict[float, float],
+        self, errors: dict[float, int], raw_errors: dict[float, int], widths: dict[float, float]
     ) -> None:
-        """Append one step's indicators and widths (one entry per level).
-
-        Every width is checked before the first append, so a rejected step
-        leaves all columns as they were.
-        """
+        """Append one step's indicators and widths; a rejected step changes nothing."""
         for eps in self.levels:
-            width = float(widths[eps])
-            if math.isnan(width) or width < 0.0:
-                raise ValueError(f"invalid region width {width}")
-        for eps in self.levels:
-            err_col, cum_col, width_col, median_col, raw_col, ordered = self._columns[eps]
-            err = int(errors[eps])
-            err_col.append(err)
+            if raw_errors[eps] not in (0, 1):
+                raise ValueError(f"raw err_{eps!r} is {raw_errors[eps]}, expected 0 or 1")
+        self.append(errors, widths)
+        for eps, raw_col in self._raw.items():
             raw_col.append(int(raw_errors[eps]))
-            cum_col.append((cum_col[-1] if cum_col else 0) + err)
-            width = float(widths[eps])
-            width_col.append(width)
-            insort(ordered, width)
-            median_col.append(ordered[len(ordered) // 2])
-        self.steps += 1
 
     def raw_errors(self, eps: float) -> list[int]:
-        return list(self._columns[eps][4])
+        return list(self._raw[eps])

@@ -101,7 +101,7 @@ from ..linalg import (
     reciprocal_condition,
     triangular_solve,
 )
-from ..randomness import RandomStream
+from ..randomness import RandomStream, check_integer
 from ..regions import PredictionRegion, super_level_sets
 from ..residuals import (
     DEFAULT_RIDGE,
@@ -318,10 +318,8 @@ class IidGaussPredictor(OnlinePredictor):
         rng: RandomStream | None = None,
         mc_samples: int = 1000,
     ):
-        if mc_samples < 1:
-            raise ValueError(f"mc_samples must be at least 1, got {mc_samples}")
+        self.mc_samples = check_integer("mc_samples", mc_samples, 1)
         self.ridge = check_ridge(ridge)
-        self.mc_samples = int(mc_samples)
         self._rng = rng if rng is not None else RandomStream(0, substream=1)
         self.design = DesignState()
         # Leverages of the stored rows in their own design, while the chain

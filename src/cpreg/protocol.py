@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ledger import OnlineLedger
-from .randomness import RandomStream
+from .randomness import RandomStream, check_integer
 from .residuals import DEFAULT_RIDGE, check_ridge
 from .stream import check_stream
 from .predictors import (
@@ -56,10 +56,8 @@ class RunConfig:
             raise ValueError("need at least one significance level")
         if any(a <= b for a, b in zip(eps, eps[1:])):
             raise ValueError(f"significance levels must be strictly decreasing, got {eps}")
-        if self.mc_samples < 1:
-            raise ValueError(f"mc_samples must be at least 1, got {self.mc_samples}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        object.__setattr__(self, "mc_samples", check_integer("mc_samples", self.mc_samples, 1))
+        object.__setattr__(self, "seed", check_integer("seed", self.seed))
         object.__setattr__(self, "epsilons", eps)
         object.__setattr__(self, "ridge", check_ridge(self.ridge))
 

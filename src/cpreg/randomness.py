@@ -8,8 +8,22 @@ its configuration.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 from numpy.typing import NDArray
+
+
+def check_integer(name: str, value, minimum: int = 0) -> int:
+    """``value`` as an int; a non-integer or one below ``minimum`` is refused by name."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        least = "non-negative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {least}, got {value}")
+    return value
 
 
 class RandomStream:
@@ -25,8 +39,8 @@ class RandomStream:
     """
 
     def __init__(self, seed: int, substream: int = 0):
-        self.seed = int(seed)
-        self.substream = int(substream)
+        self.seed = check_integer("seed", seed)
+        self.substream = check_integer("substream", substream)
         key = (self.substream,) if self.substream else None
         self._gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=key or ()))

@@ -61,6 +61,13 @@ def test_generate_is_deterministic_per_seed(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+def test_generate_refuses_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert main(["generate", "--out", str(out), "--seed", "-1"]) == 1
+    assert "cpreg: usage error: seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_empty_stream_is_header_only(tmp_path):
     out = tmp_path / "empty.csv"
     assert main(["generate", "--out", str(out), "--k", "2", "--n", "0"]) == 0
@@ -297,3 +304,18 @@ def test_report_round_trip(tmp_path):
         assert first_finite == plotted
         _, cum = curves[("cumulative-errors", eps)]
         assert list(cum) == table.cumulative_errors(eps)
+
+
+def test_report_refuses_a_tampered_median(tmp_path, capsys):
+    data, ledger, curves = (tmp_path / name for name in ("data.csv", "ledger.csv", "curves.txt"))
+    assert main(["generate", "--out", str(data), "--k", "1", "--n", "30"]) == 0
+    assert main(["run", "--data", str(data), "--predictor", "iid", "--out", str(ledger)]) == 0
+    lines = ledger.read_text().splitlines()
+    fields = lines[20].split(",")
+    assert fields[4] != "123"
+    fields[4] = "123"  # M of the first level at step 20
+    lines[20] = ",".join(fields)
+    ledger.write_text("\n".join(lines) + "\n")
+    assert main(["report", "--ledger", str(ledger), "--out", str(curves)]) == 2
+    assert "row 20: M_0.05 is 123.0, expected the running median" in capsys.readouterr().err
+    assert not curves.exists()

@@ -189,6 +189,9 @@ def test_ledger_file_errors(tmp_path):
     path.write_text("n,err_0.05,Err_0.05,L_0.05,M_0.05\n2,0,0,1.0,1.0\n")
     with pytest.raises(DataFormatError, match="out of order"):
         read_ledger(path)
+    path.write_text("n,err_0.05,Err_0.05,L_0.05,M_0.05\n1,0,0,1.0,1.0\n\n3,0,0,2.0,2.0\n")
+    with pytest.raises(DataFormatError, match="^row 3: step index 3 out of order"):
+        read_ledger(path)  # a skipped step is not read as the next one
     path.write_text("n,err_0.05,Err_0.05,L_0.05,M_0.05\n1,0,0,1.0\n")
     with pytest.raises(DataFormatError, match="row 1"):
         read_ledger(path)
@@ -205,6 +208,12 @@ def test_ledger_values_the_ledger_never_writes_are_refused(tmp_path):
         ("1,0,0,1.0,1.0,-1,0,inf,inf\n", "row 1: err_0.01 is -1"),
         ("1,0,1,1.0,1.0,0,0,inf,inf\n", "row 1: Err_0.05 is 1, expected the running error count 0"),
         ("1,1,1,1.0,1.0,0,0,inf,inf\n2,1,1,1.0,1.0,0,0,inf,inf\n", "row 2: Err_0.05 is 1"),
+        ("1,0,0,1.0,7.0,0,0,inf,inf\n", "row 1: M_0.05 is 7.0, expected the running median 1.0"),
+        (
+            "1,0,0,1.0,1.0,0,0,inf,inf\n2,0,0,3.0,1.0,0,0,inf,inf\n",
+            "row 2: M_0.05 is 1.0, expected the running median 3.0",
+        ),
+        ("1,0,0,1.0,1.0,0,0,inf,2.5\n", "row 1: M_0.01 is 2.5, expected the running median inf"),
     ):
         path.write_text(header + rows)
         with pytest.raises(DataFormatError, match=f"^{where}"):

@@ -82,6 +82,12 @@ def test_record_step_validation():
         ledger.record_step(
             {0.05: 0, 0.01: 0}, {0.05: 0, 0.01: 0}, {0.05: -1.0, 0.01: 1.0}
         )
+    for bad in (2, -1, 0.5):
+        with pytest.raises(ValueError, match=f"^err_0.01 is {bad}, expected 0 or 1"):
+            ledger.record_step({0.05: 0, 0.01: bad}, {0.05: 0, 0.01: 0}, {0.05: 1.0, 0.01: 1.0})
+        with pytest.raises(ValueError, match=f"^raw err_0.05 is {bad}, expected 0 or 1"):
+            ledger.record_step({0.05: 0, 0.01: 0}, {0.05: bad, 0.01: 0}, {0.05: 1.0, 0.01: 1.0})
+    assert ledger.steps == 0
     with pytest.raises(ValueError):
         OnlineLedger((0.05, 0.05))
 
@@ -97,8 +103,13 @@ def test_levels_are_independent_tracks():
 def test_rejected_step_leaves_every_column_aligned():
     ledger = OnlineLedger((0.05, 0.01))
     ledger.record_step({0.05: 0, 0.01: 0}, {0.05: 0, 0.01: 0}, {0.05: 2.0, 0.01: 3.0})
-    with pytest.raises(ValueError):
-        ledger.record_step({0.05: 1, 0.01: 1}, {0.05: 1, 0.01: 1}, {0.05: 1.0, 0.01: math.nan})
+    for errors, raw_errors, widths in (
+        ({0.05: 1, 0.01: 1}, {0.05: 1, 0.01: 1}, {0.05: 1.0, 0.01: math.nan}),
+        ({0.05: 1, 0.01: 2}, {0.05: 1, 0.01: 1}, {0.05: 1.0, 0.01: 1.0}),
+        ({0.05: 1, 0.01: 1}, {0.05: 1, 0.01: 2}, {0.05: 1.0, 0.01: 1.0}),
+    ):
+        with pytest.raises(ValueError):
+            ledger.record_step(errors, raw_errors, widths)
     assert ledger.steps == 1
     for eps in ledger.levels:
         columns = (

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from cpreg import (
+    IidGaussPredictor,
     NumericalError,
     Observation,
     OnlineLedger,
     PValueTrace,
     PREDICTOR_KINDS,
+    RandomStream,
     RunConfig,
     SyntheticSpec,
     binomial_band,
@@ -40,6 +42,25 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(predictor="iid-gauss", mc_samples=0)
     assert RunConfig(predictor="wilks", epsilons=[0.1, 0.05]).epsilons == (0.1, 0.05)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda v: RunConfig(predictor="iid", seed=v), "seed"),
+        (lambda v: RunConfig(predictor="iid-gauss", mc_samples=v), "mc_samples"),
+        (lambda v: IidGaussPredictor(mc_samples=v), "mc_samples"),
+        (lambda v: SyntheticSpec(seed=v), "seed"),
+        (lambda v: RandomStream(v), "seed"),
+    ],
+    ids=["run-seed", "run-mc-samples", "predictor-mc-samples", "spec-seed", "stream-seed"],
+)
+def test_integer_settings_are_not_truncated(make, field):
+    # a fractional seed or draw count used to run as its integer part
+    for value in (1.5, 2.5, 1.9, np.float64(2.0), "2"):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
+            make(value)
+    assert getattr(make(np.int64(3)), field) == 3  # what operator.index accepts stays valid
 
 
 def test_empty_stream():
