@@ -37,8 +37,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name, minimum in (("k", 1), ("n", 0), ("seed", 0)):
+        for name, minimum in (("k", 1), ("n", 0), ("lead_size", 0), ("seed", 0)):
             object.__setattr__(self, name, check_integer(name, getattr(self, name), minimum))
+        for name in ("alpha", "lead_magnitude", "tail_magnitude", "noise_std"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.noise_std > 0.0:
             raise ValueError(f"noise level must be positive, got {self.noise_std}")
 
@@ -149,6 +152,8 @@ def read_ledger(path) -> LedgerTable:
         raise DataFormatError(f"malformed ledger header {lines[0]!r}: {exc}") from exc
     if _ledger_header(table.levels) != lines[0]:
         raise DataFormatError(f"malformed ledger header {lines[0]!r}")
+    if not table.levels:
+        raise DataFormatError(f"ledger header {lines[0]!r} names no significance level")
     levels = table.levels
     for row, line in enumerate(lines[1:], start=1):
         if not line:

@@ -73,9 +73,12 @@ exchangeability sweep; every other draw keeps its state on both sides.
 The candidates, probes and scores are laid out event-major, one row per
 candidate point and one column per draw, so that every array operation
 runs along the long draw axis: a fixed sorting network orders each
-draw's six candidates, and one sort of all the flips by their point
-groups them into events.  That sweep runs once per step and serves
-every epsilon and tau.  Exact steps (d <= 1) sweep the critical points of
+draw's six candidates, one sort of all the flip points groups them into
+events, and a binary search of the rising flips among those gives the
+counts.  While every flip point is distinct, as on a generic step, each
+event is one draw's tie, and only otherwise are the first flips of equal
+candidates traced.  That sweep runs once per step and serves every
+epsilon and tau.  Exact steps (d <= 1) sweep the critical points of
 their residual lines as the exchangeability predictor does (the Ridge
 Regression Confidence Machine): the observed line ties itself
 structurally, not within a rounding band.  Both tables share one layout,
@@ -192,9 +195,10 @@ class IidGaussStepContext:
             np.divide(-q, p, out=pairs[2])
         # Missing (NaN) or infinite candidates become one point right of every
         # root, so all draws have as many gaps; the extra ones lie on the right ray.
-        missing = ~np.isfinite(cand)
-        top = np.max(cand, where=~missing, initial=0.0)
-        np.copyto(cand, 2.0 * top + 1.0, where=missing)
+        missing = np.isfinite(cand)
+        np.logical_not(missing, out=missing)
+        np.copyto(cand, 0.0, where=missing)
+        np.copyto(cand, 2.0 * max(cand.max(), 0.0) + 1.0, where=missing)
         _sort_columns(cand)
         # one probe inside each gap of each draw, rays included
         probes = np.empty((cand.shape[0] + 1, cand.shape[1]))
@@ -220,43 +224,41 @@ class IidGaussStepContext:
         np.abs(observed, out=observed)
         above = score >= observed
         # A draw's comparison flips at candidate row r where the probes on
-        # either side differ.  Equal candidates are one point, and the probes
-        # between them sit on it, so a draw flips there at most twice: into
-        # its state on the point and out of it.  It ties at an event only
-        # with its first flip there, the one that leaves the state it had to
-        # the left of the point.
+        # either side differ; the events are the distinct points of all flips.
         flips = above[1:] != above[:-1]
+        flat = cand.ravel()
+        at = np.sort(flat.compress(flips.ravel()))
+        last = np.ones(at.size, dtype=bool)
+        np.not_equal(at[1:], at[:-1], out=last[:-1])
+        ends = np.flatnonzero(last)  # the last flip of each event
+        events = at[ends]
+
+        def upto(mask):  # per event, the flips in ``mask`` at or left of it
+            return np.searchsorted(np.sort(flat.compress(mask.ravel())), events, side="right")
+
+        m = events.size
+        greater = np.empty(2 * m + 1, dtype=np.int64)
+        greater[0] = np.count_nonzero(above[0])
+        greater[2::2] = greater[0] + 2 * upto(flips & above[1:]) - (ends + 1)  # rises less falls
+        ties = np.zeros(2 * m + 1, dtype=np.int64)
+        if m == at.size:
+            # One flip per event, by the one draw that ties there: it is above
+            # on one side only, so the event takes the lower gap count.
+            greater[1::2] = np.minimum(greater[:-1:2], greater[2::2])
+            ties[1::2] = 1
+            return events, greater, ties
+        # Equal candidates are one point, and the probes between them sit on
+        # it, so a draw flips there at most twice: into its state on the
+        # point and out of it.  It ties at an event only with its first flip
+        # there, the one that leaves the state it had to the left of the
+        # point, and leaves the greater count if that flip falls.
         left = above[:-1].copy()  # the state left of each candidate's point
         same = cand[1:] == cand[:-1]
         for row in range(1, cand.shape[0]):
             np.copyto(left[row], left[row - 1], where=same[row - 1])
         first = flips & (left == above[:-1])
-        # Every flip in the order of its point; per event, counts read at the
-        # last flip there from running sums of rises, first flips and first
-        # flips that fall (the draw was above on the gap to the left).
-        index = np.flatnonzero(flips)
-        at = cand.ravel()[index]
-        order = at.argsort()
-        index, at = index[order], at[order]
-        sums = np.empty((3, index.size), dtype=np.int64)
-        sums[0] = above[1:].ravel()[index]
-        sums[1] = first.ravel()[index]
-        np.greater(sums[1], sums[0], out=sums[2])
-        np.cumsum(sums, axis=1, out=sums)
-        last = np.ones(at.size, dtype=bool)
-        np.not_equal(at[1:], at[:-1], out=last[:-1])
-        ends = np.flatnonzero(last)
-        events = at[ends]
-        rises, tied, falls = sums.take(ends, axis=1)
-        tied[1:] -= tied[:-1]
-        falls[1:] -= falls[:-1]
-        m = events.size
-        greater = np.empty(2 * m + 1, dtype=np.int64)
-        greater[0] = np.count_nonzero(above[0])
-        greater[2::2] = greater[0] + 2 * rises - (ends + 1)  # rises less falls so far
-        greater[1::2] = greater[0:-1:2] - falls
-        ties = np.zeros(2 * m + 1, dtype=np.int64)
-        ties[1::2] = tied
+        ties[1::2] = np.diff(upto(first), prepend=0)
+        greater[1::2] = greater[:-1:2] - np.diff(upto(first > above[1:]), prepend=0)
         return events, greater, ties
 
 
@@ -275,10 +277,11 @@ _SORT6 = (
 
 def _sort_columns(rows: np.ndarray) -> None:
     """Sort every column of a (6, n) array in place, one row pair at a time."""
+    sorted_rows = list(rows)  # a comparator rebinds two rows to a fresh min and max
     for i, j in _SORT6:
-        low = np.minimum(rows[i], rows[j])
-        np.maximum(rows[i], rows[j], out=rows[j])
-        rows[i] = low
+        low, high = sorted_rows[i], sorted_rows[j]
+        sorted_rows[i], sorted_rows[j] = np.minimum(low, high), np.maximum(low, high)
+    rows[:] = sorted_rows  # all fresh, as the first layer rebinds every row
 
 
 def _quadratic_roots(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:

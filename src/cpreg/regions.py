@@ -166,23 +166,26 @@ def super_level_sets(
     2m + 1 cells [left ray, points[0], gap, points[1], ..., right ray], where
     p = (greater + tau * ties) / denominator.  The cells partition the line
     in order, so each run of consecutive kept cells is one connected piece.
-    p is formed once, and one comparison and one edge search serve every
-    level.
+    p is formed once, one comparison and one edge search serve every level,
+    and the few pieces are built one run at a time.
     """
-    pvalue = (greater + tau * ties) / denominator
+    pvalue = np.multiply(ties, tau, dtype=float)
+    pvalue += greater
+    pvalue /= denominator
     cells = pvalue.size
     keep = np.zeros((len(levels), cells + 2), dtype=bool)  # padded with a dropped cell each side
     np.greater(pvalue, np.asarray(levels, dtype=float)[:, None], out=keep[:, 1:-1])
-    row, cell = np.divmod(np.flatnonzero(keep[:, 1:] != keep[:, :-1]), cells + 1)
-    first, last = cell[0::2], cell[1::2] - 1
-    # Cell i spans (bounds[(i + 1) // 2], bounds[i // 2 + 1]) and is the
-    # closed point there when i is odd.
-    bounds = np.concatenate(([-INF], points, [INF]))
-    lo, hi = bounds[(first + 1) // 2].tolist(), bounds[last // 2 + 1].tolist()
-    lo_closed, hi_closed = (first % 2 == 1).tolist(), (last % 2 == 1).tolist()
-    pieces = list(map(Interval, lo, hi, lo_closed, hi_closed))
-    ends = np.cumsum(np.bincount(row[0::2], minlength=len(levels))).tolist()
-    return [PredictionRegion(pieces[a:b]) for a, b in zip([0] + ends, ends)]
+    edges = np.flatnonzero(keep[:, 1:] != keep[:, :-1]).tolist()
+    pieces = [[] for _ in levels]
+    for start, stop in zip(edges[0::2], edges[1::2]):
+        row, first = divmod(start, cells + 1)
+        last = stop - row * (cells + 1) - 1
+        # Cell i spans (points[(i + 1) // 2 - 1], points[i // 2]), the rays
+        # ending at -inf and +inf, and is the closed point there when i is odd.
+        lo = float(points[(first + 1) // 2 - 1]) if first else -INF
+        hi = float(points[last // 2]) if last < cells - 1 else INF
+        pieces[row].append(Interval(lo, hi, first % 2 == 1, last % 2 == 1))
+    return [PredictionRegion(level) for level in pieces]
 
 
 def _covers(big: Interval, small: Interval) -> bool:

@@ -242,6 +242,93 @@ def iidgauss_pvalues(ctx, ys, tau: float) -> Vector:
     return (greater + tau * ties) / vals.shape[1]
 
 
+_SIGNS = np.array([[1.0], [-1.0]])
+
+
+def iidgauss_crossings(ctx) -> tuple[Vector, NDArray[np.int64], NDArray[np.int64]]:
+    """``IidGaussStepContext.crossings`` by the array passes it was first built with.
+
+    Every draw's six candidates (two roots of each squared crossing
+    quadratic, and the zero of each right-hand side) are sorted by
+    ``np.sort``, its comparison is read at a probe inside every gap, the
+    left state of each point is propagated across equal candidates to find
+    the first flip of a draw there, and all flips are ordered by one
+    argsort and summed per event by running sums of three flag rows.
+    """
+    a, b, m = ctx.slot_base, ctx.slot_slope, ctx.slot_mix
+    e0, e1 = ctx.ea
+    c2, c1, c0 = ctx.rad2
+    m2 = m * m
+    p = _SIGNS * e0 - b
+    q = _SIGNS * e1 - a
+    qa, qb, qc = m2 * c2 - p * p, m2 * c1 - 2.0 * p * q, m2 * c0 - q * q
+    disc = qb * qb - 4.0 * qa * qc
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
+        cand = np.concatenate((half / qa, qc / half, -q / p))
+    missing = ~np.isfinite(cand)
+    top = np.max(cand, where=~missing, initial=0.0)
+    np.copyto(cand, 2.0 * top + 1.0, where=missing)
+    cand = np.sort(cand, axis=0)
+    probes = np.empty((cand.shape[0] + 1, cand.shape[1]))
+    probes[0] = cand[0] - (1.0 + np.abs(cand[0]))
+    probes[1:-1] = (cand[:-1] + cand[1:]) * 0.5
+    probes[-1] = cand[-1] + (1.0 + np.abs(cand[-1]))
+    radius = np.sqrt(np.maximum(probes * c2 * probes + probes * c1 + c0, 0.0))
+    above = np.abs(probes * b + a + radius * m) >= np.abs(probes * e0 + e1)
+    flips = above[1:] != above[:-1]
+    left = above[:-1].copy()
+    same = cand[1:] == cand[:-1]
+    for row in range(1, cand.shape[0]):
+        np.copyto(left[row], left[row - 1], where=same[row - 1])
+    first = flips & (left == above[:-1])
+    index = np.flatnonzero(flips)
+    at = cand.ravel()[index]
+    order = at.argsort()
+    index, at = index[order], at[order]
+    sums = np.empty((3, index.size), dtype=np.int64)
+    sums[0] = above[1:].ravel()[index]
+    sums[1] = first.ravel()[index]
+    np.greater(sums[1], sums[0], out=sums[2])
+    np.cumsum(sums, axis=1, out=sums)
+    last = np.ones(at.size, dtype=bool)
+    np.not_equal(at[1:], at[:-1], out=last[:-1])
+    ends = np.flatnonzero(last)
+    events = at[ends]
+    rises, tied, falls = sums.take(ends, axis=1)
+    tied[1:] -= tied[:-1]
+    falls[1:] -= falls[:-1]
+    m = events.size
+    greater = np.empty(2 * m + 1, dtype=np.int64)
+    greater[0] = np.count_nonzero(above[0])
+    greater[2::2] = greater[0] + 2 * rises - (ends + 1)
+    greater[1::2] = greater[0:-1:2] - falls
+    ties = np.zeros(2 * m + 1, dtype=np.int64)
+    ties[1::2] = tied
+    return events, greater, ties
+
+
+def super_level_sets(points, greater, ties, denominator, levels, tau) -> list[PredictionRegion]:
+    """``cpreg.regions.super_level_sets`` by array passes over every level.
+
+    The kept cells of all levels are padded with a dropped cell on each
+    side, every run edge is found at once, and the piece bounds are looked
+    up in a copy of ``points`` padded with -inf and +inf.
+    """
+    pvalue = (greater + tau * ties) / denominator
+    cells = pvalue.size
+    keep = np.zeros((len(levels), cells + 2), dtype=bool)
+    np.greater(pvalue, np.asarray(levels, dtype=float)[:, None], out=keep[:, 1:-1])
+    row, cell = np.divmod(np.flatnonzero(keep[:, 1:] != keep[:, :-1]), cells + 1)
+    first, last = cell[0::2], cell[1::2] - 1
+    bounds = np.concatenate(([-np.inf], points, [np.inf]))
+    lo, hi = bounds[(first + 1) // 2].tolist(), bounds[last // 2 + 1].tolist()
+    lo_closed, hi_closed = (first % 2 == 1).tolist(), (last % 2 == 1).tolist()
+    pieces = list(map(Interval, lo, hi, lo_closed, hi_closed))
+    ends = np.cumsum(np.bincount(row[0::2], minlength=len(levels))).tolist()
+    return [PredictionRegion(pieces[a:b]) for a, b in zip([0] + ends, ends)]
+
+
 def iidgauss_grid_region(pred, ctx, eps: float, tau: float) -> tuple[PredictionRegion, float]:
     """Hull of a Monte-Carlo iid-gauss region by grid search and bisection.
 

@@ -319,3 +319,11 @@ def test_report_refuses_a_tampered_median(tmp_path, capsys):
     assert main(["report", "--ledger", str(ledger), "--out", str(curves)]) == 2
     assert "row 20: M_0.05 is 123.0, expected the running median" in capsys.readouterr().err
     assert not curves.exists()
+
+
+def test_report_refuses_a_ledger_with_no_levels(tmp_path, capsys):
+    ledger, curves = tmp_path / "ledger.csv", tmp_path / "curves.txt"
+    ledger.write_text("n\n1\n")
+    assert main(["report", "--ledger", str(ledger), "--out", str(curves)]) == 2
+    assert "ledger header 'n' names no significance level" in capsys.readouterr().err
+    assert not curves.exists()

@@ -66,6 +66,29 @@ def test_spec_validation():
     assert generate(SyntheticSpec(n=0)) == []
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("lead_size", -1, "lead_size must be non-negative, got -1"),
+        ("lead_size", 2.5, "lead_size must be an integer, got 2.5"),
+        ("alpha", float("nan"), "alpha must be finite, got nan"),
+        ("lead_magnitude", float("inf"), "lead_magnitude must be finite, got inf"),
+        ("tail_magnitude", -float("inf"), "tail_magnitude must be finite, got -inf"),
+        ("noise_std", float("inf"), "noise_std must be finite, got inf"),
+        ("noise_std", float("nan"), "noise_std must be finite, got nan"),
+    ],
+)
+def test_spec_refuses_each_bad_field_by_name(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SyntheticSpec(k=3, n=4, **{field: value})
+
+
+def test_spec_keeps_an_integer_lead_size():
+    spec = SyntheticSpec(k=3, n=4, lead_size=np.int64(0))
+    assert type(spec.lead_size) is int
+    assert list(beta_vector(spec)) == [1.0, -1.0, 1.0]
+
+
 def test_stream_file_round_trip(tmp_path):
     stream = generate(SyntheticSpec(k=3, n=7, seed=11))
     path = tmp_path / "stream.csv"
@@ -194,6 +217,14 @@ def test_ledger_file_errors(tmp_path):
         read_ledger(path)  # a skipped step is not read as the next one
     path.write_text("n,err_0.05,Err_0.05,L_0.05,M_0.05\n1,0,0,1.0\n")
     with pytest.raises(DataFormatError, match="row 1"):
+        read_ledger(path)
+
+
+@pytest.mark.parametrize("text", ["n\n1\n", "n\n"])
+def test_a_ledger_header_with_no_levels_is_refused(tmp_path, text):
+    path = tmp_path / "no-levels.csv"
+    path.write_text(text)
+    with pytest.raises(DataFormatError, match="^ledger header 'n' names no significance level$"):
         read_ledger(path)
 
 

@@ -18,9 +18,10 @@ from cpreg import (
 from cpreg.predictors import iid_gauss
 from cpreg.predictors.iid_gauss import null_slot_coordinates
 from cpreg.randomness import RandomStream
-from cpreg.regions import check_nested
+from cpreg.regions import check_nested, super_level_sets
 from cpreg.residuals import DEFAULT_RIDGE
 
+import oracles
 from oracles import (
     REFINE_RTOL,
     TIE_RTOL,
@@ -31,6 +32,7 @@ from oracles import (
     ridge_design,
     slice_geometry,
 )
+from test_predictor_iid import tie_heavy_stream
 
 
 def feed(predictor, xs, ys):
@@ -508,6 +510,81 @@ def test_sorting_network_sorts_every_column():
         want = np.sort(rows, axis=0)
         iid_gauss._sort_columns(rows)
         assert np.array_equal(rows, want)
+
+
+def _offset_stream(k, size, seed, x_offset=0.0, y_offset=0.0):
+    return [
+        Observation(obs.x + x_offset, obs.y + y_offset)
+        for obs in generate(SyntheticSpec(k=k, n=size, seed=seed))
+    ]
+
+
+def _integer_stream(size=80):
+    """Integer features and responses with repeated rows (ROADMAP item 1)."""
+    rng = np.random.default_rng(5)
+    return [
+        Observation(rng.integers(-2, 3, 1).astype(float), float(rng.integers(0, 3)))
+        for _ in range(size)
+    ]
+
+
+def _noise_free_stream(size=30):
+    xs = np.random.default_rng(1).normal(size=(size, 1))
+    return [Observation(x, 1.0 + x[0]) for x in xs]
+
+
+def _constant_response_stream(size=30):
+    xs = np.random.default_rng(2).normal(size=(size, 2))
+    return [Observation(x, 3.0) for x in xs]
+
+
+TABLE_STREAMS = {
+    "k2": (lambda: _offset_stream(2, 50, 1), 1000),
+    "k3": (lambda: _offset_stream(3, 50, 2), 1000),
+    "k20": (lambda: _offset_stream(20, 45, 3), 1000),
+    "x-offset-1e4": (lambda: _offset_stream(3, 30, 4, x_offset=1e4), 1000),
+    "x-offset-1e6": (lambda: _offset_stream(3, 30, 4, x_offset=1e6), 1000),
+    "y-offset-1e4": (lambda: _offset_stream(3, 30, 5, y_offset=1e4), 1000),
+    "y-offset-1e6": (lambda: _offset_stream(3, 30, 5, y_offset=1e6), 1000),
+    "integer": (_integer_stream, 1000),
+    "noise-free": (_noise_free_stream, 1000),
+    "constant-y": (_constant_response_stream, 1000),
+    "mc10": (lambda: _offset_stream(3, 40, 6), 10),
+}
+REGION_LEVELS = ((0.05, 0.01, 0.005), (0.3, 0.05, 0.01), (0.05,))
+
+
+def _assert_same_regions(table, denominator, where):
+    for levels in REGION_LEVELS:
+        for tau in (0.0, 0.37, 1.0):
+            want = oracles.super_level_sets(*table, denominator, levels, tau)
+            assert super_level_sets(*table, denominator, levels, tau) == want, (where, levels, tau)
+
+
+def test_step_tables_and_regions_equal_the_array_references():
+    shared = 0  # Monte-Carlo steps where several draws tie at one event
+    for name, (make_stream, mc_samples) in TABLE_STREAMS.items():
+        pred, steps = fresh(7, mc_samples=mc_samples), 0
+        for obs in make_stream():
+            ctx = pred.begin_step(obs.x)
+            pred.observe(obs)
+            if ctx.exact:
+                _assert_same_regions(ctx.atoms.tables, ctx.atoms.n, (name, ctx.n))
+                continue
+            steps += 1
+            got, want = ctx.crossings, oracles.iidgauss_crossings(ctx)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (name, ctx.n)
+            shared += got[0].size < got[2].sum()  # fewer events than tied draws
+            _assert_same_regions(got, mc_samples, (name, ctx.n))
+        assert steps > 0, name
+    assert shared > 0
+    for stream in (tie_heavy_stream(), generate(SyntheticSpec(k=3, n=40, seed=8))):
+        pred = IidPredictor()
+        for obs in stream:
+            ctx = pred.begin_step(obs.x)
+            _assert_same_regions(ctx.tables, ctx.n, ("iid", ctx.n))
+            pred.observe(obs)
 
 
 def test_monte_carlo_pvalue_equals_the_array_reference():
