@@ -29,12 +29,12 @@ Two regimes:
   destroy the n >= 1/eps informativeness threshold.
 * d >= 2: genuine Monte Carlo over ``mc_samples`` draws, shared across
   every candidate y and every epsilon of the step (common random numbers
-  keep the region boundaries well defined).  A draw
-  needs only the slot-s coordinate of a uniform unit vector in the null
-  space of Z', which has the law of sqrt(1 - h_ss) * g / sqrt(g^2 + c) with
-  h_ss the leverage of slot s, g standard normal and c chi-square with
-  d - 1 degrees of freedom; so a step costs a slot, a normal and a
-  chi-square variate per draw rather than a projected n-vector.
+  keep the region boundaries well defined).  A draw needs only the slot-s
+  coordinate of a uniform unit vector in the null space of Z', which has
+  the law of sqrt(1 - h_ss) * g / sqrt(g^2 + c) with h_ss the leverage of
+  slot s, g standard normal and c chi-square with d - 1 degrees of
+  freedom; so a step costs a slot, a normal and a chi-square variate per
+  draw rather than a projected n-vector.
 
 Geometry.  The slice needs two things from Z: its minimum-norm point
 Z (Z'Z)^+ (t0 + y z_n), affine in the candidate y (t0 = (sum y, sum y*x)
@@ -43,8 +43,8 @@ radius, and the slot leverages h_ss, the diagonal of the hat matrix
 Z (Z'Z)^{-1} Z'.  From n = K + 3 on Z normally has full rank, and a
 Monte-Carlo step reads Z'Z from the design state's raw moments plus
 z_n z_n', with no product of the rows; one Cholesky factor of it gives
-(Z'Z)^{-1} [t0, z_n], and its leading block, ridged, is the residual
-projector's system.  The leverages are carried from step to step rather
+(Z'Z)^{-1} [t0, z_n], and Z'Z + aI is the residual projector's system,
+as the ridge design is then all of Z.  The leverages are carried from step to step rather
 than solved for: adding z_n lowers each stored slot's leverage by
 (z_s'c1)^2 / (1 - h_n) (Sherman-Morrison), with c1 = (Z'Z)^{-1} z_n and
 h_n = z_n'c1 the new slot's leverage, and z_s'c1 is the slope of the
@@ -55,7 +55,10 @@ that the SVD took or that staged a row other than the one observed, and
 where 1 - h_n is too small to divide by.  Every other step takes an SVD of
 Z, which also decides its rank: the exact steps, and the Monte-Carlo steps
 whose factor fails or whose estimated condition is too poor to rule out a
-rank the SVD would cut (duplicated columns, large feature offsets).
+rank the SVD would cut (duplicated columns, large feature offsets).  Both
+routes end in one method: given the slice point, the ridge Gram and the
+leverages, it applies the residual projector once, to the response, the
+candidate and the slice point's intercept and slope, and draws.
 
 Regions.  On a Monte-Carlo step the estimated p-value is a step function
 of the candidate y: it changes only where a draw's score
@@ -70,15 +73,10 @@ exact draw counts on every open segment and at every crossing.  A draw
 ties at a crossing where its comparison flips, once however many of its
 roots meet there, as a residual line ties at its critical points in the
 exchangeability sweep; every other draw keeps its state on both sides.
-The candidates, probes and scores are laid out event-major, one row per
-candidate point and one column per draw, so that every array operation
-runs along the long draw axis: a fixed sorting network orders each
-draw's six candidates, one sort of all the flip points groups them into
-events, and a binary search of the rising flips among those gives the
-counts.  While every flip point is distinct, as on a generic step, each
-event is one draw's tie, and only otherwise are the first flips of equal
-candidates traced.  That sweep runs once per step and serves every
-epsilon and tau.  Exact steps (d <= 1) sweep the critical points of
+The candidates, probes and scores are laid out event-major, one column
+per draw, so that every array operation runs along the long draw axis,
+and one sort of all the flip points groups them into events.  That sweep
+runs once per step and serves every epsilon and tau.  Exact steps (d <= 1) sweep the critical points of
 their residual lines as the exchangeability predictor does (the Ridge
 Regression Confidence Machine): the observed line ties itself
 structurally, not within a rounding band.  Both tables share one layout,
@@ -345,15 +343,15 @@ class IidGaussPredictor(OnlinePredictor):
     def _cholesky_step(self, design, raw) -> IidGaussStepContext | None:
         """Monte-Carlo step of a full-rank Z from one Cholesky factor Z'Z = LL'.
 
-        Z'Z is the stored rows' raw moments plus z_n z_n', and its leading
-        block, plus aI, is the ridge system.  With c0 = (Z'Z)^{-1} t0 and
-        c1 = (Z'Z)^{-1} z_n the minimum-norm slice point is Z c0 + y Z c1, the
-        new slot's leverage is h_n = z_n'c1 and, by Sherman-Morrison, each
-        stored slot's leverage drops by (Z c1)_s^2 / (1 - h_n) from its value
-        at the previous step.  The leverages are solved for afresh, as
-        |L^{-1} z_s|^2, when that chain is broken or 1 - h_n is too small to
-        divide by.  Returns None, leaving the step to the SVD, when Z is not
-        clearly of full rank.
+        Z'Z is the stored rows' raw moments plus z_n z_n'; from n = K + 3 on
+        the ridge design is all of Z, so Z'Z + aI is the ridge system.  With
+        c0 = (Z'Z)^{-1} t0 and c1 = (Z'Z)^{-1} z_n the minimum-norm slice point
+        is Z c0 + y Z c1, the new slot's leverage is h_n = z_n'c1 and, by
+        Sherman-Morrison, each stored slot's leverage drops by
+        (Z c1)_s^2 / (1 - h_n) from its value at the previous step.  The
+        leverages are solved for afresh, as |L^{-1} z_s|^2, when that chain is
+        broken or 1 - h_n is too small to divide by.  Returns None, leaving the
+        step to the SVD, when Z is not clearly of full rank.
         """
         n, cols = design.shape
         zn = design[-1]
@@ -376,27 +374,12 @@ class IidGaussPredictor(OnlinePredictor):
             half = triangular_solve(factor, design.T)  # L^{-1} Z'
             leverage = np.einsum("ij,ij->j", half, half)
         self._staged = (zn[1:].copy(), leverage)
-        ridged = features_used(n, cols - 1) + 1  # the ridge design's columns
-        rmap = RidgeResidualMap(design[:, :ridged], gram[:ridged, :ridged], self.ridge)
-        # the response (candidate slot zeroed), the candidate's unit vector and
-        # the slice point's intercept and slope, through one projector solve
-        cols4 = np.zeros((n, 4))
-        cols4[:-1, 0] = self.design.y
-        cols4[-1, 1] = 1.0
-        cols4[:, 2:] = fitted
-        res = rmap.apply(cols4)
-        ctx = IidGaussStepContext(
-            n=n, k=cols - 1, ea=(float(res[-1, 1]), float(res[-1, 0])), exact=False, rad2=rad2
-        )
-        self._draw(ctx, n - cols, leverage, res[:, 2], res[:, 3])
-        return ctx
+        return self._monte_carlo_step(design, gram, fitted, rad2, leverage, n - cols)
 
     def _svd_step(self, design, raw) -> IidGaussStepContext:
         """Any step from an SVD of Z, which also decides its rank."""
         n, cols = design.shape
-        ys, t0, syy = self.design.y, raw[:-1, -1], raw[-1, -1]
-        rmap, aff = ridge_lines(design, ys, self.ridge)
-        ea = (float(aff.slopes[-1]), float(aff.intercepts[-1]))
+        t0, syy = raw[:-1, -1], raw[-1, -1]
         # While n <= K + 2 the slice has d <= 1 unless Z is rank-deficient.
         # The reduced left factor is square while n <= K + 1; at n = K + 2 it
         # lacks the null direction, and only that step asks for the full one.
@@ -410,35 +393,49 @@ class IidGaussPredictor(OnlinePredictor):
         lead, right_t = left[:, : sing.size], right_t[: sing.size]
         v00 = lead @ (inv_sing * (right_t @ t0))
         v01 = lead @ (inv_sing * (right_t @ design[-1]))
-        rad2 = (
-            1.0 - float(v01 @ v01),
-            -2.0 * float(v00 @ v01),
-            syy - float(v00 @ v00),
-        )
-        ctx = IidGaussStepContext(n=n, k=cols - 1, ea=ea, exact=d <= 1, rad2=rad2)
-
-        if ctx.exact:
-            if d == 1:
-                # The mirror point Y - 2(u'Y)u, u the null direction of Z'
-                # (small n regime only), gives a second line per slot.
-                u = left[:, rank]
-                shift, past = 2.0 * rmap.apply(u), u[:-1] @ ys
-                aff = AffineResiduals(
-                    slopes=np.concatenate((aff.slopes - u[-1] * shift, aff.slopes)),
-                    intercepts=np.concatenate((aff.intercepts - past * shift, aff.intercepts)),
-                )
-            ctx.atoms = IidStepContext(n=aff.slopes.size, residuals=aff)
-        else:
+        rad2 = (1.0 - float(v01 @ v01), -2.0 * float(v00 @ v01), syy - float(v00 @ v00))
+        if d >= 2:
+            ridged = design[:, : features_used(n, cols - 1) + 1]
             leverage = np.sum(left[:, :rank] ** 2, axis=1)
-            self._draw(ctx, d, leverage, rmap.apply(v00), rmap.apply(v01))
-        return ctx
+            fitted = np.column_stack((v00, v01))
+            return self._monte_carlo_step(design, ridged.T @ ridged, fitted, rad2, leverage, d)
+        ys = self.design.y
+        rmap, aff = ridge_lines(design, ys, self.ridge)
+        if d == 1:
+            # The mirror point Y - 2(u'Y)u, u the null direction of Z'
+            # (small n regime only), gives a second line per slot.
+            u = left[:, rank]
+            shift, past = 2.0 * rmap.apply(u), u[:-1] @ ys
+            aff = AffineResiduals(
+                slopes=np.concatenate((aff.slopes - u[-1] * shift, aff.slopes)),
+                intercepts=np.concatenate((aff.intercepts - past * shift, aff.intercepts)),
+            )
+        ea = (float(aff.slopes[-1]), float(aff.intercepts[-1]))  # the observed line is last
+        atoms = IidStepContext(n=aff.slopes.size, residuals=aff)
+        return IidGaussStepContext(n=n, k=cols - 1, ea=ea, exact=True, rad2=rad2, atoms=atoms)
 
-    def _draw(self, ctx: IidGaussStepContext, d: int, leverage, ev_base, ev_slope) -> None:
-        """The step's Monte-Carlo draws: a slot and its null-space coordinate each."""
-        slots = self._rng.integers(0, ctx.n, self.mc_samples)
-        ctx.slot_mix = null_slot_coordinates(self._rng, leverage[slots], d)
-        ctx.slot_base = ev_base[slots]
-        ctx.slot_slope = ev_slope[slots]
+    def _monte_carlo_step(self, design, gram, fitted, rad2, leverage, d) -> IidGaussStepContext:
+        """A step whose slice has dimension ``d >= 2``: its residual lines and draws.
+
+        The ridge design U is Z's leading columns, as many as its Gram ``gram``
+        has, and ``fitted`` holds the slice point's intercept and slope Z c0
+        and Z c1.  A draw is a slot and its null-space coordinate.
+        """
+        n, cols = design.shape
+        rmap = RidgeResidualMap(design[:, : gram.shape[0]], gram, self.ridge)
+        # the response (candidate slot zeroed), the candidate's unit vector and
+        # the slice point's intercept and slope, through one projector solve
+        cols4 = np.zeros((n, 4))
+        cols4[:-1, 0] = self.design.y
+        cols4[-1, 1] = 1.0
+        cols4[:, 2:] = fitted
+        res = rmap.apply(cols4)
+        slots = self._rng.integers(0, n, self.mc_samples)
+        mix = null_slot_coordinates(self._rng, leverage[slots], d)
+        return IidGaussStepContext(
+            n=n, k=cols - 1, ea=(float(res[-1, 1]), float(res[-1, 0])), exact=False, rad2=rad2,
+            slot_base=res[slots, 2], slot_slope=res[slots, 3], slot_mix=mix,
+        )
 
     def _raw_regions(
         self, ctx: IidGaussStepContext, levels: list[float], tau: float
