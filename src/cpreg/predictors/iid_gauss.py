@@ -34,7 +34,11 @@ Two regimes:
   the law of sqrt(1 - h_ss) * g / sqrt(g^2 + c) with h_ss the leverage of
   slot s, g standard normal and c chi-square with d - 1 degrees of
   freedom; so a step costs a slot, a normal and a chi-square variate per
-  draw rather than a projected n-vector.
+  draw rather than a projected n-vector.  Given the summary the observed
+  score and the draws' are i.i.d., so the observed score is one of mc + 1
+  and ties itself, as in the exact Monte-Carlo test (Barnard 1963; Besag &
+  Clifford 1989): p = (greater + tau * (ties + 1)) / (mc + 1), never below
+  tau / (mc + 1).
 
 Geometry.  The slice needs two things from Z: its minimum-norm point
 Z (Z'Z)^+ (t0 + y z_n), affine in the candidate y (t0 = (sum y, sum y*x)
@@ -44,21 +48,20 @@ Z (Z'Z)^{-1} Z'.  From n = K + 3 on Z normally has full rank, and a
 Monte-Carlo step reads Z'Z from the design state's raw moments plus
 z_n z_n', with no product of the rows; one Cholesky factor of it gives
 (Z'Z)^{-1} [t0, z_n], and Z'Z + aI is the residual projector's system,
-as the ridge design is then all of Z.  The leverages are carried from step to step rather
-than solved for: adding z_n lowers each stored slot's leverage by
-(z_s'c1)^2 / (1 - h_n) (Sherman-Morrison), with c1 = (Z'Z)^{-1} z_n and
-h_n = z_n'c1 the new slot's leverage, and z_s'c1 is the slope of the
-slice point the step computes anyway.  So a step costs O(n K) beyond its
-draws.  The chain starts, and restarts after any break, from one
-triangular solve, h_ss = |L^{-1} z_s|^2: at its first step, after a step
-that the SVD took or that staged a row other than the one observed, and
-where 1 - h_n is too small to divide by.  Every other step takes an SVD of
-Z, which also decides its rank: the exact steps, and the Monte-Carlo steps
-whose factor fails or whose estimated condition is too poor to rule out a
-rank the SVD would cut (duplicated columns, large feature offsets).  Both
-routes end in one method: given the slice point, the ridge Gram and the
-leverages, it applies the residual projector once, to the response, the
-candidate and the slice point's intercept and slope, and draws.
+as the ridge design is then all of Z.  The leverages are carried from
+step to step rather than solved for: adding z_n lowers each stored
+slot's leverage by (z_s'c1)^2 / (1 - h_n) (Sherman-Morrison), with
+c1 = (Z'Z)^{-1} z_n and h_n = z_n'c1 the new slot's leverage, and z_s'c1
+is the slope of the slice point the step computes anyway.  So a step
+costs O(n K) beyond its draws.  The chain starts, and restarts after any
+break, from one triangular solve, h_ss = |L^{-1} z_s|^2: at its first
+step, after a step that the SVD took or that staged a row other than the
+one observed, and where 1 - h_n is too small to divide by.  Every other
+step takes an SVD of Z, which also decides its rank: the exact steps, and
+the Monte-Carlo steps whose factor fails or whose estimated condition is
+too poor to rule out a rank the SVD would cut (duplicated columns, large
+feature offsets).  Both routes end in one method, which applies the
+projector once, to four columns, and draws.
 
 Regions.  On a Monte-Carlo step the estimated p-value is a step function
 of the candidate y: it changes only where a draw's score
@@ -76,13 +79,13 @@ exchangeability sweep; every other draw keeps its state on both sides.
 The candidates, probes and scores are laid out event-major, one column
 per draw, so that every array operation runs along the long draw axis,
 and one sort of all the flip points groups them into events.  That sweep
-runs once per step and serves every epsilon and tau.  Exact steps (d <= 1) sweep the critical points of
-their residual lines as the exchangeability predictor does (the Ridge
-Regression Confidence Machine): the observed line ties itself
-structurally, not within a rounding band.  Both tables share one layout,
-and ``cpreg.regions.super_level_sets`` turns either into the regions of
-every level at once, so an endpoint is closed by the counts at its
-crossing, not by the p-value at a rounded point.
+runs once per step and serves every epsilon and tau.  Exact steps
+(d <= 1) sweep their residual lines' critical points as the
+exchangeability predictor does (the Ridge Regression Confidence
+Machine).  Both tables share one layout, and the observed score ties
+itself on every cell of either; ``cpreg.regions.super_level_sets`` turns
+them into the regions of every level at once, so an endpoint is closed by
+the counts at its crossing, not by the p-value at a rounded point.
 """
 
 from __future__ import annotations
@@ -418,8 +421,7 @@ class IidGaussPredictor(OnlinePredictor):
         """A step whose slice has dimension ``d >= 2``: its residual lines and draws.
 
         The ridge design U is Z's leading columns, as many as its Gram ``gram``
-        has, and ``fitted`` holds the slice point's intercept and slope Z c0
-        and Z c1.  A draw is a slot and its null-space coordinate.
+        has; ``fitted`` holds the slice point's intercept and slope, Z c0 and Z c1.
         """
         n, cols = design.shape
         rmap = RidgeResidualMap(design[:, : gram.shape[0]], gram, self.ridge)
@@ -452,8 +454,9 @@ class IidGaussPredictor(OnlinePredictor):
             return [PredictionRegion.real_line() for _ in levels]
         if ctx.exact:
             table = (*ctx.atoms.tables, ctx.atoms.n)
-        else:
-            table = (*ctx.crossings, self.mc_samples)
+        else:  # the observed score is one of mc + 1 and ties itself on every cell
+            events, greater, ties = ctx.crossings
+            table = (events, greater, ties + 1, self.mc_samples + 1)
         kept = [eps for eps, use in zip(levels, informative) if use]
         regions = iter(super_level_sets(*table, kept, tau))
         return [next(regions) if use else PredictionRegion.real_line() for use in informative]
@@ -468,7 +471,7 @@ class IidGaussPredictor(OnlinePredictor):
         scores = np.abs(ctx.slot_base + ctx.slot_slope * y + ctx.slot_mix * radius)
         greater = int(np.count_nonzero(scores > observed))
         ties = int(np.count_nonzero(scores == observed))
-        return (greater + tau * ties) / self.mc_samples
+        return (greater + tau * (ties + 1)) / (self.mc_samples + 1)
 
     def observe(self, obs: Observation) -> None:
         staged, self._staged = self._staged, None

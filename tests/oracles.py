@@ -8,6 +8,7 @@ probe, grid search plus bisection) that the optimized code must reproduce.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from numpy.typing import NDArray
@@ -233,13 +234,17 @@ def iidgauss_draw_scores(ctx, ys) -> Matrix:
 
 def iidgauss_pvalues(ctx, ys, tau: float) -> Vector:
     """Monte-Carlo p-value of an iid-gauss step at every candidate in ``ys``,
-    all draws scored at all candidates in one array."""
+    all draws scored at all candidates in one array.
+
+    The observed score is one of mc + 1 exchangeable scores and ties itself:
+    p = (greater + tau * (ties + 1)) / (mc + 1).
+    """
     ys = np.asarray(ys, dtype=float)[:, None]
     obs = np.abs(ctx.ea[0] * ys + ctx.ea[1])
     vals = iidgauss_draw_scores(ctx, ys)
     greater = np.count_nonzero(vals > obs, axis=1)
     ties = np.count_nonzero(vals == obs, axis=1)
-    return (greater + tau * ties) / vals.shape[1]
+    return (greater + tau * (ties + 1)) / (vals.shape[1] + 1)
 
 
 _SIGNS = np.array([[1.0], [-1.0]])
@@ -367,6 +372,33 @@ def iidgauss_grid_region(pred, ctx, eps: float, tau: float) -> tuple[PredictionR
     lo = -np.inf if first == 0 else refine(grid[first - 1], grid[first])
     hi = np.inf if last == GRID_POINTS - 1 else refine(grid[last + 1], grid[last])
     return PredictionRegion([Interval(lo, hi, bool(np.isfinite(lo)), bool(np.isfinite(hi)))]), half
+
+
+def exchangeability_identity(factory, bag: list[Observation], eps) -> Fraction:
+    """Average over slots of the smoothed error probability at ``eps``, exactly.
+
+    Under exchangeability a smoothed conformal p-value has, for every bag,
+    (1/n) * sum_s P_tau(p_s <= eps) = eps, with p_s the p-value of slot s
+    when it comes last; this returns the left-hand side.  For each slot a
+    fresh ``factory()`` predictor observes the rest of ``bag`` in order and
+    scores slot s.  Its p-value must be (g_s + tau * t_s) / n with integer
+    counts, which p(., 0) and p(., 1) give, and P_tau(p_s <= eps) is
+    clip((eps * n - g_s) / t_s, 0, 1), summed in ``Fraction`` arithmetic.
+    ``eps`` is taken exactly: pass ``Fraction("0.1")`` for the decimal level.
+    """
+    n, level = len(bag), Fraction(eps)
+    total = Fraction(0)
+    for s in range(n):
+        pred = factory()
+        for obs in bag[:s] + bag[s + 1 :]:
+            pred.observe(obs)
+        ctx = pred.begin_step(bag[s].x)
+        low, high = (Fraction(pred.pvalue(ctx, bag[s].y, tau)) * n for tau in (0.0, 1.0))
+        greater, tied = round(low), round(high - low)
+        if abs(low - greater) > 1e-9 or abs(high - low - tied) > 1e-9 or tied < 1:
+            raise ValueError(f"slot {s}: p-values {low / n}, {high / n} are not counts over {n}")
+        total += min(max((level * n - greater) / tied, Fraction(0)), Fraction(1))
+    return total / n
 
 
 def running_median(values) -> float:

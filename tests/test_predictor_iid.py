@@ -2,10 +2,17 @@
 
 import hashlib
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracles import iid_dense_tables, iid_per_probe_region, ridge_design, ridge_residual_affine
+from oracles import (
+    exchangeability_identity,
+    iid_dense_tables,
+    iid_per_probe_region,
+    ridge_design,
+    ridge_residual_affine,
+)
 
 from cpreg import (
     AffineResiduals,
@@ -229,8 +236,8 @@ OTHER_DIGESTS = {
     ("mva", 20, 120, True): "8d74e36595d4d74ac41f44a82ebf9f9804c828409433f313da56c57a847dc449",
     ("mva", 30, 25, False): "e616db38bbe44650f94f233cba0e18224d8357f8d676379bf4eb8d0fd0168f80",
     ("mva", 30, 25, True): "f1dfc5a3876eb83095783378fde1b9266a942ff3c9ef023c38ec86ee86198b3c",
-    ("iid-gauss", 20, 120, False): "37b1b69d1b27898dcf83516647a2010ac625c0d3b8e1df8b881a83aa170433a8",
-    ("iid-gauss", 20, 120, True): "2a0b234c59853a156a87b1ed14e84530d853db734a1c453461ccc2e42eaa19ad",
+    ("iid-gauss", 20, 120, False): "15b141868bb84343a0ec0a7578b60e8572ec26fdcfafeaa6a34a34aa50f4178a",
+    ("iid-gauss", 20, 120, True): "1d2983bd167b88669f370531fd2c0a76f73823ca9411941b57c0c87bbec6f041",
     ("iid-gauss", 30, 25, False): "08e3cbb1accb38b13a4ad45e7ce8e1c5c10406d32b7f605c5b95324c737adc38",
     ("iid-gauss", 30, 25, True): "cc7afc66099423db80ff15a16687683d8fea9be913a8dbb0b5b8a005ec2ad3f5",
     ("wilks", 20, 120, False): "5b619db21c6be89b0331263e16ac68afeae98f51052c80c60def3f0db3b5e9fa",
@@ -401,3 +408,14 @@ def test_iid_keeps_only_its_rows(monkeypatch):
     gauss = GaussPredictor()
     gauss.observe(stream[0])
     assert folds == [gauss.design]
+
+
+IDENTITY_LEVELS = (Fraction("0.3"), Fraction("0.1"), Fraction("0.05"))
+
+
+def test_exchangeability_identity_holds_on_every_prefix():
+    # the average error probability over which slot comes last is eps exactly
+    stream = generate(SyntheticSpec(k=2, n=40, seed=4))
+    for n in range(5, 41):
+        for eps in IDENTITY_LEVELS:
+            assert exchangeability_identity(IidPredictor, stream[:n], eps) == eps, (n, eps)

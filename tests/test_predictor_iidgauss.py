@@ -1,5 +1,7 @@
 """Joint exchangeability/Gaussian predictor: conditional atoms and Monte Carlo."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -12,7 +14,9 @@ from cpreg import (
     RidgeResidualMap,
     RunConfig,
     SyntheticSpec,
+    binomial_band,
     generate,
+    iid_pvalue,
     make_predictor,
 )
 from cpreg.predictors import iid_gauss
@@ -25,6 +29,7 @@ import oracles
 from oracles import (
     REFINE_RTOL,
     TIE_RTOL,
+    exchangeability_identity,
     iidgauss_draw_scores,
     iidgauss_grid_region,
     iidgauss_pvalues,
@@ -102,6 +107,15 @@ def test_matches_plain_iid_predictor_while_slice_is_a_point():
         a.observe(obs)
         b.observe(obs)
     assert bounded >= 20
+
+
+def test_exchangeability_identity_holds_while_slice_is_a_point():
+    # d = 0 (n <= K + 1): the atoms are the slots' residual lines, so the
+    # average error probability over which slot comes last is eps exactly
+    stream = generate(SyntheticSpec(k=20, n=21, seed=4))
+    for n in range(5, 22):
+        for eps in (Fraction("0.3"), Fraction("0.1"), Fraction("0.05")):
+            assert exchangeability_identity(fresh, stream[:n], eps) == eps, (n, eps)
 
 
 def test_slice_radius_matches_null_direction_projection():
@@ -211,6 +225,31 @@ def test_monte_carlo_coverage_under_the_model():
         assert not ctx.exact  # genuine Monte-Carlo regime
         hits += pred.region(ctx, 0.1, 1.0).contains(y[29])
     assert 0.84 <= hits / reps <= 0.96
+
+
+def test_monte_carlo_steps_are_exactly_valid():
+    # The observed score is one of mc + 1 exchangeable scores, so even with 10
+    # draws a step the smoothed errors of the Monte-Carlo steps (5 to 260) of
+    # 20 K = 2 runs fall in the 1% binomial band, no smoothed p-value is 0,
+    # and deterministic p-values are conservative
+    smoothed, deterministic = [], []
+    for s in range(20):
+        pred = make_predictor(RunConfig(predictor="iid-gauss", seed=s, mc_samples=10))
+        taus = RandomStream(s, substream=0)  # the tie-breaking draws of a smoothed run
+        for obs in generate(SyntheticSpec(k=2, n=260, seed=700 + s)):
+            tau = taus.uniform()
+            ctx = pred.begin_step(obs.x)
+            if not ctx.exact:
+                smoothed.append(pred.pvalue(ctx, obs.y, tau))
+                deterministic.append(pred.pvalue(ctx, obs.y, 1.0))
+            pred.observe(obs)
+    smoothed, deterministic = np.array(smoothed), np.array(deterministic)
+    assert smoothed.size == 20 * 256
+    for eps in (0.1, 0.05):
+        lower, upper = binomial_band(smoothed.size, eps)
+        assert lower <= np.count_nonzero(smoothed <= eps) <= upper, eps
+    assert np.count_nonzero(deterministic <= 0.1) <= binomial_band(smoothed.size, 0.1)[1]
+    assert smoothed.min() > 0.0
 
 
 def test_common_random_numbers_make_steps_reproducible():
@@ -362,7 +401,7 @@ def _end_pvalue(pred, ctx, end, tau):
     shows within the sweep's relative tie band.  A Monte-Carlo step's
     endpoints are crossings: a draw whose comparison differs on the two
     neighbouring segments ties there, and any other draw counts by the state
-    it keeps on both.
+    it keeps on both; the observed score, one of mc + 1, ties itself.
     """
     if not ctx.exact:
         events = ctx.crossings[0]
@@ -371,7 +410,7 @@ def _end_pvalue(pred, ctx, end, tau):
         sides = _segment_points(events)[at : at + 2, None]
         above = iidgauss_draw_scores(ctx, sides) >= np.abs(ctx.ea[0] * sides + ctx.ea[1])
         ties = np.count_nonzero(above[0] != above[1])
-        return (np.count_nonzero(above[0] & above[1]) + tau * ties) / pred.mc_samples
+        return (np.count_nonzero(above[0] & above[1]) + tau * (ties + 1)) / (pred.mc_samples + 1)
     scores = np.abs(ctx.atoms.residuals.at(end))
     own, rest = scores[-1], scores[:-1]
     tol = TIE_RTOL * max(1.0, own)
@@ -408,7 +447,8 @@ def test_monte_carlo_region_is_the_exact_pvalue_super_level_set(k, size):
         assert np.all(np.diff(events) > 0)
         mids = _segment_points(events) if events.size else np.zeros(1)
         if not ctx.exact:
-            assert np.array_equal(greater[0::2] / pred.mc_samples, iidgauss_pvalues(ctx, mids, 1.0))
+            gaps = (greater[0::2] + 1) / (pred.mc_samples + 1)  # the observed score ties itself
+            assert np.array_equal(gaps, iidgauss_pvalues(ctx, mids, 1.0))
         probes = rng.uniform(mids[0], mids[-1], 200)
         for tau in (0.0, 0.37, 1.0):
             if ctx.exact:
@@ -440,12 +480,17 @@ def test_monte_carlo_region_is_the_exact_pvalue_super_level_set(k, size):
 
 def test_monte_carlo_endpoints_close_by_their_ties():
     # last step of a deterministic run: one draw crosses at each endpoint, so
-    # the ends are closed at tau = 1 and open at tau = 0 whatever the rounding
+    # the ends are closed at tau = 1 and open at tau = 0 whatever the rounding.
+    # The observed score ties itself, so at tau = 1 the region also keeps the
+    # segments with one greater draw fewer, and is wider
     pred, ctx = _deterministic_context(20, 120, 23, 120)
     assert not ctx.exact
-    for tau, closed in ((1.0, True), (0.0, False)):
+    for tau, ends, closed in (
+        (1.0, (87.9668, 92.0812), True),
+        (0.0, (87.9757, 92.0724), False),
+    ):
         (piece,) = pred.raw_region(ctx, 0.05, tau).pieces
-        assert (piece.lo, piece.hi) == pytest.approx((87.9757, 92.0724), abs=1e-4)
+        assert (piece.lo, piece.hi) == pytest.approx(ends, abs=1e-4)
         assert piece.lo_closed == piece.hi_closed == closed
 
 
@@ -466,7 +511,7 @@ def test_noise_free_stream_counts_are_exact_outside_a_rounding_band():
             c2, c1, _ = ctx.rad2
             fit = -c1 / (2.0 * c2)
             far = np.abs(mids - fit) > 1e-6 * max(1.0, abs(fit))
-            got = greater[0::2][far] / pred.mc_samples
+            got = (greater[0::2][far] + 1) / (pred.mc_samples + 1)
             assert np.array_equal(got, iidgauss_pvalues(ctx, mids[far], 1.0)), ctx.n
             at, tied = greater[1::2], ties[1::2]
             assert np.all(at >= 0) and np.all(tied >= 1), ctx.n
@@ -494,8 +539,9 @@ def test_a_draw_that_touches_the_observed_score_ties_there_once():
     assert events.tolist() == [-1.0, 0.0, 1.0, 2.0]
     assert greater.tolist() == [0, 0, 1, 1, 1, 0, 0, 0, 0]
     assert ties.tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 0]
-    # the p-value at each event is the counts there
-    assert iidgauss_pvalues(ctx, events, 1.0).tolist() == [0.5, 1.0, 0.5, 0.5]
+    # the p-value at each event is the counts there, the observed score one of
+    # mc + 1 = 3 and tied with itself
+    assert iidgauss_pvalues(ctx, events, 1.0).tolist() == [2 / 3, 1.0, 2 / 3, 2 / 3]
 
 
 def test_sorting_network_sorts_every_column():
@@ -588,15 +634,21 @@ def test_step_tables_and_regions_equal_the_array_references():
 
 
 def test_monte_carlo_pvalue_equals_the_array_reference():
-    # bit for bit, at every event of the step table and at random candidates
+    # bit for bit, at every event of the step table and at random candidates;
+    # and it is the exchangeability p-value of the observed score among the
+    # draws' scores and itself, mc + 1 in all
     rng = np.random.default_rng(11)
     for pred, ctx in _monte_carlo_steps(3, 40, seed=6, mc_samples=200):
         events = ctx.crossings[0]
         spread = max(np.ptp(events), 1.0)
         ys = np.concatenate((events, rng.uniform(events[0] - spread, events[-1] + spread, 50)))
+        draws = iidgauss_draw_scores(ctx, ys[:, None])
+        observed = np.abs(ctx.ea[0] * ys + ctx.ea[1])
         for tau in (0.0, 0.37, 1.0):
             got = np.array([pred.pvalue(ctx, y, tau) for y in ys])
             assert np.array_equal(got, iidgauss_pvalues(ctx, ys, tau)), (ctx.n, tau)
+            pooled = [iid_pvalue(np.append(d, o), tau) for d, o in zip(draws, observed)]
+            assert np.array_equal(got, pooled), (ctx.n, tau)
 
 
 @MC_STREAMS
@@ -619,13 +671,13 @@ def test_monte_carlo_hull_matches_the_grid_oracle(k, size):
 
 def test_monte_carlo_region_is_not_clipped_at_a_grid_edge():
     # step 26 of this run: the grid search kept a grid end and reported an
-    # infinite endpoint; the exact region is bounded, about 51.5 wide
+    # infinite endpoint; the exact region is bounded, about 196.1 wide
     pred, ctx = _deterministic_context(20, 120, 3, 26)
     assert not ctx.exact
     assert not iidgauss_grid_region(pred, ctx, 0.01, 1.0)[0].is_bounded
     region = pred.raw_region(ctx, 0.01, 1.0)
     assert region.is_bounded and not region.is_empty
-    assert region.length == pytest.approx(51.5, rel=1e-2)
+    assert region.length == pytest.approx(196.1, rel=1e-2)
     beyond = region.length * np.geomspace(1e-9, 1e6, 200)
     for y in np.concatenate((region.inf - beyond, region.sup + beyond)):
         assert pred.pvalue(ctx, y, 1.0) <= 0.01, y

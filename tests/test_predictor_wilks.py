@@ -1,10 +1,13 @@
 """Order-statistic predictor: exact two-sided rank intervals."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.stats
+from oracles import exchangeability_identity
 
-from cpreg import Observation, PredictionRegion, WilksPredictor, wilks_region
+from cpreg import Observation, PredictionRegion, SyntheticSpec, WilksPredictor, generate, wilks_region
 
 
 def test_interval_and_level_small_cases():
@@ -110,3 +113,11 @@ def test_explanatory_variables_are_ignored():
     ctx_b = b.begin_step(np.array([9.9, 9.9]))
     assert np.array_equal(ctx_a.sorted_history, ctx_b.sorted_history)
     assert a.raw_region(ctx_a, 0.5, 1.0) == b.raw_region(ctx_b, 0.5, 1.0)
+
+
+def test_exchangeability_identity_holds_on_every_prefix_of_a_continuous_stream():
+    # the average error probability over which slot comes last is eps exactly
+    stream = generate(SyntheticSpec(k=2, n=40, seed=4))
+    for n in range(5, 41):
+        for eps in (Fraction("0.3"), Fraction("0.1"), Fraction("0.05")):
+            assert exchangeability_identity(WilksPredictor, stream[:n], eps) == eps, (n, eps)
