@@ -28,7 +28,6 @@ from .predictors import (
     OnlinePredictor,
     WilksPredictor,
     critical_points,
-    iid_pvalue,
     open_solution_set,
     wilks_region,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "LedgerTable",
     "OnlinePredictor",
     "IidPredictor",
-    "iid_pvalue",
     "critical_points",
     "GaussPredictor",
     "MvaPredictor",

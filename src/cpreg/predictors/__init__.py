@@ -2,7 +2,7 @@
 
 from .base import OnlinePredictor, check_epsilon, check_tau
 from .gauss import GaussPredictor
-from .iid import IidPredictor, critical_points, iid_pvalue
+from .iid import IidPredictor, critical_points
 from .iid_gauss import IidGaussPredictor
 from .mva import MvaPredictor, open_solution_set
 from .wilks import WilksPredictor, wilks_region
@@ -12,7 +12,6 @@ __all__ = [
     "check_epsilon",
     "check_tau",
     "IidPredictor",
-    "iid_pvalue",
     "critical_points",
     "GaussPredictor",
     "MvaPredictor",

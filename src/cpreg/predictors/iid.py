@@ -3,20 +3,25 @@
 At step n every observation's ridge residual (``ridge_lines``, as on the
 exact steps of iid-gauss) is an affine function of the candidate response
 y, so the nonconformity comparison pattern can change only where some
-|e_i(y)| crosses |e_n(y)|, i.e. where e_i(y) = +-e_n(y).
-Those roots, merged within ``MERGE_TOL``, are the critical points, and the
-region {y : p(y) > eps} is assembled by sweeping them (the Ridge Regression
-Confidence Machine): the p-value is constant on each open gap between
-them, so the counts on every gap and at every critical point determine
-the region exactly.
+|e_i(y)| crosses |e_n(y)|, i.e. where e_i(y) = +-e_n(y).  Tie rule: a past
+line ties with the observed one at y if one of those roots lies within
+``tol`` = ``MERGE_RTOL`` * (the step's largest |intercept|) of y, a bound
+that scales with the roots under y -> s*y, or if it is +-e_n (parallel,
+with an equal score).  The sorted roots form one group while each lies
+within ``tol`` of the one before; a group's first root is its critical
+point, no root of another group lies within ``tol`` of it, and so the
+p-value there counts what the sweep does.  The region {y : p(y) > eps} is
+assembled by sweeping the critical points (the Ridge Regression Confidence
+Machine): the p-value is constant on each open gap between them, so the
+counts on every gap and at every critical point determine it exactly.
 
 The sweep is an event sweep.  Each past line is compared with the observed
 one once, on the left ray below every critical point; it meets the
 observed line at most twice, and each root where it does flips the
 comparison, so a +-1 change per root, summed over the gaps, gives the
 count of greater scores on every gap in O(n log n).  Ties: a line with a
-root at a critical point ties there (a double root touches once and flips
-nothing); a line that ties on the left ray, away from every root, is
+root in a group ties at its critical point (a double root touches once and
+flips nothing); a line that ties on the left ray, away from every root, is
 +-e_n itself and ties on every gap and at every critical point; the
 observed line ties itself.  ``cpreg.regions.super_level_sets`` turns
 these tables into the region of every level in one pass.
@@ -24,7 +29,7 @@ these tables into the region of every level in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -34,64 +39,64 @@ from ..design import DesignRows
 from ..regions import PredictionRegion, super_level_sets
 from ..residuals import DEFAULT_RIDGE, AffineResiduals, check_ridge, ridge_lines
 from ..stream import Observation
-from .base import OnlinePredictor, check_tau
+from .base import OnlinePredictor
 
 # Two residual lines closer in slope than this never cross.
 PARALLEL_TOL = 1e-12
-# Critical points closer than this collapse into one.
-MERGE_TOL = 1e-12
+MERGE_RTOL = 1e-12  # the tie tolerance of a step, relative to its largest |intercept|
 
 
-def iid_pvalue(scores, tau: float) -> float:
-    """p-value of the last score among all of them.
-
-    ``p = (#{a_i > a_n} + tau * #{a_i = a_n}) / n`` with i running over
-    all n scores (the last one always ties itself).
-    """
-    check_tau(tau)
-    arr = np.asarray(scores, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("scores must be a nonempty 1-D sequence")
-    last = arr[-1]
-    greater = int(np.count_nonzero(arr > last))
-    ties = int(np.count_nonzero(arr == last))
-    return (greater + tau * ties) / arr.size
-
-
-def _roots(residuals: AffineResiduals) -> NDArray[np.float64]:
-    """Solutions of e_i(y) = e_n(y) (row 0) and e_i(y) = -e_n(y) (row 1), i < n.
-
-    NaN where the two lines are parallel within ``PARALLEL_TOL``.
-    """
+def _roots(residuals: AffineResiduals, past=slice(-1)) -> NDArray[np.float64]:
+    """Solutions of e_i(y) = e_n(y) (row 0) and -e_n(y) (row 1), i in ``past``; NaN if parallel."""
     b, c = residuals.slopes, residuals.intercepts
     signs = np.array([[1.0], [-1.0]])
-    denom = b[:-1] - signs * b[-1]
+    denom = b[past] - signs * b[-1]
     roots = np.full(denom.shape, np.nan)
-    np.divide(signs * c[-1] - c[:-1], denom, out=roots, where=np.abs(denom) >= PARALLEL_TOL)
+    np.divide(signs * c[-1] - c[past], denom, out=roots, where=np.abs(denom) >= PARALLEL_TOL)
     return roots
 
 
-def _merge(roots: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Sorted roots, each chain closer than ``MERGE_TOL`` to its first one merged into it."""
-    ordered = np.sort(roots[~np.isnan(roots)])
-    if np.all(np.diff(ordered) > MERGE_TOL):
-        return ordered
-    merged: list[float] = []
-    for t in ordered:
-        if not merged or t - merged[-1] > MERGE_TOL:
-            merged.append(float(t))
-    return np.asarray(merged)
-
-
 def critical_points(residuals: AffineResiduals) -> NDArray[np.float64]:
-    """Sorted, deduplicated solutions of e_i(y) = +-e_n(y) over i < n."""
-    return _merge(_roots(residuals))
+    """Sorted critical points of e_i(y) = +-e_n(y) over i < n, grouped by the tie rule."""
+    return IidStepContext(residuals.slopes.size, residuals).groups()[0]
 
 
 @dataclass
 class IidStepContext:
     n: int  # number of residual lines, the p-value denominator
     residuals: AffineResiduals  # the observed (scored) line last
+    tol: float = field(init=False)
+
+    def __post_init__(self):
+        self.tol = MERGE_RTOL * float(np.abs(self.residuals.intercepts).max())
+
+    def pvalue(self, y: float, tau: float) -> float:
+        """p-value of ``y`` under the tie rule, in O(n): as every |b_i| <= 1 (the projector
+        is a contraction), a line that ties scores within 2 tol of the observed line."""
+        scores = np.abs(self.residuals.at(y))
+        own = float(scores[-1])
+        low, high = own - 4.0 * self.tol, own + 4.0 * self.tol
+        greater = int(np.count_nonzero(scores > high))
+        ties = int(np.count_nonzero(scores >= low)) - greater  # the observed line among them
+        if ties > 1:
+            near = np.flatnonzero((scores[:-1] >= low) & (scores[:-1] <= high))
+            roots = _roots(self.residuals, near)
+            tied = np.any(np.abs(roots - y) <= self.tol, axis=0)
+            tied |= np.isnan(roots).any(axis=0) & (scores[near] == own)  # +-e_n
+            greater += int(np.count_nonzero(scores[near[~tied]] > own))
+            ties = int(np.count_nonzero(tied)) + 1
+        return (greater + tau * ties) / self.n
+
+    def groups(self) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
+        """The critical points, and each root's index among them (their count for a NaN root)."""
+        flat = _roots(self.residuals).ravel()
+        order = np.argsort(flat)[: flat.size - np.count_nonzero(np.isnan(flat))]  # NaN sorts last
+        ordered = flat[order]
+        first = np.ones(ordered.size, dtype=bool)
+        np.greater(np.diff(ordered), self.tol, out=first[1:])
+        at = np.full(flat.size, np.count_nonzero(first))
+        at[order] = np.cumsum(first) - 1
+        return ordered[first], at.reshape(2, -1)
 
     @cached_property
     def tables(self) -> tuple[NDArray[np.float64], NDArray[np.int64], NDArray[np.int64]]:
@@ -101,17 +106,15 @@ class IidStepContext:
         ray], or a single entry when there are no critical points.  Built on
         the first region request; a p-value never needs them.
         """
-        roots = _roots(self.residuals)
-        crit = _merge(roots)
+        crit, at = self.groups()
         m = crit.size
         scores = np.abs(self.residuals.at(crit[0] - 1.0 if m else 0.0))
         own, rest = scores[-1], scores[:-1]
         above, tied = rest > own, rest == own
-        # The critical point each root merged into, m for none; a tied line
-        # is never crossed.  A line is on the far side of its left-ray state
+        # The critical point of each root's group, m for none; a tied line is
+        # never crossed.  A line is on the far side of its left-ray state
         # exactly on the gaps lo + 1 .. hi.
-        at = np.searchsorted(crit, roots, side="right") - 1
-        at[np.isnan(roots) | tied] = m
+        at[:, tied] = m
         lo, hi = at.min(axis=0), at.max(axis=0)
         flips = np.where(above, -1.0, 1.0)
         change = np.bincount(lo, flips, m + 1) - np.bincount(hi, flips, m + 1)
@@ -149,7 +152,7 @@ class IidPredictor(OnlinePredictor):
         return super_level_sets(*ctx.tables, ctx.n, levels, tau)
 
     def _pvalue(self, ctx: IidStepContext, y: float, tau: float) -> float:
-        return iid_pvalue(np.abs(ctx.residuals.at(float(y))), tau)
+        return ctx.pvalue(float(y), tau)
 
     def observe(self, obs: Observation) -> None:
         self.design.append(obs.x, obs.y)

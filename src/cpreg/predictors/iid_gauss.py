@@ -117,7 +117,7 @@ from ..residuals import (
 )
 from ..stream import Observation
 from .base import OnlinePredictor
-from .iid import IidStepContext, iid_pvalue
+from .iid import IidStepContext
 
 # Smallest LAPACK dtrcon estimate of the 1-norm reciprocal condition of the
 # Cholesky factor L of Z'Z for which a Monte-Carlo step trusts L; below it
@@ -463,7 +463,7 @@ class IidGaussPredictor(OnlinePredictor):
 
     def _pvalue(self, ctx: IidGaussStepContext, y: float, tau: float) -> float:
         if ctx.exact:
-            return iid_pvalue(np.abs(ctx.atoms.residuals.at(float(y))), tau)
+            return ctx.atoms.pvalue(float(y), tau)
         y = float(y)
         c2, c1, c0 = ctx.rad2
         radius = math.sqrt(max(c2 * y * y + c1 * y + c0, 0.0))

@@ -25,6 +25,7 @@ from cpreg import (
     critical_points,
 )
 from cpreg.linalg import RANK_RTOL, NumericalError
+from cpreg.predictors import check_tau
 from cpreg.regions import Interval
 from cpreg.residuals import DEFAULT_RIDGE, features_used
 from cpreg.studentt import t_upper_point
@@ -156,6 +157,62 @@ def stream_arrays(stream: list[Observation]) -> tuple[Matrix, Vector]:
     if not xs:
         return np.empty((0, 0)), np.empty(0)
     return np.vstack(xs), np.asarray(ys, dtype=float)
+
+
+def iid_pvalue(scores, tau: float) -> float:
+    """p-value of the last score among all of them, ties by float equality.
+
+    ``p = (#{a_i > a_n} + tau * #{a_i = a_n}) / n`` with i running over
+    all n scores (the last one always ties itself).
+    """
+    check_tau(tau)
+    arr = np.asarray(scores, dtype=float)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValueError("scores must be a nonempty 1-D sequence")
+    last = arr[-1]
+    greater = int(np.count_nonzero(arr > last))
+    ties = int(np.count_nonzero(arr == last))
+    return (greater + tau * ties) / arr.size
+
+
+def exact_iid_pvalues(stream: list[Observation], ridge: float = DEFAULT_RIDGE) -> list[tuple[int, int]]:
+    """Greater and tied score counts of every step of an iid run, in rational arithmetic.
+
+    Step n scores the ridge residuals of the first n observations, the last
+    one observed, with U'U + aI and the residuals formed and solved in
+    ``Fraction`` arithmetic and ``Fraction(ridge)`` exactly the float, so
+    ties are decided as in real arithmetic; the p-value at tau is
+    (greater + tau * ties) / n.  For small integer streams: n <= 30, K <= 2.
+    """
+    if len(stream) > 30 or stream[0].x.size > 2:
+        raise ValueError("the rational oracle takes n <= 30 and K <= 2")
+    if any(float(v) != int(v) for obs in stream for v in (*obs.x, obs.y)):
+        raise ValueError("the rational oracle takes integer features and responses")
+    a = Fraction(ridge)
+    counts = []
+    for n in range(1, len(stream) + 1):
+        used = features_used(n, stream[0].x.size)
+        rows = [[Fraction(1)] + [Fraction(int(v)) for v in obs.x[:used]] for obs in stream[:n]]
+        ys = [Fraction(int(obs.y)) for obs in stream[:n]]
+        cols = len(rows[0])
+        # Gauss-Jordan on [U'U + aI | U'y]
+        system = [
+            [sum(r[i] * r[j] for r in rows) + (a if i == j else 0) for j in range(cols)]
+            + [sum(r[i] * y for r, y in zip(rows, ys))]
+            for i in range(cols)
+        ]
+        for i in range(cols):
+            pivot = system[i][i]
+            system[i] = [v / pivot for v in system[i]]
+            for j in range(cols):
+                if j != i:
+                    factor = system[j][i]
+                    system[j] = [v - factor * w for v, w in zip(system[j], system[i])]
+        coef = [row[-1] for row in system]
+        scores = [abs(y - sum(u * c for u, c in zip(r, coef))) for r, y in zip(rows, ys)]
+        own = scores[-1]
+        counts.append((sum(s > own for s in scores), sum(s == own for s in scores)))
+    return counts
 
 
 def iid_dense_tables(

@@ -37,7 +37,6 @@ PUBLIC = [
     "error_frequency_check",
     "frequency_window",
     "generate",
-    "iid_pvalue",
     "independence_test",
     "make_predictor",
     "open_solution_set",

@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from oracles import (
+    exact_iid_pvalues,
     exchangeability_identity,
     iid_dense_tables,
     iid_per_probe_region,
+    iid_pvalue,
     ridge_design,
     ridge_residual_affine,
 )
@@ -27,7 +29,6 @@ from cpreg import (
     SyntheticSpec,
     critical_points,
     generate,
-    iid_pvalue,
     run_online,
 )
 from cpreg.design import DesignState
@@ -138,11 +139,29 @@ def test_pvalue_agrees_with_region_thresholding():
     ctx = pred.begin_step(rng.standard_normal(2))
     for eps in (0.1, 0.3, 0.6):
         region = pred.raw_region(ctx, eps, 1.0)
-        endpoints = [b for piece in region.pieces for b in (piece.lo, piece.hi) if np.isfinite(b)]
         for y in np.linspace(-6, 6, 301):
-            if any(abs(y - e) < 1e-9 for e in endpoints):
-                continue
             assert (pred.pvalue(ctx, float(y), 1.0) > eps) == region.contains(float(y))
+
+
+@pytest.mark.parametrize(
+    "make_stream",
+    [
+        lambda: tie_heavy_stream(),  # defined further down
+        lambda: generate(SyntheticSpec(k=20, n=50, seed=4)),
+        lambda: generate(SyntheticSpec(k=3, n=80, seed=0)),
+    ],
+    ids=["tie-heavy", "k20", "k3"],
+)
+def test_pvalue_agrees_with_region_thresholding_at_every_endpoint(make_stream):
+    # an endpoint is a critical point, where the p-value counts the lines of
+    # its group as ties, as the sweep does
+    for pred, ctx in stream_steps(make_stream()):
+        for tau in (0.0, 0.37, 1.0):
+            for eps in (0.3, 0.1, 0.05):
+                raw = pred.raw_region(ctx, eps, tau)
+                ends = [e for p in raw.pieces for e in (p.lo, p.hi) if np.isfinite(e)]
+                for end in ends:
+                    assert raw.contains(end) == (pred.pvalue(ctx, end, tau) > eps), (ctx.n, eps, tau)
 
 
 def test_nested_regions_across_levels():
@@ -177,6 +196,15 @@ def test_observe_rejects_dimension_change():
     pred.observe(Observation(np.array([1.0, 2.0]), 0.0))
     with pytest.raises(ValueError):
         pred.observe(Observation(np.array([1.0]), 0.0))
+
+
+def integer_stream(size=80):
+    """Integer features and responses with repeated rows (ROADMAP item 1)."""
+    rng = np.random.default_rng(5)
+    return [
+        Observation(rng.integers(-2, 3, 1).astype(float), float(rng.integers(0, 3)))
+        for _ in range(size)
+    ]
 
 
 def tie_heavy_stream(n=40):
@@ -220,7 +248,7 @@ GOLDEN_RUNS = [
     (
         RunConfig(predictor="iid", epsilons=(0.3, 0.05, 0.01), smoothed=True, seed=2),
         tie_heavy_stream,
-        "cb9728415a5a96c98ce2d5b5a70bb8e3a91cb4e9cb50de1b94227ebcd9e71ce0",
+        "7c1b458647e0b9fdf79b6c392b2a36f6ba4a4142f7b13727162d8980973b020c",
     ),
 ]
 
@@ -414,8 +442,24 @@ IDENTITY_LEVELS = (Fraction("0.3"), Fraction("0.1"), Fraction("0.05"))
 
 
 def test_exchangeability_identity_holds_on_every_prefix():
-    # the average error probability over which slot comes last is eps exactly
-    stream = generate(SyntheticSpec(k=2, n=40, seed=4))
-    for n in range(5, 41):
-        for eps in IDENTITY_LEVELS:
-            assert exchangeability_identity(IidPredictor, stream[:n], eps) == eps, (n, eps)
+    # the average error probability over which slot comes last is eps exactly,
+    # with ties as real arithmetic has them: repeated rows, at any response offset
+    streams = {
+        "continuous": generate(SyntheticSpec(k=2, n=40, seed=4)),
+        "integer": integer_stream(),
+        "tie-heavy": tie_heavy_stream(),
+        "integer-y-offset-1e6": [Observation(obs.x, obs.y + 1e6) for obs in integer_stream()],
+    }
+    for name, stream in streams.items():
+        for n in range(5, 41):
+            for eps in IDENTITY_LEVELS:
+                assert exchangeability_identity(IidPredictor, stream[:n], eps) == eps, (name, n, eps)
+
+
+@pytest.mark.parametrize("make_stream", [integer_stream, tie_heavy_stream], ids=["integer", "tie-heavy"])
+def test_realized_pvalues_count_ties_as_rational_arithmetic_does(make_stream):
+    stream = make_stream()[:30]
+    want = exact_iid_pvalues(stream)
+    for n, ((pred, ctx), obs) in enumerate(zip(stream_steps(stream), stream), start=1):
+        low, high = (pred.pvalue(ctx, obs.y, tau) * n for tau in (0.0, 1.0))
+        assert (round(low), round(high - low)) == want[n - 1], n

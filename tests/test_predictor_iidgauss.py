@@ -16,7 +16,6 @@ from cpreg import (
     SyntheticSpec,
     binomial_band,
     generate,
-    iid_pvalue,
     make_predictor,
 )
 from cpreg.predictors import iid_gauss
@@ -28,8 +27,8 @@ from cpreg.residuals import DEFAULT_RIDGE
 import oracles
 from oracles import (
     REFINE_RTOL,
-    TIE_RTOL,
     exchangeability_identity,
+    iid_pvalue,
     iidgauss_draw_scores,
     iidgauss_grid_region,
     iidgauss_pvalues,
@@ -37,7 +36,7 @@ from oracles import (
     ridge_design,
     slice_geometry,
 )
-from test_predictor_iid import tie_heavy_stream
+from test_predictor_iid import integer_stream, tie_heavy_stream
 
 
 def feed(predictor, xs, ys):
@@ -396,27 +395,22 @@ def _away_from_ends(region, ys):
 def _end_pvalue(pred, ctx, end, tau):
     """p-value at a region endpoint, from the structure rather than the rounded point.
 
-    An exact step's endpoints are critical points, where an atom line meets
-    the observed one; it ties there, which the rounded crossing point only
-    shows within the sweep's relative tie band.  A Monte-Carlo step's
-    endpoints are crossings: a draw whose comparison differs on the two
-    neighbouring segments ties there, and any other draw counts by the state
-    it keeps on both; the observed score, one of mc + 1, ties itself.
+    An exact step's endpoints are critical points, where the p-value's tie
+    rule counts the atom lines that meet the observed one there.  A
+    Monte-Carlo step's endpoints are crossings: a draw whose comparison
+    differs on the two neighbouring segments ties there, and any other draw
+    counts by the state it keeps on both; the observed score, one of mc + 1,
+    ties itself.
     """
-    if not ctx.exact:
-        events = ctx.crossings[0]
-        at = np.searchsorted(events, end)
-        assert events[at] == end
-        sides = _segment_points(events)[at : at + 2, None]
-        above = iidgauss_draw_scores(ctx, sides) >= np.abs(ctx.ea[0] * sides + ctx.ea[1])
-        ties = np.count_nonzero(above[0] != above[1])
-        return (np.count_nonzero(above[0] & above[1]) + tau * (ties + 1)) / (pred.mc_samples + 1)
-    scores = np.abs(ctx.atoms.residuals.at(end))
-    own, rest = scores[-1], scores[:-1]
-    tol = TIE_RTOL * max(1.0, own)
-    greater = np.count_nonzero(rest > own + tol)
-    ties = np.count_nonzero(np.abs(rest - own) <= tol) + 1
-    return (greater + tau * ties) / ctx.atoms.n
+    if ctx.exact:
+        return pred.pvalue(ctx, end, tau)
+    events = ctx.crossings[0]
+    at = np.searchsorted(events, end)
+    assert events[at] == end
+    sides = _segment_points(events)[at : at + 2, None]
+    above = iidgauss_draw_scores(ctx, sides) >= np.abs(ctx.ea[0] * sides + ctx.ea[1])
+    ties = np.count_nonzero(above[0] != above[1])
+    return (np.count_nonzero(above[0] & above[1]) + tau * (ties + 1)) / (pred.mc_samples + 1)
 
 
 def _segment_points(events):
@@ -565,15 +559,6 @@ def _offset_stream(k, size, seed, x_offset=0.0, y_offset=0.0):
     ]
 
 
-def _integer_stream(size=80):
-    """Integer features and responses with repeated rows (ROADMAP item 1)."""
-    rng = np.random.default_rng(5)
-    return [
-        Observation(rng.integers(-2, 3, 1).astype(float), float(rng.integers(0, 3)))
-        for _ in range(size)
-    ]
-
-
 def _noise_free_stream(size=30):
     xs = np.random.default_rng(1).normal(size=(size, 1))
     return [Observation(x, 1.0 + x[0]) for x in xs]
@@ -592,7 +577,7 @@ TABLE_STREAMS = {
     "x-offset-1e6": (lambda: _offset_stream(3, 30, 4, x_offset=1e6), 1000),
     "y-offset-1e4": (lambda: _offset_stream(3, 30, 5, y_offset=1e4), 1000),
     "y-offset-1e6": (lambda: _offset_stream(3, 30, 5, y_offset=1e6), 1000),
-    "integer": (_integer_stream, 1000),
+    "integer": (integer_stream, 1000),
     "noise-free": (_noise_free_stream, 1000),
     "constant-y": (_constant_response_stream, 1000),
     "mc10": (lambda: _offset_stream(3, 40, 6), 10),
