@@ -34,7 +34,11 @@ Two regimes:
   the law of sqrt(1 - h_ss) * g / sqrt(g^2 + c) with h_ss the leverage of
   slot s, g standard normal and c chi-square with d - 1 degrees of
   freedom; so a step costs a slot, a normal and a chi-square variate per
-  draw rather than a projected n-vector.  Given the summary the observed
+  draw rather than a projected n-vector.  What depends on the slot alone,
+  sqrt(1 - h_ss) and the slot's residual line, is formed once per slot
+  and gathered to the draws: the norm when drawing, the residual at y
+  when a p-value asks for it, and the lines themselves only when a
+  region's crossings need them per draw.  Given the summary the observed
   score and the draws' are i.i.d., so the observed score is one of mc + 1
   and ties itself, as in the exact Monte-Carlo test (Barnard 1963; Besag &
   Clifford 1989): p = (greater + tau * (ties + 1)) / (mc + 1), never below
@@ -61,7 +65,8 @@ step takes an SVD of Z, which also decides its rank: the exact steps, and
 the Monte-Carlo steps whose factor fails or whose estimated condition is
 too poor to rule out a rank the SVD would cut (duplicated columns, large
 feature offsets).  Both routes end in one method, which applies the
-projector once, to four columns, and draws.
+projector once, to four columns, keeps the two slice-point columns as the
+n slot residual lines, and draws.
 
 Regions.  On a Monte-Carlo step the estimated p-value is a step function
 of the candidate y: it changes only where a draw's score
@@ -160,10 +165,21 @@ class IidGaussStepContext:
     rad2: tuple[float, float, float] = (0.0, 0.0, 0.0)
     # exact path: residual lines of the atoms, the observed line last
     atoms: IidStepContext | None = None
-    # mc path: per-draw slot gathers
-    slot_base: np.ndarray | None = None
-    slot_slope: np.ndarray | None = None
+    # mc path: the slot residual lines, (2, n) rows of intercepts and slopes,
+    # each draw's slot, and its null-space coordinate there
+    lines: np.ndarray | None = None
+    slots: np.ndarray | None = None
     slot_mix: np.ndarray | None = None
+
+    @cached_property
+    def slot_base(self) -> np.ndarray:
+        """Intercept of each draw's slot line, gathered for ``crossings`` only."""
+        return self.lines[0][self.slots]
+
+    @cached_property
+    def slot_slope(self) -> np.ndarray:
+        """Slope of each draw's slot line, gathered for ``crossings`` only."""
+        return self.lines[1][self.slots]
 
     @cached_property
     def crossings(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -298,19 +314,22 @@ def _quadratic_roots(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarra
         np.divide(c, q, out=out[1])
 
 
-def null_slot_coordinates(rng: RandomStream, leverage: np.ndarray, d: int) -> np.ndarray:
+def null_slot_coordinates(
+    rng: RandomStream, leverage: np.ndarray, slots: np.ndarray, d: int
+) -> np.ndarray:
     """Slot coordinates of uniform unit vectors in a ``d``-dim null space.
 
-    Draw i is the coordinate, at a slot of hat-matrix diagonal
-    ``leverage[i]``, of a uniform unit vector in the null space of Z'
+    Draw i is the coordinate, at slot ``slots[i]`` of hat-matrix diagonal
+    ``leverage[slots[i]]``, of a uniform unit vector in the null space of Z'
     (``d >= 2``).  That slot's unit vector projects onto the null space with
     norm sqrt(1 - h), and one coordinate of a uniform unit d-vector is
-    g / sqrt(g^2 + c) with g standard normal and c chi-square(d - 1).
-    Consumes ``leverage.size`` normal then as many chi-square variates.
+    g / sqrt(g^2 + c) with g standard normal and c chi-square(d - 1).  The
+    norms are formed once per slot and gathered per draw.  Consumes
+    ``slots.size`` normal then as many chi-square variates.
     """
-    g = rng.gaussian(leverage.size)
-    rest = rng.chisquare(d - 1, leverage.size)
-    return np.sqrt(np.maximum(1.0 - leverage, 0.0)) * g / np.sqrt(g * g + rest)
+    g = rng.gaussian(slots.size)
+    rest = rng.chisquare(d - 1, slots.size)
+    return np.sqrt(np.maximum(1.0 - leverage, 0.0))[slots] * g / np.sqrt(g * g + rest)
 
 
 class IidGaussPredictor(OnlinePredictor):
@@ -331,7 +350,7 @@ class IidGaussPredictor(OnlinePredictor):
         # row with the leverages of its step, which ``observe`` adopts when it
         # stores that row.
         self._leverage: np.ndarray | None = None
-        self._staged: tuple[np.ndarray, np.ndarray] | None = None
+        self._staged: tuple[list[float], np.ndarray] | None = None
 
     def begin_step(self, x_new) -> IidGaussStepContext:
         design = self.design.with_row(x_new)  # full constraint design Z
@@ -366,17 +385,21 @@ class IidGaussPredictor(OnlinePredictor):
         if reciprocal_condition(factor) < _CHOLESKY_MIN_RCOND:
             return None
         t0, syy = raw[:-1, -1], raw[-1, -1]  # (sum y, sum y*x) and sum y^2
-        coef = cholesky_solve(factor, np.column_stack((t0, zn)))
+        rhs = np.empty((cols, 2), order="F")  # the layout dpotrs reads
+        rhs[:, 0], rhs[:, 1] = t0, zn
+        coef = cholesky_solve(factor, rhs)
         c0, c1 = coef.T
         h_n = float(zn @ c1)
         rad2 = (1.0 - h_n, -2.0 * float(t0 @ c1), syy - float(t0 @ c0))
         fitted = design @ coef  # Z c0 and Z c1
         if self._leverage is not None and rad2[0] >= _MIN_CARRY_SLACK:
-            leverage = np.append(self._leverage - fitted[:-1, 1] ** 2 / rad2[0], h_n)
+            leverage = np.empty(n)
+            np.subtract(self._leverage, fitted[:-1, 1] ** 2 / rad2[0], out=leverage[:-1])
+            leverage[-1] = h_n
         else:
             half = triangular_solve(factor, design.T)  # L^{-1} Z'
             leverage = np.einsum("ij,ij->j", half, half)
-        self._staged = (zn[1:].copy(), leverage)
+        self._staged = (zn[1:].tolist(), leverage)
         return self._monte_carlo_step(design, gram, fitted, rad2, leverage, n - cols)
 
     def _svd_step(self, design, raw) -> IidGaussStepContext:
@@ -433,10 +456,10 @@ class IidGaussPredictor(OnlinePredictor):
         cols4[:, 2:] = fitted
         res = rmap.apply(cols4)
         slots = self._rng.integers(0, n, self.mc_samples)
-        mix = null_slot_coordinates(self._rng, leverage[slots], d)
+        mix = null_slot_coordinates(self._rng, leverage, slots, d)
         return IidGaussStepContext(
             n=n, k=cols - 1, ea=(float(res[-1, 1]), float(res[-1, 0])), exact=False, rad2=rad2,
-            slot_base=res[slots, 2], slot_slope=res[slots, 3], slot_mix=mix,
+            lines=res[:, 2:].T, slots=slots, slot_mix=mix,
         )
 
     def _raw_regions(
@@ -468,7 +491,10 @@ class IidGaussPredictor(OnlinePredictor):
         c2, c1, c0 = ctx.rad2
         radius = math.sqrt(max(c2 * y * y + c1 * y + c0, 0.0))
         observed = abs(ctx.ea[0] * y + ctx.ea[1])
-        scores = np.abs(ctx.slot_base + ctx.slot_slope * y + ctx.slot_mix * radius)
+        lines = ctx.lines
+        scores = (lines[0] + lines[1] * y)[ctx.slots]  # each slot's residual once, then per draw
+        scores += ctx.slot_mix * radius
+        np.abs(scores, out=scores)
         greater = int(np.count_nonzero(scores > observed))
         ties = int(np.count_nonzero(scores == observed))
         return (greater + tau * (ties + 1)) / (self.mc_samples + 1)
@@ -477,5 +503,5 @@ class IidGaussPredictor(OnlinePredictor):
         staged, self._staged = self._staged, None
         self.design.append(obs.x, obs.y)
         # the staged step's leverages are the stored rows' only if it staged this row
-        carried = staged is not None and np.array_equal(staged[0], obs.x)
+        carried = staged is not None and staged[0] == obs.x.tolist()
         self._leverage = staged[1] if carried else None

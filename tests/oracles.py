@@ -304,6 +304,27 @@ def iidgauss_pvalues(ctx, ys, tau: float) -> Vector:
     return (greater + tau * (ties + 1)) / (vals.shape[1] + 1)
 
 
+def iidgauss_slot_draws(
+    rng: RandomStream, leverage: Vector, lines: Matrix, mc: int, d: int
+) -> tuple[Vector, Vector, Vector]:
+    """The draws of an iid-gauss Monte-Carlo step, every slot value gathered per draw first.
+
+    ``rng`` is a copy of the predictor's stream as it stood before
+    ``begin_step``, ``leverage`` the step's n slot leverages, ``lines`` its
+    (n, 2) slot residual lines (intercept, slope) and ``d >= 2`` the slice
+    dimension.  Draws ``mc`` slots, then ``mc`` normal g and ``mc``
+    chi-square(d - 1) variates c, and returns each draw's intercept, slope
+    and null-space coordinate sqrt(max(1 - h, 0)) * g / sqrt(g^2 + c), h the
+    leverage of its slot.
+    """
+    slots = rng.integers(0, leverage.size, mc)
+    h = leverage[slots]
+    g = rng.gaussian(mc)
+    rest = rng.chisquare(d - 1, mc)
+    mix = np.sqrt(np.maximum(1.0 - h, 0.0)) * g / np.sqrt(g * g + rest)
+    return lines[slots, 0], lines[slots, 1], mix
+
+
 _SIGNS = np.array([[1.0], [-1.0]])
 
 

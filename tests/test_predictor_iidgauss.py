@@ -1,5 +1,6 @@
 """Joint exchangeability/Gaussian predictor: conditional atoms and Monte Carlo."""
 
+import copy
 from fractions import Fraction
 
 import numpy as np
@@ -298,9 +299,10 @@ def test_slot_marginal_draws_match_projected_gaussians(n, k):
     full -= (full @ basis) @ basis.T
     full /= np.linalg.norm(full, axis=1)[:, None]
     marginal_rng = RandomStream(4, substream=n)
+    leverage = np.sum(basis**2, axis=1)
     for slot in (0, n - 1):
-        leverage = np.full(draws, np.sum(basis[slot] ** 2))
-        marginal = null_slot_coordinates(marginal_rng, leverage, n - rank)
+        slots = np.full(draws, slot)
+        marginal = null_slot_coordinates(marginal_rng, leverage, slots, n - rank)
         assert ks_2samp(marginal, full[:, slot]).pvalue > 1e-3, slot
 
 
@@ -525,8 +527,8 @@ def test_a_draw_that_touches_the_observed_score_ties_there_once():
         ea=(1.0, 0.0),
         exact=False,
         rad2=(0.5, 2.0, -2.0),
-        slot_base=np.array([0.0, 1.0]),
-        slot_slope=np.zeros(2),
+        lines=np.array([[0.0, 1.0], [0.0, 0.0]]),  # slot intercepts, then slopes
+        slots=np.arange(2),
         slot_mix=np.array([1.0, 0.0]),
     )
     events, greater, ties = ctx.crossings
@@ -592,17 +594,31 @@ def _assert_same_regions(table, denominator, where):
             assert super_level_sets(*table, denominator, levels, tau) == want, (where, levels, tau)
 
 
-def test_step_tables_and_regions_equal_the_array_references():
+def test_step_tables_and_regions_equal_the_array_references(monkeypatch):
+    # the draws too: each slot value is formed per slot and gathered to the
+    # draws, which must equal gathering first and forming it per draw
+    seen, coordinates = {}, iid_gauss.null_slot_coordinates
+
+    def spy_coordinates(rng, leverage, slots, d):
+        seen.update(leverage=leverage.copy(), d=d)
+        return coordinates(rng, leverage, slots, d)
+
+    monkeypatch.setattr(iid_gauss, "null_slot_coordinates", spy_coordinates)
     shared = 0  # Monte-Carlo steps where several draws tie at one event
     for name, (make_stream, mc_samples) in TABLE_STREAMS.items():
         pred, steps = fresh(7, mc_samples=mc_samples), 0
         for obs in make_stream():
+            rng = copy.deepcopy(pred._rng)
             ctx = pred.begin_step(obs.x)
             pred.observe(obs)
             if ctx.exact:
                 _assert_same_regions(ctx.atoms.tables, ctx.atoms.n, (name, ctx.n))
                 continue
             steps += 1
+            want = oracles.iidgauss_slot_draws(rng, seen["leverage"], ctx.lines.T, mc_samples, seen["d"])
+            for field, value in zip(("slot_base", "slot_slope", "slot_mix"), want):
+                got = getattr(ctx, field)
+                assert got.dtype == value.dtype and np.array_equal(got, value), (name, ctx.n, field)
             got, want = ctx.crossings, oracles.iidgauss_crossings(ctx)
             for a, b in zip(got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (name, ctx.n)
@@ -619,21 +635,32 @@ def test_step_tables_and_regions_equal_the_array_references():
 
 
 def test_monte_carlo_pvalue_equals_the_array_reference():
-    # bit for bit, at every event of the step table and at random candidates;
-    # and it is the exchangeability p-value of the observed score among the
-    # draws' scores and itself, mc + 1 in all
+    # bit for bit, on a fresh context as run_trace asks for it (no region
+    # request, so no per-draw lines) and then at every event of the step
+    # table and at random candidates; and it is the exchangeability p-value
+    # of the observed score among the draws' scores and itself, mc + 1 in all
     rng = np.random.default_rng(11)
-    for pred, ctx in _monte_carlo_steps(3, 40, seed=6, mc_samples=200):
-        events = ctx.crossings[0]
-        spread = max(np.ptp(events), 1.0)
-        ys = np.concatenate((events, rng.uniform(events[0] - spread, events[-1] + spread, 50)))
-        draws = iidgauss_draw_scores(ctx, ys[:, None])
-        observed = np.abs(ctx.ea[0] * ys + ctx.ea[1])
-        for tau in (0.0, 0.37, 1.0):
-            got = np.array([pred.pvalue(ctx, y, tau) for y in ys])
-            assert np.array_equal(got, iidgauss_pvalues(ctx, ys, tau)), (ctx.n, tau)
-            pooled = [iid_pvalue(np.append(d, o), tau) for d, o in zip(draws, observed)]
-            assert np.array_equal(got, pooled), (ctx.n, tau)
+    for k, size, tables in ((3, 40, True), (2, 210, False)):
+        for pred, ctx in _monte_carlo_steps(k, size, seed=6, mc_samples=200):
+            past = pred.design.y
+            spread = max(np.ptp(past), 1.0)
+            ys = rng.uniform(past.min() - spread, past.max() + spread, 20)
+            fresh_pvalues = {tau: [pred.pvalue(ctx, y, tau) for y in ys] for tau in (0.0, 0.37, 1.0)}
+            assert not {"slot_base", "slot_slope", "crossings"} & vars(ctx).keys(), (k, ctx.n)
+            for tau, got in fresh_pvalues.items():
+                assert np.array_equal(got, iidgauss_pvalues(ctx, ys, tau)), (k, ctx.n, tau)
+            if not tables:
+                continue
+            events = ctx.crossings[0]
+            spread = max(np.ptp(events), 1.0)
+            ys = np.concatenate((events, rng.uniform(events[0] - spread, events[-1] + spread, 50)))
+            draws = iidgauss_draw_scores(ctx, ys[:, None])
+            observed = np.abs(ctx.ea[0] * ys + ctx.ea[1])
+            for tau in (0.0, 0.37, 1.0):
+                got = np.array([pred.pvalue(ctx, y, tau) for y in ys])
+                assert np.array_equal(got, iidgauss_pvalues(ctx, ys, tau)), (ctx.n, tau)
+                pooled = [iid_pvalue(np.append(d, o), tau) for d, o in zip(draws, observed)]
+                assert np.array_equal(got, pooled), (ctx.n, tau)
 
 
 @MC_STREAMS
@@ -710,9 +737,9 @@ def _monte_carlo_geometry(monkeypatch, stream, svd):
     draws = {}
     coordinates, integers = iid_gauss.null_slot_coordinates, pred._rng.integers
 
-    def spy_coordinates(rng, leverage, d):
-        draws["leverage"] = leverage.copy()
-        return coordinates(rng, leverage, d)
+    def spy_coordinates(rng, leverage, slots, d):
+        draws["leverage"] = leverage[slots]
+        return coordinates(rng, leverage, slots, d)
 
     def spy_integers(*args):
         draws["slots"] = integers(*args)

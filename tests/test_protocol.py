@@ -70,18 +70,24 @@ def test_empty_stream():
 
 
 def test_reruns_are_bit_identical_and_trace_matches_full_run():
-    stream = small_stream(n=15)
-    config = RunConfig(predictor="iid-gauss", epsilons=(0.2, 0.1), seed=3, mc_samples=200)
-    ledger_a, trace_a = run_online(config, stream)
-    ledger_b, trace_b = run_online(config, stream)
-    assert trace_a.pvalues == trace_b.pvalues
-    assert trace_a.taus == trace_b.taus
-    assert np.array_equal(ledger_a.errors(0.1), ledger_b.errors(0.1))
-    assert ledger_a.widths(0.2) == ledger_b.widths(0.2)
-    # the trace-only fast path consumes randomness identically
-    trace_c = run_trace(config, stream)
-    assert trace_c.pvalues == trace_a.pvalues
-    assert trace_c.taus == trace_a.taus
+    # K = 2, n = 120 gives iid-gauss 116 Monte-Carlo steps
+    stream = generate(SyntheticSpec(k=2, n=120, seed=7))
+    for kind in PREDICTOR_KINDS:
+        for smoothed in (False, True):
+            config = RunConfig(
+                predictor=kind, epsilons=(0.2, 0.1), smoothed=smoothed, seed=3, mc_samples=200
+            )
+            where = (kind, smoothed)
+            ledger_a, trace_a = run_online(config, stream)
+            ledger_b, trace_b = run_online(config, stream)
+            assert trace_a.pvalues == trace_b.pvalues, where
+            assert trace_a.taus == trace_b.taus, where
+            assert np.array_equal(ledger_a.errors(0.1), ledger_b.errors(0.1)), where
+            assert ledger_a.widths(0.2) == ledger_b.widths(0.2), where
+            # the trace-only fast path consumes randomness identically
+            trace_c = run_trace(config, stream)
+            assert trace_c.pvalues == trace_a.pvalues, where
+            assert trace_c.taus == trace_a.taus, where
 
 
 @pytest.mark.parametrize("kind", PREDICTOR_KINDS)
@@ -101,8 +107,21 @@ def test_run_online_asks_for_every_level_in_one_call(kind, monkeypatch):
     run_online(config, stream)
     assert calls == [config.epsilons] * len(stream)
     calls.clear()
+    contexts, begin_step = [], cls.begin_step
+
+    def spy_begin(predictor, x_new):
+        contexts.append(begin_step(predictor, x_new))
+        return contexts[-1]
+
+    monkeypatch.setattr(cls, "begin_step", spy_begin)
     run_trace(config, stream)
     assert calls == []
+    if kind == "iid-gauss":
+        # and without a region request no Monte-Carlo step gathers its lines per draw
+        monte_carlo = [ctx for ctx in contexts if not ctx.exact]
+        assert len(monte_carlo) == len(stream) - 4
+        for ctx in monte_carlo:
+            assert not {"slot_base", "slot_slope"} & vars(ctx).keys(), ctx.n
 
 
 @pytest.mark.parametrize(
