@@ -29,7 +29,6 @@ from .predictors import (
     WilksPredictor,
     critical_points,
     open_solution_set,
-    wilks_region,
 )
 from .protocol import (
     PREDICTOR_KINDS,
@@ -74,7 +73,6 @@ __all__ = [
     "open_solution_set",
     "IidGaussPredictor",
     "WilksPredictor",
-    "wilks_region",
     "PREDICTOR_KINDS",
     "RunConfig",
     "PValueTrace",

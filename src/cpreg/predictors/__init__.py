@@ -5,7 +5,7 @@ from .gauss import GaussPredictor
 from .iid import IidPredictor, critical_points
 from .iid_gauss import IidGaussPredictor
 from .mva import MvaPredictor, open_solution_set
-from .wilks import WilksPredictor, wilks_region
+from .wilks import WilksPredictor
 
 __all__ = [
     "OnlinePredictor",
@@ -18,5 +18,4 @@ __all__ = [
     "open_solution_set",
     "IidGaussPredictor",
     "WilksPredictor",
-    "wilks_region",
 ]

@@ -22,6 +22,7 @@ from cpreg import (
     Observation,
     RunConfig,
     SyntheticSpec,
+    WilksPredictor,
     binomial_band,
     generate,
     independence_test,
@@ -31,7 +32,6 @@ from cpreg import (
     t_sf,
     t_upper_point,
     uniformity_test,
-    wilks_region,
     write_plot_data,
 )
 from cpreg.residuals import DEFAULT_RIDGE, features_used
@@ -271,8 +271,13 @@ def test_criterion_7_order_statistic_error_rate():
     band = 3.0 * math.sqrt(target * (1.0 - target) / reps)
     ok = abs(freq - target) <= band
     for row in range(0, reps, 5000):  # cross-check the counting shortcut
-        region, level = wilks_region(np.sort(data[row, :49]), 2)
-        assert level == pytest.approx(target)
+        pred = WilksPredictor()
+        for y in data[row, :49]:
+            pred.observe(Observation(np.empty(0), float(y)))
+        region = pred.raw_region(pred.begin_step(np.empty(0)), 0.1, 1.0)  # depth 2 at n = 50
+        piece, = region.pieces
+        ordered = np.sort(data[row, :49])
+        assert (piece.lo, piece.hi) == (ordered[1], ordered[47])
         assert (not region.contains(data[row, 49])) == bool(errors[row])
     report(f"7 (rank-interval error rate {freq:.4f} vs {target:.4f})", ok)
     assert ok

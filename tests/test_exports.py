@@ -49,7 +49,6 @@ PUBLIC = [
     "t_sf",
     "t_upper_point",
     "uniformity_test",
-    "wilks_region",
     "write_ledger",
     "write_plot_data",
     "write_stream",

@@ -15,6 +15,7 @@ from cpreg import (
     t_sf,
     t_upper_point,
 )
+from cpreg.predictors.gauss import _solve_centred
 
 
 def feed(predictor, xs, ys):
@@ -124,6 +125,14 @@ def test_exact_fit_collapses_to_a_point():
     assert pred.pvalue(ctx, ctx.center + 1e-6, 1.0) == 0.0
     with pytest.raises(NumericalError):
         gauss_tstat(pred, np.array([4.0]), 4.0)
+
+
+def test_numerically_singular_co_moments_are_refused():
+    # both matrices factor; the first's pivot ratio 1e-11 is below RANK_RTOL
+    rhs = np.array([1.0, 1.0])
+    with pytest.raises(NumericalError, match="numerically singular"):
+        _solve_centred(np.diag([1.0, 1e-22]), rhs)
+    assert np.allclose(_solve_centred(np.diag([1.0, 1e-18]), rhs), [1.0, 1e18])
 
 
 def test_region_is_the_pvalue_super_level_set():

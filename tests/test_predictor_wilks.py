@@ -7,41 +7,36 @@ import pytest
 import scipy.stats
 from oracles import exchangeability_identity
 
-from cpreg import Observation, PredictionRegion, SyntheticSpec, WilksPredictor, generate, wilks_region
-
-
-def test_interval_and_level_small_cases():
-    region, level = wilks_region(np.arange(1.0, 21.0), 1)
-    piece, = region.pieces
-    assert (piece.lo, piece.hi, piece.lo_closed, piece.hi_closed) == (1.0, 20.0, False, False)
-    assert level == pytest.approx(2.0 / 21.0)
-    region, level = wilks_region([-1.5, 4.0], 1)
-    piece, = region.pieces
-    assert (piece.lo, piece.hi) == (-1.5, 4.0)
-    assert level == pytest.approx(2.0 / 3.0)
-    # deeper trim: third from each end
-    region, level = wilks_region(np.arange(1.0, 21.0), 3)
-    piece, = region.pieces
-    assert (piece.lo, piece.hi) == (3.0, 18.0)
-    assert level == pytest.approx(6.0 / 21.0)
-    # tied order statistics leave nothing strictly inside
-    region, level = wilks_region([2.0, 2.0], 1)
-    assert region == PredictionRegion.empty()
-    assert level == pytest.approx(2.0 / 3.0)
-
-
-def test_depth_validation():
-    with pytest.raises(ValueError):
-        wilks_region([1.0, 2.0], 2)  # needs n >= 5
-    with pytest.raises(ValueError):
-        wilks_region([1.0, 2.0, 3.0], 0)
-    with pytest.raises(ValueError):
-        wilks_region(np.ones((2, 2)), 1)
+from cpreg import Observation, PredictionRegion, SyntheticSpec, WilksPredictor, generate
 
 
 def feed(predictor, ys):
     for y in ys:
         predictor.observe(Observation(np.empty(0), float(y)))
+
+
+def test_interval_and_level_small_cases():
+    # at tau = 1 and eps = 2r/n the region is the open depth-r interval, and
+    # its endpoints are where the p-value falls to the level 2r/n
+    pred = WilksPredictor()
+    feed(pred, range(1, 21))  # n = 21 at the next step
+    ctx = pred.begin_step(np.empty(0))
+    piece, = pred.raw_region(ctx, 2.0 / 21.0, 1.0).pieces
+    assert (piece.lo, piece.hi, piece.lo_closed, piece.hi_closed) == (1.0, 20.0, False, False)
+    assert pred.pvalue(ctx, 1.0, 1.0) == pred.pvalue(ctx, 20.0, 1.0) == pytest.approx(2.0 / 21.0)
+    # deeper trim: third from each end
+    piece, = pred.raw_region(ctx, 6.0 / 21.0, 1.0).pieces
+    assert (piece.lo, piece.hi) == (3.0, 18.0)
+    assert pred.pvalue(ctx, 3.0, 1.0) == pred.pvalue(ctx, 18.0, 1.0) == pytest.approx(6.0 / 21.0)
+    pair = WilksPredictor()
+    feed(pair, [4.0, -1.5])
+    ctx_pair = pair.begin_step(np.empty(0))
+    piece, = pair.raw_region(ctx_pair, 2.0 / 3.0, 1.0).pieces
+    assert (piece.lo, piece.hi) == (-1.5, 4.0)
+    # tied order statistics leave nothing strictly inside
+    tied = WilksPredictor()
+    feed(tied, [2.0, 2.0])
+    assert tied.raw_region(tied.begin_step(np.empty(0)), 0.7, 1.0) == PredictionRegion.empty()
 
 
 def test_raw_region_depth_mapping():
@@ -68,7 +63,7 @@ def test_pvalue_counting():
     pred = WilksPredictor()
     feed(pred, [3.0, 1.0, 4.0, 2.0])  # arrives unsorted
     ctx = pred.begin_step(np.empty(0))
-    assert np.array_equal(ctx.sorted_history, [1.0, 2.0, 3.0, 4.0])
+    assert ctx.sorted_history == (1.0, 2.0, 3.0, 4.0)
     assert pred.pvalue(ctx, 2.5, 0.0) == pytest.approx(0.8)
     assert pred.pvalue(ctx, 2.5, 1.0) == 1.0  # clamped at one
     assert pred.pvalue(ctx, 0.0, 0.0) == 0.0
@@ -78,16 +73,34 @@ def test_pvalue_counting():
 
 def test_region_is_the_pvalue_super_level_set():
     rng = np.random.default_rng(4)
-    ys = rng.normal(size=29)
+    # a continuous history, and an integer one in which many responses tie
+    for ys in (rng.normal(size=29), rng.integers(0, 4, 29).astype(float)):
+        pred = WilksPredictor()
+        feed(pred, ys)
+        ctx = pred.begin_step(np.empty(0))
+        probes = np.concatenate((ys, np.linspace(-3.5, 3.5, 211)))
+        for eps in (0.1, 0.3, 0.62):
+            for tau in (0.0, 0.4, 1.0):
+                region = pred.raw_region(ctx, eps, tau)
+                for y in probes:
+                    assert region.contains(y) == (pred.pvalue(ctx, y, tau) > eps), (ys, eps, tau, y)
+
+
+def test_step_context_is_a_snapshot():
+    # responses observed after begin_step must not reach the step's answers
     pred = WilksPredictor()
-    feed(pred, ys)
+    feed(pred, [0.5, -2.0, 3.0, 1.0, -0.25, 2.0, 0.0])
     ctx = pred.begin_step(np.empty(0))
-    probes = np.concatenate((ys, np.linspace(-3.5, 3.5, 211)))
-    for eps in (0.1, 0.3, 0.62):
-        for tau in (0.0, 0.4, 1.0):
-            region = pred.raw_region(ctx, eps, tau)
-            for y in probes:
-                assert region.contains(y) == (pred.pvalue(ctx, y, tau) > eps), (eps, tau, y)
+    history = ctx.sorted_history
+    probes = (-3.0, -2.0, 0.1, 1.0, 2.5, 4.0)
+    pvalues = [pred.pvalue(ctx, y, 0.3) for y in probes]
+    levels = [0.2, 0.3, 0.5, 0.8]
+    regions = pred.raw_regions(ctx, levels, 0.0)
+    feed(pred, [0.2, 0.3])
+    assert ctx.sorted_history == history == (-2.0, -0.25, 0.0, 0.5, 1.0, 2.0, 3.0)
+    assert [pred.pvalue(ctx, y, 0.3) for y in probes] == pvalues
+    assert pred.raw_regions(ctx, levels, 0.0) == regions
+    assert pred.begin_step(np.empty(0)).n == ctx.n + 2
 
 
 def test_smoothed_pvalue_is_uniform_under_continuity():
