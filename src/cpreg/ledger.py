@@ -23,6 +23,26 @@ from bisect import insort
 from typing import Sequence
 
 
+def _check_entry(eps: float, err, width) -> None:
+    """Refuse an err that is not 0 or 1 and an L that is NaN or negative."""
+    if err not in (0, 1):
+        raise ValueError(f"err_{eps!r} is {err}, expected 0 or 1")
+    if not width >= 0.0:
+        raise ValueError(f"L_{eps!r} is {width}, expected a width >= 0")
+
+
+def _push(columns: tuple[list, ...], err, width) -> None:
+    """Append a checked err and L to one level's columns, deriving Err and M."""
+    err_col, cum_col, width_col, median_col, ordered = columns
+    err = int(err)
+    width = float(width)
+    err_col.append(err)
+    cum_col.append((cum_col[-1] if cum_col else 0) + err)
+    width_col.append(width)
+    insort(ordered, width)
+    median_col.append(ordered[len(ordered) // 2])
+
+
 def _first_finite(values: list[float]) -> int | None:
     for i, v in enumerate(values):
         if math.isfinite(v):
@@ -54,18 +74,9 @@ class LedgerTable:
         be NaN or negative (an unbounded region has L = inf).
         """
         for eps in self.levels:
-            if errors[eps] not in (0, 1):
-                raise ValueError(f"err_{eps!r} is {errors[eps]}, expected 0 or 1")
-            if not widths[eps] >= 0.0:
-                raise ValueError(f"L_{eps!r} is {widths[eps]}, expected a width >= 0")
-        for eps, (err_col, cum_col, width_col, median_col, ordered) in self._columns.items():
-            err = int(errors[eps])
-            width = float(widths[eps])
-            err_col.append(err)
-            cum_col.append((cum_col[-1] if cum_col else 0) + err)
-            width_col.append(width)
-            insort(ordered, width)
-            median_col.append(ordered[len(ordered) // 2])
+            _check_entry(eps, errors[eps], widths[eps])
+        for eps, columns in self._columns.items():
+            _push(columns, errors[eps], widths[eps])
         self.steps += 1
 
     def row(self, step: int) -> list[tuple[int, int, float, float]]:
@@ -106,13 +117,18 @@ class OnlineLedger(LedgerTable):
     def record_step(
         self, errors: dict[float, int], raw_errors: dict[float, int], widths: dict[float, float]
     ) -> None:
-        """Append one step's indicators and widths; a rejected step changes nothing."""
+        """Append one step's indicators and widths; a rejected step changes nothing.
+
+        Every level is checked in one pass before the one pass that appends.
+        """
         for eps in self.levels:
+            _check_entry(eps, errors[eps], widths[eps])
             if raw_errors[eps] not in (0, 1):
                 raise ValueError(f"raw err_{eps!r} is {raw_errors[eps]}, expected 0 or 1")
-        self.append(errors, widths)
-        for eps, raw_col in self._raw.items():
-            raw_col.append(int(raw_errors[eps]))
+        for eps, columns in self._columns.items():
+            _push(columns, errors[eps], widths[eps])
+            self._raw[eps].append(int(raw_errors[eps]))
+        self.steps += 1
 
     def raw_errors(self, eps: float) -> list[int]:
         return list(self._raw[eps])

@@ -62,7 +62,11 @@ class OnlinePredictor(ABC):
     def raw_regions(
         self, ctx: Any, levels: Sequence[float], tau: float
     ) -> list[PredictionRegion]:
-        """Prediction regions {y : p(y) > eps} before any hulling, one per level."""
+        """Prediction regions {y : p(y) > eps} before any hulling, one per level.
+
+        Regions are immutable, and the same region may be returned for several
+        levels and steps, e.g. the shared ``PredictionRegion.real_line()``.
+        """
         return self._raw_regions(ctx, [check_epsilon(eps) for eps in levels], check_tau(tau))
 
     def pvalue(self, ctx: Any, y: float, tau: float) -> float:

@@ -28,7 +28,7 @@ from ..design import DesignState
 from ..linalg import RANK_RTOL, NumericalError, cholesky_factor, cholesky_solve
 from ..regions import Interval, PredictionRegion, point
 from ..stream import Observation
-from ..studentt import t_sf, t_upper_point
+from ..studentt import t_sf, t_upper_points
 from .base import OnlinePredictor
 
 # Residual sums below this (relative to the centred sum of squares of y)
@@ -92,8 +92,8 @@ class GaussPredictor(OnlinePredictor):
         if ctx.scale == 0.0:
             return [PredictionRegion([point(ctx.center)]) for _ in levels]
         regions = []
-        for eps in levels:
-            half = t_upper_point(eps / 2.0, ctx.df) * ctx.scale
+        for t in t_upper_points([eps / 2.0 for eps in levels], ctx.df):
+            half = t * ctx.scale
             lo, hi = ctx.center - half, ctx.center + half
             # Below the float spacing at the center the interval rounds to
             # the center alone, where p = 1.

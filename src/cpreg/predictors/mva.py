@@ -28,7 +28,7 @@ from ..linalg import cholesky_solve
 from ..regions import Interval, PredictionRegion
 from ..residuals import DEFAULT_RIDGE, check_ridge, features_used, ridge_factor
 from ..stream import Observation
-from ..studentt import t_sf, t_upper_point
+from ..studentt import t_sf, t_upper_points
 from .base import OnlinePredictor
 
 # Relative cutoff for deciding a quadratic coefficient is exactly zero.
@@ -130,8 +130,8 @@ class MvaPredictor(OnlinePredictor):
         gap = (ctx.last[0] - ctx.mean[0], ctx.last[1] - ctx.mean[1])
         cf = (n - 1.0) * (n - 2.0) / n
         regions = []
-        for eps in levels:
-            t2 = t_upper_point(eps / 2.0, n - 2) ** 2
+        for t in t_upper_points([eps / 2.0 for eps in levels], n - 2):
+            t2 = t**2
             regions.append(
                 open_solution_set(
                     cf * gap[0] ** 2 - t2 * ctx.spread[0],

@@ -4,7 +4,9 @@
 regions for every significance level are computed strictly before the true
 response is revealed, errors and widths go into an :class:`OnlineLedger`,
 and the realized p-value at the true response goes into a
-:class:`PValueTrace`.  The diagnostics below check the exact finite-sample
+:class:`PValueTrace`.  A smoothed run draws the tie-breaks of all its
+steps in one call on substream 0 of its seed, the same sequence as one
+draw per step.  The diagnostics below check the exact finite-sample
 guarantees: smoothed p-values are IID uniform, smoothed errors are IID
 Bernoulli(eps), and deterministic predictors are conservative.
 """
@@ -102,19 +104,17 @@ def make_predictor(config: RunConfig) -> OnlinePredictor:
     return WilksPredictor()
 
 
-def _tau_stream(config: RunConfig) -> RandomStream | None:
-    return RandomStream(config.seed, substream=0) if config.smoothed else None
-
-
 def _run(config: RunConfig, stream, ledger: OnlineLedger | None) -> PValueTrace:
     """The protocol loop; regions are built and recorded only into a ledger."""
     stream = list(stream)
     check_stream(stream)
     predictor = make_predictor(config)
-    taus = _tau_stream(config)
+    if config.smoothed:
+        taus = RandomStream(config.seed, substream=0).uniforms(len(stream))
+    else:
+        taus = [1.0] * len(stream)
     trace = PValueTrace(smoothed=config.smoothed)
-    for n, obs in enumerate(stream, start=1):
-        tau = taus.uniform() if taus is not None else 1.0
+    for n, (obs, tau) in enumerate(zip(stream, taus), start=1):
         try:
             ctx = predictor.begin_step(obs.x)
             if ledger is not None:
@@ -122,8 +122,12 @@ def _run(config: RunConfig, stream, ledger: OnlineLedger | None) -> PValueTrace:
                 raws = predictor.raw_regions(ctx, config.epsilons, tau)
                 for eps, raw in zip(config.epsilons, raws):
                     reported = raw.convex_hull()
-                    errors[eps] = 0 if reported.contains(obs.y) else 1
-                    raw_errors[eps] = 0 if raw.contains(obs.y) else 1
+                    err = 0 if reported.contains(obs.y) else 1
+                    errors[eps] = err
+                    # A region of at most one piece is its own hull.
+                    if reported is not raw:
+                        err = 0 if raw.contains(obs.y) else 1
+                    raw_errors[eps] = err
                     widths[eps] = reported.length
             pvalue = predictor.pvalue(ctx, obs.y, tau)
             predictor.observe(obs)

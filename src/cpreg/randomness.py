@@ -70,6 +70,13 @@ class RandomStream:
         """One uniform draw from [0, 1)."""
         return float(self._gen.random())
 
+    def uniforms(self, count: int) -> list[float]:
+        """``count`` uniform draws from [0, 1): the same sequence as ``count``
+        successive :meth:`uniform` calls, drawn in one call."""
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        return self._gen.random(count).tolist()
+
     def integers(self, low: int, high: int, count: int) -> NDArray[np.int64]:
         """``count`` uniform integers in ``[low, high)``."""
         return self._gen.integers(low, high, size=count)

@@ -6,6 +6,10 @@ pieces are closed points.  Construction checks that the pieces are in
 normal form (sorted, pairwise disjoint and not touching, so that the
 union of two neighbours is never connected) and refuses them otherwise;
 it does not repair them.
+
+Regions are immutable, so :meth:`PredictionRegion.real_line` and
+:meth:`PredictionRegion.empty` hand out one shared instance each rather
+than building a new region per call.
 """
 
 from __future__ import annotations
@@ -94,11 +98,13 @@ class PredictionRegion:
 
     @classmethod
     def empty(cls) -> "PredictionRegion":
-        return cls(())
+        """The empty region, one shared instance."""
+        return _EMPTY
 
     @classmethod
     def real_line(cls) -> "PredictionRegion":
-        return cls((Interval(-INF, INF, False, False),))
+        """The whole real line, one shared instance."""
+        return _REAL_LINE
 
     @property
     def is_empty(self) -> bool:
@@ -122,22 +128,23 @@ class PredictionRegion:
         return math.isfinite(self.inf) and math.isfinite(self.sup)
 
     def contains(self, y: float) -> bool:
-        return any(p.contains(y) for p in self.pieces)
+        for piece in self.pieces:
+            if piece.contains(y):
+                return True
+        return False
 
     @property
     def length(self) -> float:
         """sup - inf, the width of the convex hull; 0 for the empty region."""
-        if not self.pieces:
-            return 0.0
-        return self.sup - self.inf
+        pieces = self.pieces
+        return pieces[-1].hi - pieces[0].lo if pieces else 0.0
 
     def convex_hull(self) -> "PredictionRegion":
-        """Smallest interval containing the region."""
-        if not self.pieces:
-            return PredictionRegion.empty()
-        first, last = self.pieces[0], self.pieces[-1]
-        if len(self.pieces) == 1:
+        """Smallest interval containing the region; the region itself when
+        it has at most one piece."""
+        if len(self.pieces) <= 1:
             return self
+        first, last = self.pieces[0], self.pieces[-1]
         return PredictionRegion(
             (Interval(first.lo, last.hi, first.lo_closed, last.hi_closed),)
         )
@@ -148,6 +155,10 @@ class PredictionRegion:
             if not any(_covers(big, piece) for big in other.pieces):
                 return False
         return True
+
+
+_EMPTY = PredictionRegion(())
+_REAL_LINE = PredictionRegion((Interval(-INF, INF, False, False),))
 
 
 def super_level_sets(

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from test_predictor_iid import tie_heavy_stream
+
 from cpreg import (
     IidGaussPredictor,
     NumericalError,
@@ -88,6 +90,42 @@ def test_reruns_are_bit_identical_and_trace_matches_full_run():
             trace_c = run_trace(config, stream)
             assert trace_c.pvalues == trace_a.pvalues, where
             assert trace_c.taus == trace_a.taus, where
+
+
+def test_smoothed_taus_are_the_one_at_a_time_draws():
+    # a run draws its tie-breaks in one call; they are the per-step draws
+    stream = small_stream(n=50, k=2, seed=1)
+    for seed in (0, 11):
+        for kind in ("wilks", "gauss"):
+            draws = RandomStream(seed, 0)
+            expected = [draws.uniform() for _ in stream]
+            config = RunConfig(predictor=kind, seed=seed)
+            assert run_trace(config, stream).taus == expected, (kind, seed)
+            assert run_online(config, stream)[1].taus == expected, (kind, seed)
+
+
+@pytest.mark.parametrize("kind", PREDICTOR_KINDS)
+def test_raw_errors_are_the_trace_errors(kind):
+    # membership in {y : p(y) > eps} is the event p(truth) > eps, also where
+    # a one-piece region stands for its own hull and is tested once
+    config = RunConfig(predictor=kind, smoothed=False)
+    ledger, trace = run_online(config, generate(SyntheticSpec(k=20, n=120, seed=0)))
+    for eps in config.epsilons:
+        assert ledger.raw_errors(eps) == list(trace.errors(eps)), eps
+
+
+def test_raw_errors_of_split_regions_are_the_trace_errors():
+    # iid regions of several pieces are tested for membership twice: here
+    # the hull of a split region covers a truth the region itself misses
+    split = generate(SyntheticSpec(k=1, n=60, seed=5))
+    for stream, splits in ((tie_heavy_stream(), False), (split, True)):
+        for smoothed in (False, True):
+            config = RunConfig(predictor="iid", epsilons=(0.3, 0.2, 0.1), smoothed=smoothed, seed=4)
+            ledger, trace = run_online(config, stream)
+            for eps in config.epsilons:
+                assert ledger.raw_errors(eps) == list(trace.errors(eps)), (eps, smoothed)
+            differs = [ledger.raw_errors(eps) != ledger.errors(eps) for eps in config.epsilons]
+            assert any(differs) == splits, smoothed
 
 
 @pytest.mark.parametrize("kind", PREDICTOR_KINDS)

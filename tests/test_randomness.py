@@ -33,6 +33,21 @@ def test_uniform_in_unit_interval():
     assert abs(us.mean() - 0.5) < 0.03
 
 
+@pytest.mark.parametrize("seed, substream", [(0, 0), (0, 1), (9, 0), (123456, 3)])
+def test_batched_uniforms_are_the_one_at_a_time_draws(seed, substream):
+    for count in (0, 1, 600):
+        one_at_a_time = RandomStream(seed, substream)
+        batched = RandomStream(seed, substream).uniforms(count)
+        assert batched == [one_at_a_time.uniform() for _ in range(count)]
+        assert all(type(u) is float for u in batched)
+    # a batch continues the stream where the single draws left it
+    mixed = RandomStream(seed, substream)
+    head = [mixed.uniform() for _ in range(3)]
+    assert head + mixed.uniforms(5) == RandomStream(seed, substream).uniforms(8)
+    with pytest.raises(ValueError):
+        RandomStream(seed, substream).uniforms(-1)
+
+
 def test_slice_geometry_consistency():
     rng = np.random.default_rng(31)
     constraints = np.column_stack((np.ones(6), rng.standard_normal(6)))

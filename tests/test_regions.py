@@ -69,6 +69,37 @@ def test_empty_and_real_line():
     assert line.convex_hull() == line
 
 
+def test_shared_regions_are_safe_to_share():
+    assert PredictionRegion.real_line() is PredictionRegion.real_line()
+    assert PredictionRegion.empty() is PredictionRegion.empty()
+    for shared in (PredictionRegion.real_line(), PredictionRegion.empty()):
+        assert type(shared.pieces) is tuple
+        with pytest.raises(AttributeError):
+            shared.pieces = (point(0.0),)
+        with pytest.raises(AttributeError):
+            shared.extra = 1
+    assert PredictionRegion.empty() == PredictionRegion(())
+    assert PredictionRegion.real_line() == PredictionRegion(
+        [Interval(-np.inf, np.inf, False, False)]
+    )
+    assert PredictionRegion.real_line().contains(0.0)
+
+
+def test_hull_of_at_most_one_piece_is_the_region_itself():
+    for region in (
+        PredictionRegion.empty(),
+        PredictionRegion.real_line(),
+        PredictionRegion([point(2.0)]),
+        PredictionRegion([Interval(0.0, 1.0, True, False)]),
+    ):
+        assert region.convex_hull() is region
+    split = PredictionRegion([Interval(0.0, 1.0, True, False), point(4.0)])
+    hull = split.convex_hull()
+    assert hull is not split
+    assert hull == PredictionRegion([Interval(0.0, 4.0, True, True)])
+    assert hull.contains(2.0) and not split.contains(2.0)
+
+
 def test_issubset_partial_order():
     inner = PredictionRegion([Interval(1.0, 2.0, False, False)])
     outer = PredictionRegion([Interval(0.0, 3.0, True, True)])

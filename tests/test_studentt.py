@@ -10,11 +10,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from oracles import t_density
 
 from cpreg import t_sf, t_upper_point
+from cpreg.studentt import t_upper_points
 
 
 def reference_density(df):
@@ -118,6 +119,27 @@ def test_results_are_python_floats():
     assert all(type(v) is float for v in values)
 
 
+def test_quantile_vector_is_the_scalar_bit_for_bit():
+    """One stdtrit call on a step's eps/2 gives each level's t_upper_point,
+    and both are the lower-tail inversion -stdtrit(df, min(delta, 1 - delta))
+    with its sign, and +0.0 at delta = 0.5.  df 1..600 covers gauss's
+    n - K - 2 and mva's n - 2 at paper size."""
+    levels = (0.05, 0.01, 0.005, 0.3, 0.5)
+    deltas = [eps / 2.0 for eps in levels] + [1.0 - eps / 2.0 for eps in levels] + [0.5]
+    for df in range(1, 601):
+        vector = t_upper_points(deltas, df)
+        assert all(type(t) is float for t in vector)
+        for delta, t in zip(deltas, vector):
+            if delta == 0.5:
+                reference = 0.0
+            elif delta < 0.5:
+                reference = -float(special.stdtrit(df, delta))
+            else:
+                reference = float(special.stdtrit(df, 1.0 - delta))
+            assert t.hex() == reference.hex() == t_upper_point(delta, df).hex(), (delta, df)
+    assert t_upper_points([], 5) == []
+
+
 def test_upper_point_input_validation():
     with pytest.raises(ValueError):
         t_upper_point(0.0, 5)
@@ -125,3 +147,8 @@ def test_upper_point_input_validation():
         t_upper_point(1.0, 5)
     with pytest.raises(ValueError):
         t_upper_point(0.1, 0)
+    for bad in (0.0, 1.0, math.nan):
+        with pytest.raises(ValueError, match="^delta must lie strictly between 0 and 1"):
+            t_upper_points([0.025, bad], 5)
+    with pytest.raises(ValueError):
+        t_upper_points([0.025], 0)
