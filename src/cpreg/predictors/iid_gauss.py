@@ -25,8 +25,9 @@ Two regimes:
   exchangeability step over n or 2n residual lines, the observed line
   last, and is handled by the exchangeability predictor's step context.
   For n <= K + 1 the lines are exactly that predictor's, so the two
-  coincide; Monte Carlo would only blur the atoms and (at tail candidates)
-  destroy the n >= 1/eps informativeness threshold.
+  coincide, and such a step costs about what that predictor's does (see
+  Geometry); Monte Carlo would only blur the atoms and (at tail
+  candidates) destroy the n >= 1/eps informativeness threshold.
 * d >= 2: genuine Monte Carlo over ``mc_samples`` draws, shared across
   every candidate y and every epsilon of the step (common random numbers
   keep the region boundaries well defined).  A draw needs only the slot-s
@@ -60,21 +61,30 @@ is the slope of the slice point the step computes anyway.  So a step
 costs O(n K) beyond its draws.  The chain starts, and restarts after any
 break, from one triangular solve, h_ss = |L^{-1} z_s|^2: at its first
 step, after a step that the SVD took or that staged a row other than the
-one observed, and where 1 - h_n is too small to divide by.  Every other
-step takes an SVD of Z, which also decides its rank: the exact steps, and
-the Monte-Carlo steps whose factor fails or whose estimated condition is
-too poor to rule out a rank the SVD would cut (duplicated columns, large
-feature offsets).  Both routes end in one method, which applies the
-projector once, to four columns, keeps the two slice-point columns as the
-n slot residual lines, and draws.
+one observed, and where 1 - h_n is too small to divide by.  Up to
+n = K + 1 one Cholesky factor of ZZ' (n x n), under the same condition
+gate, shows that Z has rank n, so d = 0: the step takes the residual
+lines straight from the rows, with no SVD and no raw moments, and its
+slice radius is 0.  Every other step takes an SVD of Z, which also
+decides its rank: n = K + 2 (d = 1 unless Z is rank-deficient), the
+steps whose factor fails or whose estimated condition is too poor to
+rule out a rank the SVD would cut (repeated rows, duplicated columns,
+large feature offsets).  The Cholesky and SVD routes of a Monte-Carlo
+step end in one method, which applies the projector once, to four
+columns, keeps the two slice-point columns as the n slot residual lines,
+and draws.
 
 Regions.  On a Monte-Carlo step the estimated p-value is a step function
 of the candidate y: it changes only where a draw's score
 |a + b*y + m*r(y)| crosses the observed score |e0*y + e1|, with r(y) the
 slice radius.  Squaring m*r(y) = +-(e0*y + e1) - a - b*y gives two
-quadratics per draw, so at most four crossings; with the zeros of the two
-right-hand sides (where rounding can hide a root) they are the draw's
-candidates.  Each draw's score comparison is evaluated once inside every
+quadratics per draw, so at most four crossings, the draw's candidates.
+A crossing that is no root of them lies where r(y) is clamped to 0 and a
+right-hand side vanishes, at its zero -q/p; so a step whose squared radius
+may reach 0 in floats, its vertex value not clearly positive, sweeps both
+zeros of every draw too, six candidates, and every other step sweeps four,
+a zero standing in only for a pair that lost a root to rounding (as when
+m is 0).  Each draw's score comparison is evaluated once inside every
 gap between its sorted candidates, which drops the spurious roots that
 squaring adds, and the flips of all draws, summed per crossing, give the
 exact draw counts on every open segment and at every crossing.  A draw
@@ -125,8 +135,9 @@ from .base import OnlinePredictor
 from .iid import IidStepContext
 
 # Smallest LAPACK dtrcon estimate of the 1-norm reciprocal condition of the
-# Cholesky factor L of Z'Z for which a Monte-Carlo step trusts L; below it
-# the step goes to the SVD, whose rank cutoff is RANK_RTOL.  L has the
+# Cholesky factor L of Z'Z for which a Monte-Carlo step trusts L, and of the
+# factor of ZZ' by which a step with n <= K + 1 takes d = 0; below it the
+# step goes to the SVD, whose rank cutoff is RANK_RTOL.  L has the
 # singular values of Z, but forming Z'Z rounds away everything below about
 # sqrt(machine eps) = 1.5e-8 relative: for a Z that the SVD finds
 # rank-deficient (sigma_min <= RANK_RTOL * sigma_max) the factorization
@@ -199,17 +210,22 @@ class IidGaussStepContext:
         # Draw i meets the observed score where m*r(y) = p*y + q, with
         # (p, q) = s*(e0, e1) - (b, a) for s = +-1.  Squaring gives a quadratic
         # whose two roots merge, and may be lost to rounding, when m*r(y) and
-        # p*y + q vanish together; that happens only near the zero -q/p of the
-        # right-hand side (m*r is small there, or r = 0 where the squared
-        # radius dips below zero by rounding), so that zero is a candidate too
-        # and confines such a loss to a rounding-wide interval.
+        # p*y + q vanish together; that happens only at the zero -q/p of the
+        # right-hand side, where m is small or r is clamped to 0.  A step whose
+        # squared radius may reach 0 sweeps both zeros of every draw; on any
+        # other a sign's zero stands in for its lost pair, which confines such
+        # a loss to a rounding-wide interval.
         p = _SIGNS * e0 - b  # (2, mc): row 0 for s = +1, row 1 for s = -1
         q = _SIGNS * e1 - a
-        cand = np.empty((6, a.size))  # column i holds draw i's candidates
-        pairs = cand.reshape(3, 2, a.size)
+        keep_zeros = not _radius_stays_positive(c2, c1, c0)
+        cand = np.empty((6 if keep_zeros else 4, a.size))  # column i holds draw i's candidates
+        pairs = cand.reshape(-1, 2, a.size)
         _quadratic_roots(m2 * c2 - p * p, m2 * c1 - 2.0 * p * q, m2 * c0 - q * q, out=pairs[:2])
         with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(-q, p, out=pairs[2])
+            if keep_zeros:
+                np.divide(-q, p, out=pairs[2])
+            else:  # q/a is lost where both roots are, or where c/q is a linear root
+                np.copyto(pairs[0], np.divide(-q, p), where=~np.isfinite(pairs[0]))
         # Missing (NaN) or infinite candidates become one point right of every
         # root, so all draws have as many gaps; the extra ones lie on the right ray.
         missing = np.isfinite(cand)
@@ -281,8 +297,14 @@ class IidGaussStepContext:
 
 _SIGNS = np.array([[1.0], [-1.0]])
 
-# An optimal sorting network for six keys, twelve comparators in five
-# layers, one layer a line (Knuth, TAOCP vol. 3, section 5.3.4).
+# Optimal sorting networks for four and six keys: five comparators in three
+# layers and twelve in five, one layer a line (Knuth, TAOCP vol. 3,
+# section 5.3.4).  Each first layer touches every key.
+_SORT4 = (
+    (0, 1), (2, 3),
+    (0, 2), (1, 3),
+    (1, 2),
+)
 _SORT6 = (
     (0, 5), (1, 3), (2, 4),
     (1, 2), (3, 4),
@@ -290,15 +312,51 @@ _SORT6 = (
     (0, 1), (2, 3), (4, 5),
     (1, 2), (3, 4),
 )
+_NETWORKS = {4: _SORT4, 6: _SORT6}
 
 
 def _sort_columns(rows: np.ndarray) -> None:
-    """Sort every column of a (6, n) array in place, one row pair at a time."""
+    """Sort every column of a (4, n) or (6, n) array in place, one row pair at a time."""
     sorted_rows = list(rows)  # a comparator rebinds two rows to a fresh min and max
-    for i, j in _SORT6:
+    for i, j in _NETWORKS[len(sorted_rows)]:
         low, high = sorted_rows[i], sorted_rows[j]
         sorted_rows[i], sorted_rows[j] = np.minimum(low, high), np.maximum(low, high)
     rows[:] = sorted_rows  # all fresh, as the first layer rebinds every row
+
+
+def _radius_stays_positive(c2: float, c1: float, c0: float) -> bool:
+    """Whether the squared slice radius, as ``crossings`` evaluates it, is positive at every y.
+
+    f(y) = c2*y^2 + c1*y + c0 = c2*t^2 + v with t = y + c1/(2 c2), vertex
+    value v = c0 - w and w = c1^2/(4 c2).  Evaluated as ((c2*y)*y + c1*y) + c0
+    it carries at most four roundings a term, an error of at most
+    g4 * S with S = c2*y^2 + |c1*y| + |c0| and g4 = 4u/(1 - 4u), u = 2^-53
+    (barring underflow and overflow).  As |c1*y| <= c2*y^2 + w and
+    c2*y^2 <= 2 c2 t^2 + 2 w, S <= 5 (c2 t^2 + w + |c0|); the test
+    v > delta (|c0| + w) then bounds S by (5 / delta) f(y), so the computed
+    value is at least f(y) (1 - 5 g4 / delta) = f(y) (1 - 2.3e-9) > 0 at
+    delta = 1e-6.  The test's own rounding, a few u of |c0| + w, moves
+    delta by less than 1e-9 of itself.
+    """
+    if not c2 > 0.0:
+        return False
+    w = c1 * c1 / (4.0 * c2)
+    return c0 - w > 1e-6 * (abs(c0) + w)
+
+
+def _full_row_rank(design: np.ndarray) -> bool:
+    """Whether a design Z of n <= K + 1 rows clearly has rank n, so that d = 0.
+
+    One Cholesky factor of ZZ' (n x n) decides it, under the Monte-Carlo
+    steps' gate: ZZ' has the nonzero eigenvalues of Z'Z, so its factor has
+    the singular values of Z, and a Z that the SVD finds rank-deficient
+    fails the factorization or the gate.  False leaves the step to the SVD.
+    """
+    try:
+        factor = cholesky_factor(design @ design.T, "row Gram matrix ZZ'")
+    except NumericalError:
+        return False
+    return reciprocal_condition(factor) >= _CHOLESKY_MIN_RCOND
 
 
 def _quadratic_roots(a: np.ndarray, b: np.ndarray, c: np.ndarray, out: np.ndarray) -> None:
@@ -355,6 +413,8 @@ class IidGaussPredictor(OnlinePredictor):
     def begin_step(self, x_new) -> IidGaussStepContext:
         design = self.design.with_row(x_new)  # full constraint design Z
         n, cols = design.shape
+        if n <= cols and _full_row_rank(design):  # n <= K + 1 and d = 0
+            return self._exact_step(design)
         raw = self.design.raw_moments()
         if n >= cols + 2:  # n >= K + 3
             ctx = self._cholesky_step(design, raw)
@@ -425,15 +485,25 @@ class IidGaussPredictor(OnlinePredictor):
             leverage = np.sum(left[:, :rank] ** 2, axis=1)
             fitted = np.column_stack((v00, v01))
             return self._monte_carlo_step(design, ridged.T @ ridged, fitted, rad2, leverage, d)
+        if d == 0:
+            return self._exact_step(design)
+        return self._exact_step(design, rad2, mirror=left[:, rank])
+
+    def _exact_step(self, design, rad2=(0.0, 0.0, 0.0), mirror=None) -> IidGaussStepContext:
+        """A step whose slice is the response vector Y, or Y and one mirror point.
+
+        The atoms are the slots' ridge residual lines, the observed line last.
+        With ``mirror`` = u, the null direction of Z' when d = 1 (small n
+        regime only), the mirror point Y - 2(u'Y)u gives a second line per
+        slot.  ``rad2`` is the squared slice radius, (0, 0, 0) for d = 0.
+        """
+        n, cols = design.shape
         ys = self.design.y
         rmap, aff = ridge_lines(design, ys, self.ridge)
-        if d == 1:
-            # The mirror point Y - 2(u'Y)u, u the null direction of Z'
-            # (small n regime only), gives a second line per slot.
-            u = left[:, rank]
-            shift, past = 2.0 * rmap.apply(u), u[:-1] @ ys
+        if mirror is not None:
+            shift, past = 2.0 * rmap.apply(mirror), mirror[:-1] @ ys
             aff = AffineResiduals(
-                slopes=np.concatenate((aff.slopes - u[-1] * shift, aff.slopes)),
+                slopes=np.concatenate((aff.slopes - mirror[-1] * shift, aff.slopes)),
                 intercepts=np.concatenate((aff.intercepts - past * shift, aff.intercepts)),
             )
         ea = (float(aff.slopes[-1]), float(aff.intercepts[-1]))  # the observed line is last

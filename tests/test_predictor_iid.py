@@ -209,7 +209,9 @@ def integer_stream(size=80):
 
 def tie_heavy_stream(n=40):
     """Three distinct x rows and two y values: repeated residual lines give
-    merged critical points and isolated closed points in the regions."""
+    merged critical points, and closed points that are whole one-point
+    regions.  iid's raw regions on it never have two pieces; for split
+    regions use ``SyntheticSpec(k=1, n=60, seed=5)``."""
     rng = np.random.default_rng(1)
     rows = rng.integers(-1, 2, (3, 2)).astype(float)
     xs = rows[rng.integers(0, 3, n)]

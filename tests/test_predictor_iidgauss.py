@@ -1,6 +1,7 @@
 """Joint exchangeability/Gaussian predictor: conditional atoms and Monte Carlo."""
 
 import copy
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from cpreg import (
     binomial_band,
     generate,
     make_predictor,
+    run_online,
 )
 from cpreg.predictors import iid_gauss
 from cpreg.predictors.iid_gauss import null_slot_coordinates
@@ -37,7 +39,7 @@ from oracles import (
     ridge_design,
     slice_geometry,
 )
-from test_predictor_iid import integer_stream, tie_heavy_stream
+from test_predictor_iid import integer_stream, run_digest, tie_heavy_stream
 
 
 def feed(predictor, xs, ys):
@@ -515,12 +517,26 @@ def test_noise_free_stream_counts_are_exact_outside_a_rounding_band():
         pred.observe(Observation(x, 1.0 + x[0]))
 
 
-def test_a_draw_that_touches_the_observed_score_ties_there_once():
+def _spy_candidate_rows(monkeypatch):
+    """Candidate rows per draw of every Monte-Carlo table built from now on."""
+    rows, sort = [], iid_gauss._sort_columns
+
+    def spy(cand):
+        rows.append(cand.shape[0])
+        sort(cand)
+
+    monkeypatch.setattr(iid_gauss, "_sort_columns", spy)
+    return rows
+
+
+def test_a_draw_that_touches_the_observed_score_ties_there_once(monkeypatch):
     # observed score |y|; draw 0 is |r(y)| with r(y)^2 = 0.5 y^2 + 2 y - 2,
     # below |y| except where it touches it, at 0 (r clamped to 0) and at 2
     # (a double root); draw 1 is the constant 1, above |y| on [-1, 1].  At
     # each touch draw 0 flips into its state on the point and out again: it
-    # ties there once and counts as below on both sides
+    # ties there once and counts as below on both sides.  The clamped radius
+    # keeps both right-hand-side zeros of every draw: six candidates
+    rows = _spy_candidate_rows(monkeypatch)
     ctx = iid_gauss.IidGaussStepContext(
         n=10,
         k=1,
@@ -531,6 +547,7 @@ def test_a_draw_that_touches_the_observed_score_ties_there_once():
         slots=np.arange(2),
         slot_mix=np.array([1.0, 0.0]),
     )
+    assert not iid_gauss._radius_stays_positive(*ctx.rad2)
     events, greater, ties = ctx.crossings
     assert events.tolist() == [-1.0, 0.0, 1.0, 2.0]
     assert greater.tolist() == [0, 0, 1, 1, 1, 0, 0, 0, 0]
@@ -538,20 +555,89 @@ def test_a_draw_that_touches_the_observed_score_ties_there_once():
     # the p-value at each event is the counts there, the observed score one of
     # mc + 1 = 3 and tied with itself
     assert iidgauss_pvalues(ctx, events, 1.0).tolist() == [2 / 3, 1.0, 2 / 3, 2 / 3]
+    assert rows == [6]
 
 
 def test_sorting_network_sorts_every_column():
-    # by the 0-1 principle, a comparator network that sorts all 64 columns
-    # of zeros and ones sorts every column of six keys
-    bits = ((np.arange(64) >> np.arange(6)[:, None]) & 1).astype(float)
-    want = np.sort(bits, axis=0)
-    iid_gauss._sort_columns(bits)
-    assert np.array_equal(bits, want)
+    # by the 0-1 principle, a comparator network that sorts all 2^keys
+    # columns of zeros and ones (16 for four keys, 64 for six) sorts every
+    # column of that many keys
     rng = np.random.default_rng(0)
-    for rows in (rng.integers(-2, 3, (6, 500)).astype(float), rng.normal(size=(6, 500))):
-        want = np.sort(rows, axis=0)
-        iid_gauss._sort_columns(rows)
-        assert np.array_equal(rows, want)
+    for keys in (4, 6):
+        bits = ((np.arange(2**keys) >> np.arange(keys)[:, None]) & 1).astype(float)
+        want = np.sort(bits, axis=0)
+        iid_gauss._sort_columns(bits)
+        assert np.array_equal(bits, want), keys
+        for rows in (rng.integers(-2, 3, (keys, 500)).astype(float), rng.normal(size=(keys, 500))):
+            want = np.sort(rows, axis=0)
+            iid_gauss._sort_columns(rows)
+            assert np.array_equal(rows, want), keys
+
+
+@pytest.mark.parametrize("k, size", [(20, 120), (2, 210)])
+def test_monte_carlo_steps_sweep_four_candidates_per_draw(monkeypatch, k, size):
+    # the squared radius of these steps stays clear of 0, so a draw sweeps
+    # the four roots of its two quadratics, with a right-hand-side zero only
+    # in place of a lost root; the table is the six-candidate reference's
+    rows = _spy_candidate_rows(monkeypatch)
+    steps = 0
+    for pred, ctx in _monte_carlo_steps(k, size, seed=0, mc_samples=1000):
+        for got, want in zip(ctx.crossings, oracles.iidgauss_crossings(ctx)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), ctx.n
+        steps += 1
+    assert steps == size - k - 2
+    assert rows == [4] * steps
+
+
+def test_a_root_lost_to_rounding_is_swept_at_its_zero(monkeypatch):
+    # draw 0 has slot mix 0, so its score |a + b*y| meets the observed score
+    # |e0*y + e1| at the zeros -q/p of both right-hand sides, each a double
+    # root of its squared quadratic; rounding makes the sign -1
+    # discriminant negative, and that sign's zero stands in for the lost
+    # pair.  Draw 1, the constant 5, stays above.  The radius stays clear of
+    # 0, so the step sweeps four candidates per draw.
+    rows = _spy_candidate_rows(monkeypatch)
+    a, b, e0, e1 = -0.7037352358069926, -1.2654214710460525, 0.8526828432972258, 0.0413259793472436
+    ctx = iid_gauss.IidGaussStepContext(
+        n=10,
+        k=1,
+        ea=(e0, e1),
+        exact=False,
+        rad2=(1.0, 0.0, 1.0),
+        lines=np.array([[a, 5.0], [b, 0.0]]),
+        slots=np.arange(2),
+        slot_mix=np.array([0.0, 0.5]),
+    )
+    p, q = np.array([e0, -e0]) - b, np.array([e1, -e1]) - a
+    assert ((-2.0 * p * q) ** 2 - 4.0 * (-p * p) * (-q * q) < 0.0).tolist() == [False, True]
+    events, greater, ties = ctx.crossings
+    assert rows == [4]
+    assert float(-q[1] / p[1]) in events.tolist()  # the zero itself; sign +1 keeps its roots
+    for got, want in zip((events, greater, ties), oracles.iidgauss_crossings(ctx)):
+        assert np.array_equal(got, want)
+
+
+def test_a_radius_clear_of_zero_is_positive_as_evaluated():
+    # the bound of _radius_stays_positive: where it holds, the squared radius
+    # evaluated as crossings does it is within 2.3e-9 of its exact value, and
+    # so positive, at every y; the vertex values sit just above the test's
+    # margin, v = 1.01e-6 * (c0 + w)
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        c2, w = 10.0 ** rng.uniform(-3, 1), 10.0 ** rng.uniform(-8, 8)
+        c1 = rng.choice([-1.0, 1.0]) * np.sqrt(4.0 * c2 * w)
+        c0 = w * (1.0 + 1.01e-6) / (1.0 - 1.01e-6)
+        assert iid_gauss._radius_stays_positive(c2, c1, c0), (c2, c1, c0)
+        vertex = -c1 / (2.0 * c2)
+        ys = vertex + np.concatenate(([0.0], np.geomspace(1e-12, 1e12, 25) * max(abs(vertex), 1.0)))
+        ys = np.concatenate((ys, 2.0 * vertex - ys))
+        got = (ys * c2) * ys + ys * c1 + c0
+        for y, value in zip(ys.tolist(), got.tolist()):
+            exact = Fraction(c2) * Fraction(y) ** 2 + Fraction(c1) * Fraction(y) + Fraction(c0)
+            assert exact > 0 and abs(Fraction(value) - exact) <= Fraction(23, 10**10) * exact, (c2, c1, c0, y)
+    # below the margin, or with no positive leading coefficient, it refuses
+    assert not iid_gauss._radius_stays_positive(1.0, 2.0, 1.0 + 0.99e-6 * 2.0)
+    assert not iid_gauss._radius_stays_positive(0.0, 0.0, 1.0)
 
 
 def _offset_stream(k, size, seed, x_offset=0.0, y_offset=0.0):
@@ -724,7 +810,7 @@ def test_exact_step_keeps_the_self_atom():
 
 
 def _no_svd(*args, **kwargs):
-    raise AssertionError("a full-rank Monte-Carlo step took an SVD")
+    raise AssertionError("a full-rank step took an SVD")
 
 
 def _monte_carlo_geometry(monkeypatch, stream, svd):
@@ -793,9 +879,8 @@ def test_full_rank_monte_carlo_steps_take_no_svd(monkeypatch, k, size):
     _assert_matches_slice_geometry(steps)
 
 
-@pytest.mark.parametrize("k, size", [(8, 20), (30, 25)], ids=["k8", "k30-wide"])
-def test_svd_asks_for_the_full_left_factor_only_at_n_equal_k_plus_2(monkeypatch, k, size):
-    # below n = K + 2 the reduced left factor is already square
+def _spy_svd_requests(monkeypatch):
+    """(rows, full_matrices) of every ``np.linalg.svd`` call from now on."""
     requests, svd = [], np.linalg.svd
 
     def spy(design, full_matrices=True, **kwargs):
@@ -803,12 +888,53 @@ def test_svd_asks_for_the_full_left_factor_only_at_n_equal_k_plus_2(monkeypatch,
         return svd(design, full_matrices=full_matrices, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", spy)
+    return requests
+
+
+@pytest.mark.parametrize("k, size", [(8, 20), (30, 25)], ids=["k8", "k30-wide"])
+def test_svd_asks_for_the_full_left_factor_only_at_n_equal_k_plus_2(monkeypatch, k, size):
+    # the steps before n = K + 2 have d = 0, which a factor of ZZ' decides
+    # with no SVD; of the steps before n = K + 3 only n = K + 2 (d = 1) takes
+    # one, and asks for the full left factor, whose last column is the null
+    # direction
+    requests = _spy_svd_requests(monkeypatch)
     pred = fresh()
     for obs in generate(SyntheticSpec(k=k, n=size, seed=3)):
         pred.begin_step(obs.x)
         pred.observe(obs)
-    steps = range(1, min(size, k + 2) + 1)  # every step before n = K + 3
-    assert requests == [(n, n == k + 2) for n in steps]
+    assert requests == ([(k + 2, True)] if size >= k + 2 else [])
+
+
+def test_wide_steps_take_no_svd_and_give_the_iid_trace(monkeypatch):
+    # K = 200, n = 100: every step has n <= K + 1 and d = 0, so its atoms are
+    # iid's residual lines, found with no SVD, and the p-values are iid's
+    stream = generate(SyntheticSpec(k=200, n=100, seed=0))
+    for smoothed in (False, True):
+        config = RunConfig(predictor="iid", smoothed=smoothed, seed=1)
+        _, want = run_online(config, stream)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "svd", _no_svd)
+            _, got = run_online(dataclasses.replace(config, predictor="iid-gauss"), stream)
+        assert got.pvalues == want.pvalues and got.taus == want.taus, smoothed
+
+
+def test_a_repeated_row_before_k_plus_2_takes_the_svd(monkeypatch):
+    # a row that repeats an earlier one makes Z rank-deficient (d = 1) from
+    # its step on: ZZ' is singular there, so the SVD decides the step, with
+    # the reduced left factor while n <= K + 1.  The run equals one with the
+    # ZZ' test switched off, in which every step before n = K + 3 takes the SVD.
+    k = 8
+    stream = generate(SyntheticSpec(k=k, n=30, seed=3))
+    stream[4] = Observation(stream[3].x, stream[4].y)  # step 5 repeats the row of step 4
+    for smoothed in (False, True):
+        config = RunConfig(predictor="iid-gauss", smoothed=smoothed, seed=2, mc_samples=200)
+        with monkeypatch.context() as m:
+            requests = _spy_svd_requests(m)
+            got = run_digest(config, stream)
+        assert requests == [(n, n == k + 2) for n in range(5, k + 3)], smoothed
+        with monkeypatch.context() as m:
+            m.setattr(iid_gauss, "_full_row_rank", lambda design: False)
+            assert run_digest(config, stream) == got, smoothed
 
 
 @pytest.mark.parametrize("hostile", ["duplicated column", "x offset 1e6"])
