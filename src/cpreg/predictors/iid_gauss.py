@@ -2,8 +2,9 @@
 
 The summary at step n is the bag of explanatory vectors together with
 (sum y, sum y*x, sum y^2): the rows of the predictor's
-:class:`~cpreg.design.DesignState` and the last column of its raw moment
-matrix.  Conditionally on it, the data are distributed as
+:class:`~cpreg.design.DesignState` and the response mean and centred
+co-moments that it keeps, which carry the same information.  Conditionally
+on it, the data are distributed as
 a uniformly random permutation of the bag combined with a response vector
 drawn uniformly from the sphere-slice
 
@@ -45,62 +46,69 @@ Two regimes:
   Clifford 1989): p = (greater + tau * (ties + 1)) / (mc + 1), never below
   tau / (mc + 1).
 
-Geometry.  The slice needs two things from Z: its minimum-norm point
-Z (Z'Z)^+ (t0 + y z_n), affine in the candidate y (t0 = (sum y, sum y*x)
-of the past, z_n the new design row), whose squared norm gives the slice
-radius, and the slot leverages h_ss, the diagonal of the hat matrix
-Z (Z'Z)^{-1} Z'.  From n = K + 3 on Z normally has full rank, and a
-Monte-Carlo step reads Z'Z from the design state's raw moments plus
-z_n z_n', with no product of the rows; one Cholesky factor of it gives
-(Z'Z)^{-1} [t0, z_n], and Z'Z + aI is the residual projector's system,
-as the ridge design is then all of Z.  The leverages are carried from
-step to step rather than solved for: adding z_n lowers each stored
+Geometry.  The slice needs two things from Z: its minimum-norm point, the
+projection P Y of the response vector onto Z's column space, and the slot
+leverages h_ss, the diagonal of P.  The squared radius |Y - P Y|^2 is the
+residual sum of squares of the fit that includes the candidate, so by the
+recursive-residual identity (Brown, Durbin & Evans 1975) it is
+(1 - h_n) (y - yhat)^2 + RSS: h_n the new slot's leverage, yhat the past
+fit's prediction at the new row z_n and RSS that fit's residual sum of
+squares.  The ones column lies in the column space, so P Y = ybar + P W
+with ybar the past mean and W = Y - ybar, and Z'W = (0, C_xy) +
+(y - ybar) z_n: a step reads the responses only through ybar and the
+centred co-moments C_xy and C_yy, free of any response offset.  From
+n = K + 3 on Z normally has full rank, and a Monte-Carlo step reads Z'Z
+from the design state's raw moments plus z_n z_n', with no product of the
+rows; one Cholesky factor of it gives (Z'Z)^{-1} [(0, C_xy), z_n], and
+Z'Z + aI is the residual projector's system, as the ridge design is then
+all of Z.  The leverages are carried
+from step to step rather than solved for: adding z_n lowers each stored
 slot's leverage by (z_s'c1)^2 / (1 - h_n) (Sherman-Morrison), with
-c1 = (Z'Z)^{-1} z_n and h_n = z_n'c1 the new slot's leverage, and z_s'c1
-is the slope of the slice point the step computes anyway.  So a step
-costs O(n K) beyond its draws.  The chain starts, and restarts after any
-break, from one triangular solve, h_ss = |L^{-1} z_s|^2: at its first
-step, after a step that the SVD took or that staged a row other than the
-one observed, and where 1 - h_n is too small to divide by.  Up to
-n = K + 1 one Cholesky factor of ZZ' (n x n), under the same condition
-gate, shows that Z has rank n, so d = 0: the step takes the residual
-lines straight from the rows, with no SVD and no raw moments, and its
-slice radius is 0.  Every other step takes an SVD of Z, which also
-decides its rank: n = K + 2 (d = 1 unless Z is rank-deficient), the
-steps whose factor fails or whose estimated condition is too poor to
-rule out a rank the SVD would cut (repeated rows, duplicated columns,
-large feature offsets).  The Cholesky and SVD routes of a Monte-Carlo
-step end in one method, which applies the projector once, to four
-columns, keeps the two slice-point columns as the n slot residual lines,
-and draws.
+c1 = (Z'Z)^{-1} z_n and h_n = z_n'c1, and z_s'c1 is the slope of the slice
+point the step computes anyway.  So a step costs O(n K) beyond its draws.
+The chain starts, and restarts after any break, from one triangular
+solve, h_ss = |L^{-1} z_s|^2: at its first step, after a step that the SVD
+took or that staged a row other than the one observed, and where 1 - h_n
+is too small to divide by.  Up to n = K + 1 one Cholesky factor of WW', W
+the centred rows [1, x - xbar], under the same condition gate, shows that
+Z has rank n, so d = 0: the step takes the residual lines straight from
+the rows, with no SVD and no moments, and its slice radius is 0.  Every
+other step takes an SVD of Z, which also decides its rank, and projects
+onto its left singular vectors: n = K + 2 (d = 1 unless Z is
+rank-deficient), the steps whose factor fails or whose estimated
+condition is too poor to rule out a rank the SVD would cut (repeated
+rows, duplicated columns, large feature offsets).  Both routes of a
+Monte-Carlo step end in one method, which applies the projector once, to
+four columns, keeps the two slice-point columns as the n slot residual
+lines, and draws.
 
-Regions.  On a Monte-Carlo step the estimated p-value is a step function
-of the candidate y: it changes only where a draw's score
-|a + b*y + m*r(y)| crosses the observed score |e0*y + e1|, with r(y) the
-slice radius.  Squaring m*r(y) = +-(e0*y + e1) - a - b*y gives two
-quadratics per draw, so at most four crossings, the draw's candidates.
-A crossing that is no root of them lies where r(y) is clamped to 0 and a
-right-hand side vanishes, at its zero -q/p; so a step whose squared radius
-may reach 0 in floats, its vertex value not clearly positive, sweeps both
-zeros of every draw too, six candidates, and every other step sweeps four,
-a zero standing in only for a pair that lost a root to rounding (as when
-m is 0).  Each draw's score comparison is evaluated once inside every
-gap between its sorted candidates, which drops the spurious roots that
-squaring adds, and the flips of all draws, summed per crossing, give the
-exact draw counts on every open segment and at every crossing.  A draw
-ties at a crossing where its comparison flips, once however many of its
-roots meet there, as a residual line ties at its critical points in the
-exchangeability sweep; every other draw keeps its state on both sides.
-The candidates, probes and scores are laid out event-major, one column
-per draw, so that every array operation runs along the long draw axis,
-and one sort of all the flip points groups them into events.  That sweep
-runs once per step and serves every epsilon and tau.  Exact steps
-(d <= 1) sweep their residual lines' critical points as the
-exchangeability predictor does (the Ridge Regression Confidence
-Machine).  Both tables share one layout, and the observed score ties
-itself on every cell of either; ``cpreg.regions.super_level_sets`` turns
-them into the regions of every level at once, so an endpoint is closed by
-the counts at its crossing, not by the p-value at a rounded point.
+Regions.  On a Monte-Carlo step the estimated p-value is a step function of
+the candidate y: it changes only where a draw's score |a + b*u + m*r(u)|
+crosses the observed score |e0*u + e1|, in u = y - yhat with the slice
+radius r(u) = sqrt(c2*u^2 + RSS).  Squaring m*r(u) = +-(e0*u + e1) - a - b*u
+gives two quadratics in u, free of any offset of y, so at most four
+crossings, the draw's candidates.  A crossing that is no root of them lies
+where m*r(u) and a right-hand side vanish together, at its zero -q/p.
+Floats cannot round c2*u^2 + RSS below RSS, so r vanishes only where the
+past responses fit exactly (RSS = 0); such a step sweeps both zeros of every
+draw too, six candidates, and any other sweeps four, a zero standing in only
+for a pair that lost a root to rounding (as when m is 0).  Each draw's score
+comparison is evaluated once inside every gap between its sorted candidates,
+which drops the spurious roots that squaring adds, and the flips of all
+draws, summed per crossing, give the exact draw counts on every open segment
+and at every crossing.  A draw ties at a crossing where its comparison
+flips, once however many of its roots meet there, as a residual line ties at
+its critical points in the exchangeability sweep; every other draw keeps its
+state on both sides.  The candidates, probes and scores are laid out
+event-major, one column per draw, so that every array operation runs along
+the long draw axis, and one sort of all the flip points groups them into
+events.  That sweep runs once per step and serves every epsilon and tau.
+Exact steps (d <= 1) sweep their residual lines' critical points as the
+exchangeability predictor does (the Ridge Regression Confidence Machine).
+Both tables share one layout, and the observed score ties itself on every
+cell of either; ``cpreg.regions.super_level_sets`` turns them into the
+regions of every level at once, so an endpoint is closed by the counts at
+its crossing, not by the p-value at a rounded point.
 """
 
 from __future__ import annotations
@@ -136,7 +144,7 @@ from .iid import IidStepContext
 
 # Smallest LAPACK dtrcon estimate of the 1-norm reciprocal condition of the
 # Cholesky factor L of Z'Z for which a Monte-Carlo step trusts L, and of the
-# factor of ZZ' by which a step with n <= K + 1 takes d = 0; below it the
+# factor of WW' by which a step with n <= K + 1 takes d = 0; below it the
 # step goes to the SVD, whose rank cutoff is RANK_RTOL.  L has the
 # singular values of Z, but forming Z'Z rounds away everything below about
 # sqrt(machine eps) = 1.5e-8 relative: for a Z that the SVD finds
@@ -170,21 +178,23 @@ _MIN_CARRY_SLACK = 1e-3
 class IidGaussStepContext:
     n: int
     k: int  # number of explanatory columns
-    ea: tuple[float, float]  # observed score |ea[0]*y + ea[1]|
     exact: bool
-    # coefficients (c2, c1, c0) of the squared slice radius as a function of y
+    # squared slice radius c2*(y - center)^2 + floor as (c2, center, floor):
+    # 1 - h_n, the past fit's prediction and its residual sum of squares
     rad2: tuple[float, float, float] = (0.0, 0.0, 0.0)
     # exact path: residual lines of the atoms, the observed line last
     atoms: IidStepContext | None = None
-    # mc path: the slot residual lines, (2, n) rows of intercepts and slopes,
-    # each draw's slot, and its null-space coordinate there
+    # mc path, in u = y - center: the observed score |ea[0]*u + ea[1]|, the
+    # slot residual lines, (2, n) rows of intercepts and slopes, each draw's
+    # slot, and its null-space coordinate there
+    ea: tuple[float, float] | None = None
     lines: np.ndarray | None = None
     slots: np.ndarray | None = None
     slot_mix: np.ndarray | None = None
 
     @cached_property
     def slot_base(self) -> np.ndarray:
-        """Intercept of each draw's slot line, gathered for ``crossings`` only."""
+        """Intercept (at u = 0) of each draw's slot line, gathered for ``crossings`` only."""
         return self.lines[0][self.slots]
 
     @cached_property
@@ -205,27 +215,26 @@ class IidGaussStepContext:
         """
         a, b, m = self.slot_base, self.slot_slope, self.slot_mix
         e0, e1 = self.ea
-        c2, c1, c0 = self.rad2
+        c2, center, floor = self.rad2
         m2 = m * m
-        # Draw i meets the observed score where m*r(y) = p*y + q, with
+        # Draw i meets the observed score where m*r(u) = p*u + q, with
         # (p, q) = s*(e0, e1) - (b, a) for s = +-1.  Squaring gives a quadratic
-        # whose two roots merge, and may be lost to rounding, when m*r(y) and
-        # p*y + q vanish together; that happens only at the zero -q/p of the
-        # right-hand side, where m is small or r is clamped to 0.  A step whose
-        # squared radius may reach 0 sweeps both zeros of every draw; on any
-        # other a sign's zero stands in for its lost pair, which confines such
-        # a loss to a rounding-wide interval.
+        # in u whose roots merge, and may be lost to rounding, where m*r(u) and
+        # p*u + q vanish together, at the zero -q/p.  r vanishes only if floor
+        # is 0, and then every draw sweeps both zeros; otherwise a sign's zero
+        # stands in for a lost pair, confining the loss to a rounding-wide gap.
         p = _SIGNS * e0 - b  # (2, mc): row 0 for s = +1, row 1 for s = -1
         q = _SIGNS * e1 - a
-        keep_zeros = not _radius_stays_positive(c2, c1, c0)
+        keep_zeros = not floor > 0.0
         cand = np.empty((6 if keep_zeros else 4, a.size))  # column i holds draw i's candidates
         pairs = cand.reshape(-1, 2, a.size)
-        _quadratic_roots(m2 * c2 - p * p, m2 * c1 - 2.0 * p * q, m2 * c0 - q * q, out=pairs[:2])
+        _quadratic_roots(m2 * c2 - p * p, -2.0 * p * q, m2 * floor - q * q, out=pairs[:2])
         with np.errstate(divide="ignore", invalid="ignore"):
             if keep_zeros:
                 np.divide(-q, p, out=pairs[2])
             else:  # q/a is lost where both roots are, or where c/q is a linear root
                 np.copyto(pairs[0], np.divide(-q, p), where=~np.isfinite(pairs[0]))
+        cand += center  # candidates in y
         # Missing (NaN) or infinite candidates become one point right of every
         # root, so all draws have as many gaps; the extra ones lie on the right ray.
         missing = np.isfinite(cand)
@@ -233,22 +242,20 @@ class IidGaussStepContext:
         np.copyto(cand, 0.0, where=missing)
         np.copyto(cand, 2.0 * max(cand.max(), 0.0) + 1.0, where=missing)
         _sort_columns(cand)
-        # one probe inside each gap of each draw, rays included
+        # one probe inside each gap of each draw, rays included, taken to u
         probes = np.empty((cand.shape[0] + 1, cand.shape[1]))
         probes[0] = cand[0] - (1.0 + np.abs(cand[0]))
         np.add(cand[:-1], cand[1:], out=probes[1:-1])
         probes[1:-1] *= 0.5
         probes[-1] = cand[-1] + (1.0 + np.abs(cand[-1]))
-        # |a + b*y + m*r(y)| >= |e0*y + e1| at every probe, in two buffers,
-        # with r(y) = sqrt(max(c2*y*y + c1*y + c0, 0)) as ``pvalue`` forms it
+        probes -= center
+        # |a + b*u + m*r(u)| >= |e0*u + e1| at every probe, in two buffers,
+        # with r(u) = sqrt(c2*u*u + floor) as ``pvalue`` forms it
         radius = np.multiply(probes, c2)
         radius *= probes
-        score = np.multiply(probes, c1)
-        radius += score
-        radius += c0
-        np.maximum(radius, 0.0, out=radius)
+        radius += floor
         np.sqrt(radius, out=radius)
-        np.multiply(probes, b, out=score)
+        score = np.multiply(probes, b)
         score += a
         score += np.multiply(radius, m, out=radius)
         np.abs(score, out=score)
@@ -324,36 +331,19 @@ def _sort_columns(rows: np.ndarray) -> None:
     rows[:] = sorted_rows  # all fresh, as the first layer rebinds every row
 
 
-def _radius_stays_positive(c2: float, c1: float, c0: float) -> bool:
-    """Whether the squared slice radius, as ``crossings`` evaluates it, is positive at every y.
-
-    f(y) = c2*y^2 + c1*y + c0 = c2*t^2 + v with t = y + c1/(2 c2), vertex
-    value v = c0 - w and w = c1^2/(4 c2).  Evaluated as ((c2*y)*y + c1*y) + c0
-    it carries at most four roundings a term, an error of at most
-    g4 * S with S = c2*y^2 + |c1*y| + |c0| and g4 = 4u/(1 - 4u), u = 2^-53
-    (barring underflow and overflow).  As |c1*y| <= c2*y^2 + w and
-    c2*y^2 <= 2 c2 t^2 + 2 w, S <= 5 (c2 t^2 + w + |c0|); the test
-    v > delta (|c0| + w) then bounds S by (5 / delta) f(y), so the computed
-    value is at least f(y) (1 - 5 g4 / delta) = f(y) (1 - 2.3e-9) > 0 at
-    delta = 1e-6.  The test's own rounding, a few u of |c0| + w, moves
-    delta by less than 1e-9 of itself.
-    """
-    if not c2 > 0.0:
-        return False
-    w = c1 * c1 / (4.0 * c2)
-    return c0 - w > 1e-6 * (abs(c0) + w)
-
-
 def _full_row_rank(design: np.ndarray) -> bool:
     """Whether a design Z of n <= K + 1 rows clearly has rank n, so that d = 0.
 
-    One Cholesky factor of ZZ' (n x n) decides it, under the Monte-Carlo
-    steps' gate: ZZ' has the nonzero eigenvalues of Z'Z, so its factor has
-    the singular values of Z, and a Z that the SVD finds rank-deficient
-    fails the factorization or the gate.  False leaves the step to the SVD.
+    Its centred rows W = [1, x - xbar] span Z's column space free of any
+    feature offset.  One Cholesky factor of WW' (n x n) decides it, under the
+    Monte-Carlo steps' gate: the factor has the singular values of W, and a W
+    the SVD finds rank-deficient fails the factorization or the gate.  False
+    leaves the step to the SVD.
     """
+    centred = design - design.mean(axis=0)
+    centred[:, 0] = 1.0
     try:
-        factor = cholesky_factor(design @ design.T, "row Gram matrix ZZ'")
+        factor = cholesky_factor(centred @ centred.T, "centred row Gram matrix WW'")
     except NumericalError:
         return False
     return reciprocal_condition(factor) >= _CHOLESKY_MIN_RCOND
@@ -387,7 +377,9 @@ def null_slot_coordinates(
     """
     g = rng.gaussian(slots.size)
     rest = rng.chisquare(d - 1, slots.size)
-    return np.sqrt(np.maximum(1.0 - leverage, 0.0))[slots] * g / np.sqrt(g * g + rest)
+    rest += g * g  # in place from here on: these are the step's longest arrays
+    mix = np.multiply(np.sqrt(np.maximum(1.0 - leverage, 0.0))[slots], g)
+    return np.divide(mix, np.sqrt(rest, out=rest), out=mix)
 
 
 class IidGaussPredictor(OnlinePredictor):
@@ -415,43 +407,53 @@ class IidGaussPredictor(OnlinePredictor):
         n, cols = design.shape
         if n <= cols and _full_row_rank(design):  # n <= K + 1 and d = 0
             return self._exact_step(design)
-        raw = self.design.raw_moments()
         if n >= cols + 2:  # n >= K + 3
-            ctx = self._cholesky_step(design, raw)
+            ctx = self._cholesky_step(design)
             if ctx is not None:
                 return ctx
-        return self._svd_step(design, raw)
+        return self._svd_step(design)
 
-    def _cholesky_step(self, design, raw) -> IidGaussStepContext | None:
+    def _slice_radius(self, slack: float, cross: float, fit: float) -> tuple[tuple, float]:
+        """The squared slice radius (c2, center, floor), and center - ybar.
+
+        With W = (Y_past - ybar, 0), cross = (P W)_n and fit = |P W|^2 it is
+        slack*t^2 - 2*cross*t + C_yy - fit at y = ybar + t, least at cross / slack.
+        """
+        shift = cross / slack if slack > 0.0 else 0.0
+        floor = max(float(self.design.comoment[-1, -1]) - fit - cross * shift, 0.0)
+        return (max(slack, 0.0), float(self.design.mean[-1]) + shift, floor), shift
+
+    def _cholesky_step(self, design) -> IidGaussStepContext | None:
         """Monte-Carlo step of a full-rank Z from one Cholesky factor Z'Z = LL'.
 
         Z'Z is the stored rows' raw moments plus z_n z_n'; from n = K + 3 on
         the ridge design is all of Z, so Z'Z + aI is the ridge system.  With
-        c0 = (Z'Z)^{-1} t0 and c1 = (Z'Z)^{-1} z_n the minimum-norm slice point
-        is Z c0 + y Z c1, the new slot's leverage is h_n = z_n'c1 and, by
-        Sherman-Morrison, each stored slot's leverage drops by
-        (Z c1)_s^2 / (1 - h_n) from its value at the previous step.  The
-        leverages are solved for afresh, as |L^{-1} z_s|^2, when that chain is
-        broken or 1 - h_n is too small to divide by.  Returns None, leaving the
-        step to the SVD, when Z is not clearly of full rank.
+        c0 = (Z'Z)^{-1} (0, C_xy) and c1 = (Z'Z)^{-1} z_n the slice point at
+        y = ybar + t is ybar + Z c0 + t Z c1, the new slot's leverage is
+        h_n = z_n'c1 and, by Sherman-Morrison, each stored slot's leverage
+        drops by (Z c1)_s^2 / (1 - h_n) from its value at the previous step.
+        The leverages are solved for afresh, as |L^{-1} z_s|^2, when that chain
+        is broken or 1 - h_n is too small to divide by.  Returns None, leaving
+        the step to the SVD, when Z is not clearly of full rank.
         """
         n, cols = design.shape
         zn = design[-1]
-        gram = raw[:cols, :cols] + zn[:, None] * zn
+        gram = self.design.raw_moments()[:cols, :cols] + zn[:, None] * zn
         try:
             factor = cholesky_factor(gram, "design Gram matrix Z'Z")
         except NumericalError:
             return None
         if reciprocal_condition(factor) < _CHOLESKY_MIN_RCOND:
             return None
-        t0, syy = raw[:-1, -1], raw[-1, -1]  # (sum y, sum y*x) and sum y^2
-        rhs = np.empty((cols, 2), order="F")  # the layout dpotrs reads
-        rhs[:, 0], rhs[:, 1] = t0, zn
+        rhs = np.zeros((cols, 2), order="F")  # the layout dpotrs reads
+        rhs[1:, 0], rhs[:, 1] = self.design.comoment[:-1, -1], zn
         coef = cholesky_solve(factor, rhs)
         c0, c1 = coef.T
-        h_n = float(zn @ c1)
-        rad2 = (1.0 - h_n, -2.0 * float(t0 @ c1), syy - float(t0 @ c0))
-        fitted = design @ coef  # Z c0 and Z c1
+        (fit, _), (cross, h_n) = rhs.T.dot(coef).tolist()  # dot: less overhead than @
+        rad2, shift = self._slice_radius(1.0 - h_n, cross, fit)
+        c0 += shift * c1  # the slice point at the radius's center, with ybar
+        c0[0] += self.design.mean[-1]  # on Z's ones column
+        fitted = design.dot(coef)
         if self._leverage is not None and rad2[0] >= _MIN_CARRY_SLACK:
             leverage = np.empty(n)
             np.subtract(self._leverage, fitted[:-1, 1] ** 2 / rad2[0], out=leverage[:-1])
@@ -462,32 +464,29 @@ class IidGaussPredictor(OnlinePredictor):
         self._staged = (zn[1:].tolist(), leverage)
         return self._monte_carlo_step(design, gram, fitted, rad2, leverage, n - cols)
 
-    def _svd_step(self, design, raw) -> IidGaussStepContext:
+    def _svd_step(self, design) -> IidGaussStepContext:
         """Any step from an SVD of Z, which also decides its rank."""
         n, cols = design.shape
-        t0, syy = raw[:-1, -1], raw[-1, -1]
         # While n <= K + 2 the slice has d <= 1 unless Z is rank-deficient.
         # The reduced left factor is square while n <= K + 1; at n = K + 2 it
         # lacks the null direction, and only that step asks for the full one.
-        left, sing, right_t = np.linalg.svd(design, full_matrices=n == cols + 1)
+        left, sing, _ = np.linalg.svd(design, full_matrices=n == cols + 1)
         rank = int(np.sum(sing > RANK_RTOL * (sing[0] if sing.size else 0.0)))
         d = n - rank
-
-        # Minimum-norm slice point as an affine function of the candidate y.
-        inv_sing = np.zeros_like(sing)
-        inv_sing[:rank] = 1.0 / sing[:rank]
-        lead, right_t = left[:, : sing.size], right_t[: sing.size]
-        v00 = lead @ (inv_sing * (right_t @ t0))
-        v01 = lead @ (inv_sing * (right_t @ design[-1]))
-        rad2 = (1.0 - float(v01 @ v01), -2.0 * float(v00 @ v01), syy - float(v00 @ v00))
-        if d >= 2:
-            ridged = design[:, : features_used(n, cols - 1) + 1]
-            leverage = np.sum(left[:, :rank] ** 2, axis=1)
-            fitted = np.column_stack((v00, v01))
-            return self._monte_carlo_step(design, ridged.T @ ridged, fitted, rad2, leverage, d)
         if d == 0:
             return self._exact_step(design)
-        return self._exact_step(design, rad2, mirror=left[:, rank])
+        # P W and P e_n (see _slice_radius) in the basis of Z's column space
+        basis = left[:, :rank]
+        coords = np.column_stack(((self.design.y - self.design.mean[-1]) @ basis[:-1], basis[-1]))
+        a0, a1 = coords.T
+        rad2, shift = self._slice_radius(1.0 - float(a1 @ a1), float(a0 @ a1), float(a0 @ a0))
+        if d == 1:
+            return self._exact_step(design, rad2, mirror=left[:, rank])
+        a0 += shift * a1
+        fitted = basis @ coords + (self.design.mean[-1], 0.0)  # ybar on the intercept
+        ridged = design[:, : features_used(n, cols - 1) + 1]
+        leverage = np.sum(basis**2, axis=1)
+        return self._monte_carlo_step(design, ridged.T @ ridged, fitted, rad2, leverage, d)
 
     def _exact_step(self, design, rad2=(0.0, 0.0, 0.0), mirror=None) -> IidGaussStepContext:
         """A step whose slice is the response vector Y, or Y and one mirror point.
@@ -506,23 +505,23 @@ class IidGaussPredictor(OnlinePredictor):
                 slopes=np.concatenate((aff.slopes - mirror[-1] * shift, aff.slopes)),
                 intercepts=np.concatenate((aff.intercepts - past * shift, aff.intercepts)),
             )
-        ea = (float(aff.slopes[-1]), float(aff.intercepts[-1]))  # the observed line is last
         atoms = IidStepContext(n=aff.slopes.size, residuals=aff)
-        return IidGaussStepContext(n=n, k=cols - 1, ea=ea, exact=True, rad2=rad2, atoms=atoms)
+        return IidGaussStepContext(n=n, k=cols - 1, exact=True, rad2=rad2, atoms=atoms)
 
     def _monte_carlo_step(self, design, gram, fitted, rad2, leverage, d) -> IidGaussStepContext:
         """A step whose slice has dimension ``d >= 2``: its residual lines and draws.
 
         The ridge design U is Z's leading columns, as many as its Gram ``gram``
-        has; ``fitted`` holds the slice point's intercept and slope, Z c0 and Z c1.
+        has; ``fitted`` holds the slice point at the radius's center and its
+        slope, and the lines are taken in u = y - center.
         """
         n, cols = design.shape
         rmap = RidgeResidualMap(design[:, : gram.shape[0]], gram, self.ridge)
-        # the response (candidate slot zeroed), the candidate's unit vector and
-        # the slice point's intercept and slope, through one projector solve
+        # the response (candidate at the center), the candidate's unit vector
+        # and the slice point's intercept and slope, through one projector solve
         cols4 = np.zeros((n, 4))
         cols4[:-1, 0] = self.design.y
-        cols4[-1, 1] = 1.0
+        cols4[-1, 0], cols4[-1, 1] = rad2[1], 1.0
         cols4[:, 2:] = fitted
         res = rmap.apply(cols4)
         slots = self._rng.integers(0, n, self.mc_samples)
@@ -557,12 +556,12 @@ class IidGaussPredictor(OnlinePredictor):
     def _pvalue(self, ctx: IidGaussStepContext, y: float, tau: float) -> float:
         if ctx.exact:
             return ctx.atoms.pvalue(float(y), tau)
-        y = float(y)
-        c2, c1, c0 = ctx.rad2
-        radius = math.sqrt(max(c2 * y * y + c1 * y + c0, 0.0))
-        observed = abs(ctx.ea[0] * y + ctx.ea[1])
+        c2, center, floor = ctx.rad2
+        u = float(y) - center
+        radius = math.sqrt(c2 * u * u + floor)
+        observed = abs(ctx.ea[0] * u + ctx.ea[1])
         lines = ctx.lines
-        scores = (lines[0] + lines[1] * y)[ctx.slots]  # each slot's residual once, then per draw
+        scores = (lines[0] + lines[1] * u)[ctx.slots]  # each slot's residual once, then per draw
         scores += ctx.slot_mix * radius
         np.abs(scores, out=scores)
         greater = int(np.count_nonzero(scores > observed))

@@ -278,15 +278,16 @@ def iid_per_probe_region(ctx, eps: float, tau: float) -> PredictionRegion:
 
 
 def iidgauss_draw_scores(ctx, ys) -> Matrix:
-    """Monte-Carlo scores |a + b*y + m*r(y)| of an iid-gauss step, event-major.
+    """Monte-Carlo scores |a + b*u + m*r(u)| of an iid-gauss step, event-major.
 
     ``ys`` has shape (P, 1), one candidate per row, or (P, mc), one per
-    draw; column i of the (P, mc) result is draw i.  r(y) is the slice
-    radius sqrt(max(c2*y*y + c1*y + c0, 0)).
+    draw; column i of the (P, mc) result is draw i.  u = y - center, and
+    r(u) is the slice radius sqrt(c2*u*u + floor).
     """
-    c2, c1, c0 = ctx.rad2
-    radius = np.sqrt(np.maximum(c2 * ys * ys + c1 * ys + c0, 0.0))
-    return np.abs(ctx.slot_base + ctx.slot_slope * ys + ctx.slot_mix * radius)
+    c2, center, floor = ctx.rad2
+    us = ys - center
+    radius = np.sqrt(c2 * us * us + floor)
+    return np.abs(ctx.slot_base + ctx.slot_slope * us + ctx.slot_mix * radius)
 
 
 def iidgauss_pvalues(ctx, ys, tau: float) -> Vector:
@@ -297,7 +298,7 @@ def iidgauss_pvalues(ctx, ys, tau: float) -> Vector:
     p = (greater + tau * (ties + 1)) / (mc + 1).
     """
     ys = np.asarray(ys, dtype=float)[:, None]
-    obs = np.abs(ctx.ea[0] * ys + ctx.ea[1])
+    obs = np.abs(ctx.ea[0] * (ys - ctx.rad2[1]) + ctx.ea[1])
     vals = iidgauss_draw_scores(ctx, ys)
     greater = np.count_nonzero(vals > obs, axis=1)
     ties = np.count_nonzero(vals == obs, axis=1)
@@ -332,23 +333,24 @@ def iidgauss_crossings(ctx) -> tuple[Vector, NDArray[np.int64], NDArray[np.int64
     """``IidGaussStepContext.crossings`` by the array passes it was first built with.
 
     Every draw's six candidates (two roots of each squared crossing
-    quadratic, and the zero of each right-hand side) are sorted by
-    ``np.sort``, its comparison is read at a probe inside every gap, the
+    quadratic in u = y - center, and the zero of each right-hand side),
+    taken to y, are sorted by ``np.sort``, its comparison is read at a
+    probe inside every gap, taken back to u, the
     left state of each point is propagated across equal candidates to find
     the first flip of a draw there, and all flips are ordered by one
     argsort and summed per event by running sums of three flag rows.
     """
     a, b, m = ctx.slot_base, ctx.slot_slope, ctx.slot_mix
     e0, e1 = ctx.ea
-    c2, c1, c0 = ctx.rad2
+    c2, center, floor = ctx.rad2
     m2 = m * m
     p = _SIGNS * e0 - b
     q = _SIGNS * e1 - a
-    qa, qb, qc = m2 * c2 - p * p, m2 * c1 - 2.0 * p * q, m2 * c0 - q * q
+    qa, qb, qc = m2 * c2 - p * p, -2.0 * p * q, m2 * floor - q * q
     disc = qb * qb - 4.0 * qa * qc
     with np.errstate(divide="ignore", invalid="ignore"):
         half = -0.5 * (qb + np.copysign(np.sqrt(disc), qb))
-        cand = np.concatenate((half / qa, qc / half, -q / p))
+        cand = np.concatenate((half / qa, qc / half, -q / p)) + center
     missing = ~np.isfinite(cand)
     top = np.max(cand, where=~missing, initial=0.0)
     np.copyto(cand, 2.0 * top + 1.0, where=missing)
@@ -357,8 +359,9 @@ def iidgauss_crossings(ctx) -> tuple[Vector, NDArray[np.int64], NDArray[np.int64
     probes[0] = cand[0] - (1.0 + np.abs(cand[0]))
     probes[1:-1] = (cand[:-1] + cand[1:]) * 0.5
     probes[-1] = cand[-1] + (1.0 + np.abs(cand[-1]))
-    radius = np.sqrt(np.maximum(probes * c2 * probes + probes * c1 + c0, 0.0))
-    above = np.abs(probes * b + a + radius * m) >= np.abs(probes * e0 + e1)
+    us = probes - center
+    radius = np.sqrt(us * c2 * us + floor)
+    above = np.abs(us * b + a + radius * m) >= np.abs(us * e0 + e1)
     flips = above[1:] != above[:-1]
     left = above[:-1].copy()
     same = cand[1:] == cand[:-1]
@@ -420,14 +423,12 @@ def iidgauss_grid_region(pred, ctx, eps: float, tau: float) -> tuple[PredictionR
     outermost kept grid point and its outer neighbour is bisected to
     ``REFINE_RTOL`` half-widths.  A kept grid end becomes a +-inf endpoint.
     The classical interval comes from the squared slice radius
-    c2*y^2 + c1*y + c0, which is the residual sum of squares of the fit
-    including the candidate: its minimum -c1/(2*c2) is the classical center,
-    its minimum value the past residual sum of squares, and 1/c2 is one
-    plus the new row's leverage.  Returns the region and the half-width.
+    c2*(y - center)^2 + rss, which is the residual sum of squares of the fit
+    including the candidate: its minimum lies at the classical center, its
+    minimum value is the past residual sum of squares, and 1/c2 is one plus
+    the new row's leverage.  Returns the region and the half-width.
     """
-    c2, c1, c0 = ctx.rad2
-    center = -c1 / (2.0 * c2)
-    rss = max(c0 - c1 * c1 / (4.0 * c2), 0.0)
+    c2, center, rss = ctx.rad2
     half = t_upper_point(0.025, ctx.n - ctx.k - 2) * np.sqrt(rss / (ctx.n - ctx.k - 2) / c2)
     grid = np.linspace(center - 8.0 * half, center + 8.0 * half, GRID_POINTS)
     keep = iidgauss_pvalues(ctx, grid, tau) > eps
@@ -450,6 +451,27 @@ def iidgauss_grid_region(pred, ctx, eps: float, tau: float) -> tuple[PredictionR
     lo = -np.inf if first == 0 else refine(grid[first - 1], grid[first])
     hi = np.inf if last == GRID_POINTS - 1 else refine(grid[last + 1], grid[last])
     return PredictionRegion([Interval(lo, hi, bool(np.isfinite(lo)), bool(np.isfinite(hi)))]), half
+
+
+def exact_rss(rows, ys) -> Fraction:
+    """Residual sum of squares of the least-squares fit of ys on [1, rows], in exact arithmetic."""
+    design = [[Fraction(1)] + [Fraction(v) for v in row] for row in rows]
+    ys = [Fraction(v) for v in ys]
+    cols = len(design[0])
+    # the normal equations, augmented with Z'y, by Gauss-Jordan elimination
+    system = [
+        [sum(z[i] * z[j] for z in design) for j in range(cols)]
+        + [sum(z[i] * y for z, y in zip(design, ys))]
+        for i in range(cols)
+    ]
+    for i in range(cols):
+        system[i] = [v / system[i][i] for v in system[i]]
+        for r in range(cols):
+            if r != i:
+                system[r] = [v - system[r][i] * w for v, w in zip(system[r], system[i])]
+    beta = [row[-1] for row in system]
+    fitted = [sum(b * z for b, z in zip(beta, row)) for row in design]
+    return sum((y - f) ** 2 for y, f in zip(ys, fitted))
 
 
 def exchangeability_identity(factory, bag: list[Observation], eps) -> Fraction:

@@ -266,8 +266,8 @@ OTHER_DIGESTS = {
     ("mva", 20, 120, True): "8d74e36595d4d74ac41f44a82ebf9f9804c828409433f313da56c57a847dc449",
     ("mva", 30, 25, False): "e616db38bbe44650f94f233cba0e18224d8357f8d676379bf4eb8d0fd0168f80",
     ("mva", 30, 25, True): "f1dfc5a3876eb83095783378fde1b9266a942ff3c9ef023c38ec86ee86198b3c",
-    ("iid-gauss", 20, 120, False): "15b141868bb84343a0ec0a7578b60e8572ec26fdcfafeaa6a34a34aa50f4178a",
-    ("iid-gauss", 20, 120, True): "1d2983bd167b88669f370531fd2c0a76f73823ca9411941b57c0c87bbec6f041",
+    ("iid-gauss", 20, 120, False): "550a28329fb085d5bf60ac13f217178717f413dc49015940f301490a1320e72b",
+    ("iid-gauss", 20, 120, True): "df874eb66e0e9b13d1847da267b6c28f289f7a769deb02a979ad944e37f3ef27",
     ("iid-gauss", 30, 25, False): "08e3cbb1accb38b13a4ad45e7ce8e1c5c10406d32b7f605c5b95324c737adc38",
     ("iid-gauss", 30, 25, True): "cc7afc66099423db80ff15a16687683d8fea9be913a8dbb0b5b8a005ec2ad3f5",
     ("wilks", 20, 120, False): "5b619db21c6be89b0331263e16ac68afeae98f51052c80c60def3f0db3b5e9fa",

@@ -30,6 +30,7 @@ from cpreg.residuals import DEFAULT_RIDGE
 import oracles
 from oracles import (
     REFINE_RTOL,
+    exact_rss,
     exchangeability_identity,
     iid_pvalue,
     iidgauss_draw_scores,
@@ -137,11 +138,11 @@ def test_slice_radius_matches_null_direction_projection():
     u = np.linalg.svd(np.column_stack((np.ones(3), rows)))[0][:, -1]
     design = ridge_design(rows, 3)
     residuals = RidgeResidualMap(design, design.T @ design, DEFAULT_RIDGE).apply
-    c2, c1, c0 = ctx.rad2
+    c2, center, floor = ctx.rad2
     for y in (-3.0, 0.0, 2.0, 5.5):
         full = np.append(ys, y)
         proj = u @ full
-        assert c2 * y * y + c1 * y + c0 == pytest.approx(proj**2, rel=1e-9, abs=1e-12)
+        assert c2 * (y - center) ** 2 + floor == pytest.approx(proj**2, rel=1e-9, abs=1e-12)
         lines = ctx.atoms.residuals.at(y)
         assert lines[3:] == pytest.approx(residuals(full), rel=1e-12, abs=1e-12)
         assert lines[:3] == pytest.approx(residuals(full - 2.0 * proj * u), rel=1e-9, abs=1e-12)
@@ -412,7 +413,7 @@ def _end_pvalue(pred, ctx, end, tau):
     at = np.searchsorted(events, end)
     assert events[at] == end
     sides = _segment_points(events)[at : at + 2, None]
-    above = iidgauss_draw_scores(ctx, sides) >= np.abs(ctx.ea[0] * sides + ctx.ea[1])
+    above = iidgauss_draw_scores(ctx, sides) >= np.abs(ctx.ea[0] * (sides - ctx.rad2[1]) + ctx.ea[1])
     ties = np.count_nonzero(above[0] != above[1])
     return (np.count_nonzero(above[0] & above[1]) + tau * (ties + 1)) / (pred.mc_samples + 1)
 
@@ -506,8 +507,7 @@ def test_noise_free_stream_counts_are_exact_outside_a_rounding_band():
         if not ctx.exact:
             events, greater, ties = ctx.crossings
             mids = _segment_points(events)
-            c2, c1, _ = ctx.rad2
-            fit = -c1 / (2.0 * c2)
+            fit = ctx.rad2[1]
             far = np.abs(mids - fit) > 1e-6 * max(1.0, abs(fit))
             got = (greater[0::2][far] + 1) / (pred.mc_samples + 1)
             assert np.array_equal(got, iidgauss_pvalues(ctx, mids[far], 1.0)), ctx.n
@@ -530,31 +530,32 @@ def _spy_candidate_rows(monkeypatch):
 
 
 def test_a_draw_that_touches_the_observed_score_ties_there_once(monkeypatch):
-    # observed score |y|; draw 0 is |r(y)| with r(y)^2 = 0.5 y^2 + 2 y - 2,
-    # below |y| except where it touches it, at 0 (r clamped to 0) and at 2
-    # (a double root); draw 1 is the constant 1, above |y| on [-1, 1].  At
-    # each touch draw 0 flips into its state on the point and out again: it
-    # ties there once and counts as below on both sides.  The clamped radius
-    # keeps both right-hand-side zeros of every draw: six candidates
+    # floor 0, center 0: the slice radius is r(y) = |y| and the observed
+    # score |y|.  Draws 0 and 1 are 0.5|y| and |0.5 y + 0.25|y||, below |y|
+    # except where they touch it, at 0, where r and both right-hand sides
+    # vanish; draw 2 is the constant 1, above |y| on [-1, 1].  At the touch
+    # draws 0 and 1 each flip into their state on the point and out again:
+    # each ties there once and counts as below on both sides.  The radius
+    # reaches 0, so the step keeps both right-hand-side zeros of every draw:
+    # six candidates
     rows = _spy_candidate_rows(monkeypatch)
     ctx = iid_gauss.IidGaussStepContext(
         n=10,
         k=1,
-        ea=(1.0, 0.0),
         exact=False,
-        rad2=(0.5, 2.0, -2.0),
-        lines=np.array([[0.0, 1.0], [0.0, 0.0]]),  # slot intercepts, then slopes
-        slots=np.arange(2),
-        slot_mix=np.array([1.0, 0.0]),
+        rad2=(1.0, 0.0, 0.0),
+        ea=(1.0, 0.0),
+        lines=np.array([[0.0, 0.0, 1.0], [0.0, 0.5, 0.0]]),  # slot intercepts, then slopes
+        slots=np.arange(3),
+        slot_mix=np.array([0.5, 0.25, 0.0]),
     )
-    assert not iid_gauss._radius_stays_positive(*ctx.rad2)
     events, greater, ties = ctx.crossings
-    assert events.tolist() == [-1.0, 0.0, 1.0, 2.0]
-    assert greater.tolist() == [0, 0, 1, 1, 1, 0, 0, 0, 0]
-    assert ties.tolist() == [0, 1, 0, 1, 0, 1, 0, 1, 0]
+    assert events.tolist() == [-1.0, 0.0, 1.0]
+    assert greater.tolist() == [0, 0, 1, 1, 1, 0, 0]
+    assert ties.tolist() == [0, 1, 0, 2, 0, 1, 0]
     # the p-value at each event is the counts there, the observed score one of
-    # mc + 1 = 3 and tied with itself
-    assert iidgauss_pvalues(ctx, events, 1.0).tolist() == [2 / 3, 1.0, 2 / 3, 2 / 3]
+    # mc + 1 = 4 and tied with itself
+    assert iidgauss_pvalues(ctx, events, 1.0).tolist() == [0.5, 1.0, 0.5]
     assert rows == [6]
 
 
@@ -617,29 +618,6 @@ def test_a_root_lost_to_rounding_is_swept_at_its_zero(monkeypatch):
         assert np.array_equal(got, want)
 
 
-def test_a_radius_clear_of_zero_is_positive_as_evaluated():
-    # the bound of _radius_stays_positive: where it holds, the squared radius
-    # evaluated as crossings does it is within 2.3e-9 of its exact value, and
-    # so positive, at every y; the vertex values sit just above the test's
-    # margin, v = 1.01e-6 * (c0 + w)
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        c2, w = 10.0 ** rng.uniform(-3, 1), 10.0 ** rng.uniform(-8, 8)
-        c1 = rng.choice([-1.0, 1.0]) * np.sqrt(4.0 * c2 * w)
-        c0 = w * (1.0 + 1.01e-6) / (1.0 - 1.01e-6)
-        assert iid_gauss._radius_stays_positive(c2, c1, c0), (c2, c1, c0)
-        vertex = -c1 / (2.0 * c2)
-        ys = vertex + np.concatenate(([0.0], np.geomspace(1e-12, 1e12, 25) * max(abs(vertex), 1.0)))
-        ys = np.concatenate((ys, 2.0 * vertex - ys))
-        got = (ys * c2) * ys + ys * c1 + c0
-        for y, value in zip(ys.tolist(), got.tolist()):
-            exact = Fraction(c2) * Fraction(y) ** 2 + Fraction(c1) * Fraction(y) + Fraction(c0)
-            assert exact > 0 and abs(Fraction(value) - exact) <= Fraction(23, 10**10) * exact, (c2, c1, c0, y)
-    # below the margin, or with no positive leading coefficient, it refuses
-    assert not iid_gauss._radius_stays_positive(1.0, 2.0, 1.0 + 0.99e-6 * 2.0)
-    assert not iid_gauss._radius_stays_positive(0.0, 0.0, 1.0)
-
-
 def _offset_stream(k, size, seed, x_offset=0.0, y_offset=0.0):
     return [
         Observation(obs.x + x_offset, obs.y + y_offset)
@@ -657,6 +635,67 @@ def _constant_response_stream(size=30):
     return [Observation(x, 3.0) for x in xs]
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e4, 1e6, 1e8])
+def test_squared_radius_at_the_true_response_matches_exact_arithmetic(offset):
+    # the squared slice radius is the residual sum of squares of the fit that
+    # includes the candidate; read in vertex form from the centred moments
+    # it keeps its accuracy under a response offset
+    pred, past, steps = fresh(3, mc_samples=10), [], 0
+    for obs in _offset_stream(2, 40, 3, y_offset=offset):
+        ctx = pred.begin_step(obs.x)
+        past.append(obs)
+        if not ctx.exact:
+            c2, center, floor = ctx.rad2
+            u = obs.y - center
+            want = exact_rss([o.x for o in past], [o.y for o in past])
+            assert abs(Fraction(c2 * u * u + floor) - want) <= Fraction(1, 10**8) * want, ctx.n
+            steps += 1
+        pred.observe(obs)
+    assert steps == 40 - 2 - 2
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e4, 1e6])
+def test_a_response_offset_keeps_four_candidates_per_draw(monkeypatch, offset):
+    # the radius never vanishes where the past responses do not fit exactly,
+    # however far the responses sit from 0
+    rows = _spy_candidate_rows(monkeypatch)
+    pred, steps = fresh(0, mc_samples=100), 0
+    for obs in _offset_stream(20, 120, 0, y_offset=offset):
+        ctx = pred.begin_step(obs.x)
+        if not ctx.exact:
+            assert ctx.rad2[2] > 0.0 and ctx.crossings[0].size, ctx.n
+            steps += 1
+        pred.observe(obs)
+    assert steps == 120 - 20 - 2
+    assert rows == [4] * steps
+
+
+@pytest.mark.parametrize("make_stream", [_noise_free_stream, _constant_response_stream])
+def test_steps_whose_past_fits_exactly_sweep_six_candidates(monkeypatch, make_stream):
+    rows = _spy_candidate_rows(monkeypatch)
+    pred, floors = fresh(4, mc_samples=100), []
+    for obs in make_stream():
+        ctx = pred.begin_step(obs.x)
+        if not ctx.exact:
+            assert ctx.crossings[0].size, ctx.n
+            floors.append(ctx.rad2[2])
+        pred.observe(obs)
+    assert 0.0 in floors
+    assert rows == [6 if floor == 0.0 else 4 for floor in floors]
+
+
+@pytest.mark.parametrize("offset", [1e2, 1e4, 1e6])
+def test_a_feature_offset_keeps_full_rank_steps_before_k_plus_2_off_the_svd(monkeypatch, offset):
+    # the rank test factors the centred rows, which no feature offset reaches
+    requests = _spy_svd_requests(monkeypatch)
+    pred = fresh()
+    for obs in _offset_stream(20, 120, 0, x_offset=offset)[:21]:  # n <= K + 1
+        ctx = pred.begin_step(obs.x)
+        assert ctx.exact and ctx.atoms.n == ctx.n, ctx.n  # d = 0
+        pred.observe(obs)
+    assert requests == []
+
+
 TABLE_STREAMS = {
     "k2": (lambda: _offset_stream(2, 50, 1), 1000),
     "k3": (lambda: _offset_stream(3, 50, 2), 1000),
@@ -665,6 +704,7 @@ TABLE_STREAMS = {
     "x-offset-1e6": (lambda: _offset_stream(3, 30, 4, x_offset=1e6), 1000),
     "y-offset-1e4": (lambda: _offset_stream(3, 30, 5, y_offset=1e4), 1000),
     "y-offset-1e6": (lambda: _offset_stream(3, 30, 5, y_offset=1e6), 1000),
+    "y-offset-1e8": (lambda: _offset_stream(3, 30, 5, y_offset=1e8), 1000),
     "integer": (integer_stream, 1000),
     "noise-free": (_noise_free_stream, 1000),
     "constant-y": (_constant_response_stream, 1000),
@@ -741,7 +781,7 @@ def test_monte_carlo_pvalue_equals_the_array_reference():
             spread = max(np.ptp(events), 1.0)
             ys = np.concatenate((events, rng.uniform(events[0] - spread, events[-1] + spread, 50)))
             draws = iidgauss_draw_scores(ctx, ys[:, None])
-            observed = np.abs(ctx.ea[0] * ys + ctx.ea[1])
+            observed = np.abs(ctx.ea[0] * (ys - ctx.rad2[1]) + ctx.ea[1])
             for tau in (0.0, 0.37, 1.0):
                 got = np.array([pred.pvalue(ctx, y, tau) for y in ys])
                 assert np.array_equal(got, iidgauss_pvalues(ctx, ys, tau)), (ctx.n, tau)
@@ -814,7 +854,7 @@ def _no_svd(*args, **kwargs):
 
 
 def _monte_carlo_geometry(monkeypatch, stream, svd):
-    """Every Monte-Carlo step's rows, raw moments, context, slots and leverages.
+    """Every Monte-Carlo step's rows, past responses, context, slots and leverages.
 
     ``svd`` stands in for ``np.linalg.svd`` during the Monte-Carlo steps'
     ``begin_step`` (a step with n >= K + 3 is one unless Z is rank-deficient).
@@ -841,8 +881,8 @@ def _monte_carlo_geometry(monkeypatch, stream, svd):
                 m.setattr(np.linalg, "svd", svd)
             ctx = pred.begin_step(obs.x)
         if not ctx.exact:
-            xs, raw = pred.design.with_row(obs.x)[:, 1:].copy(), pred.design.raw_moments()
-            steps.append((xs, raw, ctx, dict(draws)))
+            xs, ys = pred.design.with_row(obs.x)[:, 1:].copy(), pred.design.y.copy()
+            steps.append((xs, ys, ctx, dict(draws)))
         pred.observe(obs)
     return steps
 
@@ -853,12 +893,16 @@ def _assert_matches_slice_geometry(steps, lines=True):
     The residual lines of an ill-conditioned ridge design amplify the rounding
     of the slice point, so they are compared on well-conditioned streams only.
     """
-    for xs, raw, ctx, draws in steps:
+    for xs, ys, ctx, draws in steps:
         n = ctx.n
         design = np.column_stack((np.ones(n), xs))
-        v00, basis = slice_geometry(design, raw[:-1, -1])  # slice point at y = 0
-        v01, _ = slice_geometry(design, design[-1])  # its slope in y
-        rad2 = (1.0 - v01 @ v01, -2.0 * (v00 @ v01), raw[-1, -1] - v00 @ v00)
+        v01, basis = slice_geometry(design, design[-1])  # slope of the slice point in y
+        # The ones column lies in the column space of Z, so the squared radius
+        # at y = ybar + t is |B'(Y - ybar, t)|^2 = |w0 + t*w1|^2, B a basis of
+        # the null space of Z': least at the center, where it is the floor
+        w0, w1 = basis[:-1].T @ (ys - ys.mean()), basis[-1]
+        shift = -(w0 @ w1) / (w1 @ w1)
+        rad2 = (w1 @ w1, ys.mean() + shift, np.sum((w0 + shift * w1) ** 2))
         assert ctx.rad2 == pytest.approx(rad2, rel=1e-9), n
         slots = draws["slots"]
         leverage = 1.0 - np.sum(basis**2, axis=1)
@@ -867,7 +911,8 @@ def _assert_matches_slice_geometry(steps, lines=True):
             continue
         ridged = ridge_design(xs, n)
         project = RidgeResidualMap(ridged, ridged.T @ ridged, DEFAULT_RIDGE).apply
-        base, slope = project(v00)[slots], project(v01)[slots]
+        at_center, _ = slice_geometry(design, design.T @ np.append(ys, rad2[1]))
+        base, slope = project(at_center)[slots], project(v01)[slots]
         assert ctx.slot_base == pytest.approx(base, rel=1e-9, abs=1e-9 * np.abs(base).max()), n
         assert ctx.slot_slope == pytest.approx(slope, rel=1e-9, abs=1e-9 * np.abs(slope).max()), n
 
