@@ -15,9 +15,9 @@ holds only these rows: each step reads U and the responses, and
   at a time (Welford 1962; Chan, Golub & LeVeque 1983).  Regressions read
   from centred moments do not suffer the cancellation that raw sums do
   under large offsets;
-* a raw view, the moment matrix of (1, x, y) with the dummy column first,
-  derived from the centred one for the ridge predictors, whose penalised
-  dummy column makes them depend on the raw sums.
+* ``gram(cols)``, the Gram U'U of the leading columns of the stored
+  U = [1, X], read off the mean and the co-moments: the only raw block a
+  step reads (mva's ridge system, iid-gauss's Z'Z).
 """
 
 from __future__ import annotations
@@ -128,20 +128,19 @@ class DesignState(DesignRows):
         # C_n = C_{n-1} + (n-1)/n * delta delta'; scaling delta first keeps C symmetric.
         scaled = delta * math.sqrt((n - 1) / n)
         comoment = self.comoment + scaled[:, None] * scaled
-        # Both C and the raw view n*mean*mean' + C (plus the dummy) are positive
+        # C and n*mean*mean' + C (the moments the Gram is read off) are positive
         # semi-definite, so their traces bound every entry: one scalar checks all.
         if not math.isfinite(n * float(mean @ mean) + float(comoment.trace())):
             raise NumericalError("design moments have non-finite entries (data too large)")
         self._store(x, y)
         self.mean, self.comoment = mean, comoment
 
-    def raw_moments(self) -> NDArray[np.float64]:
-        """Raw moment matrix sum_i w_i w_i' of w = (1, x, y), dummy first.
+    def gram(self, cols: int) -> NDArray[np.float64]:
+        """Gram U'U of the leading ``cols`` columns of the stored U = [1, X].
 
-        Its leading (K + 1) block is Z'Z for the design Z = (1, X), and its
-        last column is (Z'y, y'y).
+        It is n w w' + C, w the column means with the dummy's 1 first.
         """
-        w = np.concatenate(([1.0], self.mean))
-        raw = w[:, None] * (self.count * w)
-        raw[1:, 1:] += self.comoment
-        return raw
+        w = np.concatenate(([1.0], self.mean[: cols - 1]))
+        gram = w[:, None] * (self.count * w)
+        gram[1:, 1:] += self.comoment[: cols - 1, : cols - 1]
+        return gram

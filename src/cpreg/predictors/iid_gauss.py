@@ -58,7 +58,7 @@ with ybar the past mean and W = Y - ybar, and Z'W = (0, C_xy) +
 (y - ybar) z_n: a step reads the responses only through ybar and the
 centred co-moments C_xy and C_yy, free of any response offset.  From
 n = K + 3 on Z normally has full rank, and a Monte-Carlo step reads Z'Z
-from the design state's raw moments plus z_n z_n', with no product of the
+as the design state's Gram block plus z_n z_n', with no product of the
 rows; one Cholesky factor of it gives (Z'Z)^{-1} [(0, C_xy), z_n], and
 Z'Z + aI is the residual projector's system, as the ridge design is then
 all of Z.  The leverages are carried
@@ -426,7 +426,7 @@ class IidGaussPredictor(OnlinePredictor):
     def _cholesky_step(self, design) -> IidGaussStepContext | None:
         """Monte-Carlo step of a full-rank Z from one Cholesky factor Z'Z = LL'.
 
-        Z'Z is the stored rows' raw moments plus z_n z_n'; from n = K + 3 on
+        Z'Z is the stored rows' Gram plus z_n z_n'; from n = K + 3 on
         the ridge design is all of Z, so Z'Z + aI is the ridge system.  With
         c0 = (Z'Z)^{-1} (0, C_xy) and c1 = (Z'Z)^{-1} z_n the slice point at
         y = ybar + t is ybar + Z c0 + t Z c1, the new slot's leverage is
@@ -438,7 +438,7 @@ class IidGaussPredictor(OnlinePredictor):
         """
         n, cols = design.shape
         zn = design[-1]
-        gram = self.design.raw_moments()[:cols, :cols] + zn[:, None] * zn
+        gram = self.design.gram(cols) + zn[:, None] * zn
         try:
             factor = cholesky_factor(gram, "design Gram matrix Z'Z")
         except NumericalError:

@@ -561,22 +561,6 @@ def ridge_residual_affine(
     return rmap.affine_in_last(np.asarray(y_history, dtype=float))
 
 
-def mva_residual_affine(x_history, y_history, x_new, ridge: float = DEFAULT_RIDGE) -> AffineResiduals:
-    """Ridge residuals of all n slots as affine functions of the last response.
-
-    The decomposition is the one the exchangeability predictor sweeps over,
-    computed from the stacked history; the mva predictor must reproduce the
-    statistic built from it using the moment sums alone.
-    """
-    x_history = np.asarray(x_history, dtype=float)
-    return ridge_residual_affine(
-        x_history,
-        np.asarray(y_history, dtype=float),
-        np.asarray(x_new, dtype=float),
-        ridge,
-    )
-
-
 def slice_geometry(constraints: Matrix, rhs: Vector) -> tuple[Vector, Matrix]:
     """Minimum-norm solution and null-space basis of ``Z'v = b``.
 

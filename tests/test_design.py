@@ -1,4 +1,4 @@
-"""The shared design summary: history buffer, centred moments and raw view."""
+"""The shared design summary: history buffer, centred moments and Gram block."""
 
 import numpy as np
 import pytest
@@ -22,11 +22,13 @@ def test_moments_and_raw_view_match_two_pass_sums():
         z = np.column_stack((xs[:step], ys[:step]))
         mean = z.sum(axis=0) / step
         centred = z - mean
-        w = np.column_stack((np.ones(step), z))
+        u = np.column_stack((np.ones(step), xs[:step]))
         assert state.count == step
         assert state.mean == pytest.approx(mean, rel=1e-12)
         assert state.comoment == pytest.approx(centred.T @ centred, rel=1e-12, abs=1e-12)
-        assert state.raw_moments() == pytest.approx(w.T @ w, rel=1e-12)
+        for cols in range(1, xs.shape[1] + 2):
+            lead = u[:, :cols]
+            assert state.gram(cols) == pytest.approx(lead.T @ lead, rel=1e-12)
 
 
 def test_buffer_rows_survive_several_doublings():

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 import pytest
-from oracles import mva_residual_affine
+import scipy.stats
+from oracles import ridge_residual_affine
 from test_predictor_iid import integer_stream, tie_heavy_stream
 
 from cpreg import (
@@ -24,6 +25,7 @@ from cpreg import (
     SyntheticSpec,
     generate,
     make_predictor,
+    run_online,
     run_trace,
     t_sf,
 )
@@ -104,7 +106,7 @@ def test_iid_gauss_closed_flags_ignore_a_response_scale(seed):
 
 def mva_pvalue_from_scratch(xs, ys, x_new, y_new):
     """The mva p-value from the ridge residuals of the stacked history."""
-    e = mva_residual_affine(xs, ys, x_new).at(y_new)
+    e = ridge_residual_affine(xs, ys, x_new).at(y_new)
     rest, last = e[:-1], e[-1]
     n = e.size
     ss = float(((rest - rest.mean()) ** 2).sum())
@@ -112,12 +114,69 @@ def mva_pvalue_from_scratch(xs, ys, x_new, y_new):
     return 2.0 * t_sf(abs(stat), n - 2)
 
 
+def mva_endpoints_from_scratch(xs, ys, x_new, eps, origin):
+    """Finite ends of the mva region from the stacked history's residual lines.
+
+    The region is where (n-1)(n-2)/n gap^2 < t^2 spread, a quadratic in
+    s = y - origin built from the lines evaluated at ``origin``.
+    """
+    res = ridge_residual_affine(xs, ys, x_new)
+    slopes, values = res.slopes, res.at(origin)
+    n = slopes.size
+    g1, g0 = slopes[-1] - slopes[:-1].mean(), values[-1] - values[:-1].mean()
+    d1, d0 = slopes[:-1] - slopes[:-1].mean(), values[:-1] - values[:-1].mean()
+    cf, t2 = (n - 1.0) * (n - 2.0) / n, scipy.stats.t.isf(eps / 2.0, n - 2) ** 2
+    quad = (
+        cf * g1 * g1 - t2 * d1 @ d1,
+        2.0 * (cf * g1 * g0 - t2 * d1 @ d0),
+        cf * g0 * g0 - t2 * d0 @ d0,
+    )
+    return sorted(origin + np.roots(quad).real)
+
+
 @pytest.mark.parametrize("offset", [0.0, 1e2, 1e4, 1e6, 1e8])
 def test_mva_matches_the_from_scratch_statistic_under_offsets(offset):
     xs, ys, x_new, y_new = sample()
-    got = pvalue(MvaPredictor(), xs, ys + offset, x_new, y_new + offset)
+    pred = MvaPredictor()
+    got = pvalue(pred, xs, ys + offset, x_new, y_new + offset)
     want = mva_pvalue_from_scratch(xs, ys + offset, x_new, y_new + offset)
     assert got == pytest.approx(want, rel=1e-6)
+    region = pred.raw_region(pred.begin_step(x_new), 0.05, 1.0)
+    ends = [v for p in region.pieces for v in (p.lo, p.hi) if np.isfinite(v)]
+    want = mva_endpoints_from_scratch(xs, ys + offset, x_new, 0.05, offset)
+    assert len(ends) == 2
+    assert np.subtract(ends, offset) == pytest.approx(np.subtract(want, offset), rel=1e-6)
+
+
+def region_pvalue_disagreements(stream) -> int:
+    """(step, eps) pairs whose deterministic mva region and p-value disagree at y."""
+    pred = MvaPredictor()
+    count = 0
+    for obs in stream:
+        ctx = pred.begin_step(obs.x)
+        pvalue = pred.pvalue(ctx, obs.y, 1.0)
+        for eps in (0.3, 0.1, 0.05):
+            count += pred.raw_region(ctx, eps, 1.0).contains(obs.y) != (pvalue > eps)
+        pred.observe(obs)
+    return count
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6, 1e8, 1e12])
+def test_mva_regions_agree_with_pvalues_under_a_response_offset(offset):
+    # the region's quadratic and the p-value are read from the same centred
+    # coefficients, so an offset must not pull them apart
+    xs, ys, x_new, y_new = sample()
+    streams = [
+        generate(SyntheticSpec(k=2, n=60, seed=3)),
+        [Observation(x, y) for x, y in zip(np.vstack((xs, x_new)), np.append(ys, y_new))],
+    ]
+    config = RunConfig(predictor="mva", epsilons=(0.3, 0.1, 0.05), smoothed=False)
+    for stream in streams:
+        shifted = [Observation(obs.x, obs.y + offset) for obs in stream]
+        assert region_pvalue_disagreements(shifted) == 0
+        if offset == 1e8:
+            ledger, _ = run_online(config, shifted)
+            assert all(math.isfinite(ledger.medians(eps)[-1]) for eps in config.epsilons)
 
 
 def test_mva_and_iid_drift_under_a_response_offset_by_design():

@@ -262,10 +262,10 @@ OTHER_DIGESTS = {
     ("gauss", 20, 120, True): "0cced03c24875af7412134f04fdf8cd48c7caf9368e40aae0096491a1cab711c",
     ("gauss", 30, 25, False): "2013edead6ad40945868518979538e9330c171fea6ba2140784a9573c2b030c8",
     ("gauss", 30, 25, True): "7e77150a72856c1af5ee083b67df25adb643f4ff1be842feea1d4c7be800f978",
-    ("mva", 20, 120, False): "a9291dbb49bc72a1ba86a842ad2140e3dc2c758d9dabe84c1feb55bcec42de9a",
-    ("mva", 20, 120, True): "8d74e36595d4d74ac41f44a82ebf9f9804c828409433f313da56c57a847dc449",
-    ("mva", 30, 25, False): "e616db38bbe44650f94f233cba0e18224d8357f8d676379bf4eb8d0fd0168f80",
-    ("mva", 30, 25, True): "f1dfc5a3876eb83095783378fde1b9266a942ff3c9ef023c38ec86ee86198b3c",
+    ("mva", 20, 120, False): "9ce215a213e502eb438c3c8d0d0980103becd8dccb23f9c5a3d39538e2aedd8a",
+    ("mva", 20, 120, True): "5ba5c91e76db84896d2540bcabbdbfb17688b72d9a3bce54a69d8dd7a5df8325",
+    ("mva", 30, 25, False): "17b704237031db52d8620afd756a3598742e08f36f246b1e78b3406a5ce3c2ad",
+    ("mva", 30, 25, True): "885ced84e15daf09474a59bf34e160e0910475ec07768ea41b5e3e6902364e73",
     ("iid-gauss", 20, 120, False): "550a28329fb085d5bf60ac13f217178717f413dc49015940f301490a1320e72b",
     ("iid-gauss", 20, 120, True): "df874eb66e0e9b13d1847da267b6c28f289f7a769deb02a979ad944e37f3ef27",
     ("iid-gauss", 30, 25, False): "08e3cbb1accb38b13a4ad45e7ce8e1c5c10406d32b7f605c5b95324c737adc38",

@@ -70,11 +70,11 @@ def test_summary_bookkeeping():
     feed(pred, xs, ys)
     assert pred.design.count == 6
     assert np.array_equal(pred.design.x, xs)
-    raw = pred.design.raw_moments()
-    sy, sxy, syy = raw[0, -1], raw[1:-1, -1], raw[-1, -1]
-    assert sy == pytest.approx(ys.sum(), rel=1e-12)
-    assert sxy == pytest.approx(xs.T @ ys, rel=1e-12)
-    assert syy == pytest.approx(ys @ ys, rel=1e-12)
+    # the response summary iid-gauss reads: ybar, C_xy and C_yy
+    d = ys - ys.mean()
+    assert pred.design.mean[-1] == pytest.approx(ys.mean(), rel=1e-12)
+    assert pred.design.comoment[:-1, -1] == pytest.approx(xs.T @ d, rel=1e-12)
+    assert pred.design.comoment[-1, -1] == pytest.approx(d @ d, rel=1e-12)
 
 
 def test_first_step_pvalue_is_pure_tie_breaking():

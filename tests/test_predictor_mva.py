@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from oracles import mva_residual_affine, ridge_residual_affine
+from oracles import ridge_residual_affine
 
 from cpreg import (
     MvaPredictor,
@@ -33,7 +33,7 @@ def stat_from_history(xs, ys, x_new, y_new):
     The predictor itself only sees the cross-moment sums; this route rebuilds
     the full design every time.
     """
-    res = mva_residual_affine(xs, ys, x_new)
+    res = ridge_residual_affine(xs, ys, x_new)
     e = res.at(y_new)
     rest, last = e[:-1], e[-1]
     n = e.size
@@ -41,46 +41,41 @@ def stat_from_history(xs, ys, x_new, y_new):
     return math.sqrt((n - 1.0) * (n - 2.0) / n) * (last - rest.mean()) / math.sqrt(ss)
 
 
-def test_residual_decomposition_is_shared():
-    rng = np.random.default_rng(0)
-    xs = rng.normal(size=(6, 2))
-    ys = rng.normal(size=6)
-    x_new = rng.normal(size=2)
-    a = mva_residual_affine(xs, ys, x_new)
-    b = ridge_residual_affine(xs, ys, x_new)
-    assert np.array_equal(a.slopes, b.slopes)
-    assert np.array_equal(a.intercepts, b.intercepts)
-
-
 def test_open_solution_set_cases():
     # upward parabola with real roots: open interval between them
-    region = open_solution_set(1.0, 0.0, -1.0)
+    region = open_solution_set(1.0, 0.0, -1.0, 0.0)
     piece, = region.pieces
     assert (piece.lo, piece.hi, piece.lo_closed, piece.hi_closed) == (-1.0, 1.0, False, False)
     assert region.contains(0.0) and not region.contains(1.0)
     # upward, no real roots (or a double root): empty either way
-    assert open_solution_set(1.0, 0.0, 1.0) == PredictionRegion.empty()
-    assert open_solution_set(1.0, -2.0, 1.0) == PredictionRegion.empty()
+    assert open_solution_set(1.0, 0.0, 1.0, 0.0) == PredictionRegion.empty()
+    assert open_solution_set(1.0, -2.0, 1.0, 0.0) == PredictionRegion.empty()
     # downward parabola: complement of the closed interval between the roots
-    region = open_solution_set(-1.0, 0.0, 1.0)
+    region = open_solution_set(-1.0, 0.0, 1.0, 0.0)
     assert len(region.pieces) == 2
     assert region.contains(-1.5) and region.contains(1.5)
     assert not region.contains(0.0) and not region.contains(1.0)
     # downward, no real roots: everything
-    assert open_solution_set(-1.0, 0.0, -1.0) == PredictionRegion.real_line()
+    assert open_solution_set(-1.0, 0.0, -1.0, 0.0) == PredictionRegion.real_line()
     # downward double root: the line minus one point
-    region = open_solution_set(-1.0, 2.0, -1.0)
+    region = open_solution_set(-1.0, 2.0, -1.0, 0.0)
     assert not region.contains(1.0)
     assert region.contains(1.0 + 1e-9) and region.contains(1.0 - 1e-9)
     # linear pieces keep the correct side
-    assert open_solution_set(0.0, 2.0, -4.0).contains(1.9)
-    assert not open_solution_set(0.0, 2.0, -4.0).contains(2.1)
-    assert open_solution_set(0.0, -2.0, -4.0).contains(-1.9)
-    assert not open_solution_set(0.0, -2.0, -4.0).contains(-2.1)
+    assert open_solution_set(0.0, 2.0, -4.0, 0.0).contains(1.9)
+    assert not open_solution_set(0.0, 2.0, -4.0, 0.0).contains(2.1)
+    assert open_solution_set(0.0, -2.0, -4.0, 0.0).contains(-1.9)
+    assert not open_solution_set(0.0, -2.0, -4.0, 0.0).contains(-2.1)
     # constants
-    assert open_solution_set(0.0, 0.0, -3.0) == PredictionRegion.real_line()
-    assert open_solution_set(0.0, 0.0, 2.0) == PredictionRegion.empty()
-    assert open_solution_set(0.0, 0.0, 0.0) == PredictionRegion.empty()
+    assert open_solution_set(0.0, 0.0, -3.0, 0.0) == PredictionRegion.real_line()
+    assert open_solution_set(0.0, 0.0, 2.0, 0.0) == PredictionRegion.empty()
+    assert open_solution_set(0.0, 0.0, 0.0, 0.0) == PredictionRegion.empty()
+    # the coefficients are in t = y - center, the region in y
+    piece, = open_solution_set(1.0, 0.0, -1.0, 5.0).pieces
+    assert (piece.lo, piece.hi, piece.lo_closed, piece.hi_closed) == (4.0, 6.0, False, False)
+    low, high = open_solution_set(-1.0, 2.0, 3.0, -5.0).pieces
+    assert (low.lo, low.hi, low.hi_closed) == (-np.inf, -6.0, False)
+    assert (high.lo, high.hi, high.lo_closed) == (-2.0, np.inf, False)
 
 
 def test_two_observations_are_not_informative():

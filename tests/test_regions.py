@@ -135,7 +135,7 @@ def test_normal_form_is_accepted_as_given():
     assert region.pieces == pieces
     assert not region.contains(1.0) and region.contains(0.0) and region.contains(3.0)
     # the two open rays around a double root of a downward parabola
-    rays = open_solution_set(-1.0, 2.0, -1.0)
+    rays = open_solution_set(-1.0, 2.0, -1.0, 0.0)
     assert rays.pieces == (Interval(-np.inf, 1.0, False, False), Interval(1.0, np.inf, False, False))
     assert PredictionRegion(rays.pieces) == rays
     assert PredictionRegion(()).pieces == () and PredictionRegion(iter(())).is_empty

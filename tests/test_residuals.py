@@ -110,9 +110,8 @@ def test_projector_from_a_moment_gram_matches_the_rows():
     state = DesignState()
     for x in xs[:-1]:
         state.append(x, 0.0)
-    raw = state.raw_moments()
-    z_n = np.concatenate(([1.0], xs[-1]))
-    gram = (raw[:-1, :-1] + np.outer(z_n, z_n))[:11, :11]
+    u_n = np.concatenate(([1.0], xs[-1, :10]))
+    gram = state.gram(11) + np.outer(u_n, u_n)
     design = np.column_stack((np.ones(30), xs[:, :10]))
     v = rng.standard_normal((30, 3))
     stacked = ridge_design(xs, 30)
