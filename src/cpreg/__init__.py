@@ -45,7 +45,7 @@ from .protocol import (
 )
 from .randomness import RandomStream
 from .regions import Interval, PredictionRegion, check_nested, point
-from .residuals import AffineResiduals, RidgeResidualMap
+from .residuals import AffineResiduals
 from .stream import Observation, check_stream
 from .studentt import t_sf, t_upper_point
 
@@ -60,7 +60,6 @@ __all__ = [
     "point",
     "check_nested",
     "AffineResiduals",
-    "RidgeResidualMap",
     "RandomStream",
     "NumericalError",
     "OnlineLedger",

@@ -143,7 +143,7 @@ class IidPredictor(OnlinePredictor):
         self.design = DesignRows()
 
     def begin_step(self, x_new) -> IidStepContext:
-        _, residuals = ridge_lines(self.design.with_row(x_new), self.design.y, self.ridge)
+        residuals = ridge_lines(self.design.with_row(x_new), self.design.y, self.ridge)
         return IidStepContext(n=residuals.slopes.size, residuals=residuals)
 
     def _raw_regions(

@@ -130,14 +130,7 @@ from ..linalg import (
 )
 from ..randomness import RandomStream, check_integer
 from ..regions import PredictionRegion, super_level_sets
-from ..residuals import (
-    DEFAULT_RIDGE,
-    AffineResiduals,
-    RidgeResidualMap,
-    check_ridge,
-    features_used,
-    ridge_lines,
-)
+from ..residuals import DEFAULT_RIDGE, check_ridge, ridge_columns, ridge_lines, ridge_residuals
 from ..stream import Observation
 from .base import OnlinePredictor
 from .iid import IidStepContext
@@ -462,7 +455,7 @@ class IidGaussPredictor(OnlinePredictor):
             half = triangular_solve(factor, design.T)  # L^{-1} Z'
             leverage = np.einsum("ij,ij->j", half, half)
         self._staged = (zn[1:].tolist(), leverage)
-        return self._monte_carlo_step(design, gram, fitted, rad2, leverage, n - cols)
+        return self._monte_carlo_step(design, gram, fitted, rad2, leverage, n - cols)  # U = Z
 
     def _svd_step(self, design) -> IidGaussStepContext:
         """Any step from an SVD of Z, which also decides its rank."""
@@ -484,9 +477,9 @@ class IidGaussPredictor(OnlinePredictor):
             return self._exact_step(design, rad2, mirror=left[:, rank])
         a0 += shift * a1
         fitted = basis @ coords + (self.design.mean[-1], 0.0)  # ybar on the intercept
-        ridged = design[:, : features_used(n, cols - 1) + 1]
+        ridged = ridge_columns(design)
         leverage = np.sum(basis**2, axis=1)
-        return self._monte_carlo_step(design, ridged.T @ ridged, fitted, rad2, leverage, d)
+        return self._monte_carlo_step(ridged, ridged.T @ ridged, fitted, rad2, leverage, d)
 
     def _exact_step(self, design, rad2=(0.0, 0.0, 0.0), mirror=None) -> IidGaussStepContext:
         """A step whose slice is the response vector Y, or Y and one mirror point.
@@ -494,41 +487,34 @@ class IidGaussPredictor(OnlinePredictor):
         The atoms are the slots' ridge residual lines, the observed line last.
         With ``mirror`` = u, the null direction of Z' when d = 1 (small n
         regime only), the mirror point Y - 2(u'Y)u gives a second line per
-        slot.  ``rad2`` is the squared slice radius, (0, 0, 0) for d = 0.
+        slot, first, from the same factor of the ridge system (``ridge_lines``).
+        ``rad2`` is the squared slice radius, (0, 0, 0) for d = 0.
         """
         n, cols = design.shape
-        ys = self.design.y
-        rmap, aff = ridge_lines(design, ys, self.ridge)
-        if mirror is not None:
-            shift, past = 2.0 * rmap.apply(mirror), mirror[:-1] @ ys
-            aff = AffineResiduals(
-                slopes=np.concatenate((aff.slopes - mirror[-1] * shift, aff.slopes)),
-                intercepts=np.concatenate((aff.intercepts - past * shift, aff.intercepts)),
-            )
+        aff = ridge_lines(design, self.design.y, self.ridge, mirror)
         atoms = IidStepContext(n=aff.slopes.size, residuals=aff)
         return IidGaussStepContext(n=n, k=cols - 1, exact=True, rad2=rad2, atoms=atoms)
 
-    def _monte_carlo_step(self, design, gram, fitted, rad2, leverage, d) -> IidGaussStepContext:
+    def _monte_carlo_step(self, ridged, gram, fitted, rad2, leverage, d) -> IidGaussStepContext:
         """A step whose slice has dimension ``d >= 2``: its residual lines and draws.
 
-        The ridge design U is Z's leading columns, as many as its Gram ``gram``
-        has; ``fitted`` holds the slice point at the radius's center and its
+        ``ridged`` is the step's ridge design U and ``gram`` its U'U;
+        ``fitted`` holds the slice point at the radius's center and its
         slope, and the lines are taken in u = y - center.
         """
-        n, cols = design.shape
-        rmap = RidgeResidualMap(design[:, : gram.shape[0]], gram, self.ridge)
+        n = ridged.shape[0]
         # the response (candidate at the center), the candidate's unit vector
         # and the slice point's intercept and slope, through one projector solve
         cols4 = np.zeros((n, 4))
         cols4[:-1, 0] = self.design.y
         cols4[-1, 0], cols4[-1, 1] = rad2[1], 1.0
         cols4[:, 2:] = fitted
-        res = rmap.apply(cols4)
+        res, = ridge_residuals(ridged, gram, self.ridge, cols4)
         slots = self._rng.integers(0, n, self.mc_samples)
         mix = null_slot_coordinates(self._rng, leverage, slots, d)
         return IidGaussStepContext(
-            n=n, k=cols - 1, ea=(float(res[-1, 1]), float(res[-1, 0])), exact=False, rad2=rad2,
-            lines=res[:, 2:].T, slots=slots, slot_mix=mix,
+            n=n, k=self.design.dim, ea=(float(res[-1, 1]), float(res[-1, 0])), exact=False,
+            rad2=rad2, lines=res[:, 2:].T, slots=slots, slot_mix=mix,
         )
 
     def _raw_regions(

@@ -26,23 +26,22 @@ import numpy as np
 
 from ..design import DesignState
 from ..linalg import cholesky_solve
-from ..regions import Interval, PredictionRegion
+from ..regions import Interval, PredictionRegion, point
 from ..residuals import DEFAULT_RIDGE, check_ridge, features_used, ridge_factor
 from ..stream import Observation
 from ..studentt import t_sf, t_upper_points
 from .base import OnlinePredictor
 
-# Relative cutoff for deciding a quadratic coefficient is exactly zero.
-COEF_RTOL = 1e-14
-
 
 def open_solution_set(a: float, b: float, c: float, center: float) -> PredictionRegion:
-    """Solution set in y of ``a t^2 + b t + c < 0``, t = y - center, open endpoints."""
-    scale = max(abs(a), abs(b), abs(c))
-    if scale == 0.0:
-        return PredictionRegion.empty()
-    if abs(a) <= COEF_RTOL * scale:
-        if abs(b) <= COEF_RTOL * scale:
+    """Solution set in y of ``a t^2 + b t + c < 0``, t = y - center, open endpoints.
+
+    A zero ``a`` or ``b`` is taken as exact: the caller decides which
+    coefficients vanish.  Two roots that round to one float leave that
+    point if the quadratic is negative there, and nothing otherwise.
+    """
+    if a == 0.0:
+        if b == 0.0:
             return PredictionRegion.real_line() if c < 0.0 else PredictionRegion.empty()
         root = center - c / b
         if b > 0.0:
@@ -63,7 +62,11 @@ def open_solution_set(a: float, b: float, c: float, center: float) -> Prediction
     q = -0.5 * (b + np.copysign(np.sqrt(disc), b if b != 0.0 else 1.0))
     lo, hi = sorted((center + q / a, center + c / q))
     if a > 0.0:
-        return PredictionRegion([Interval(lo, hi, False, False)])
+        if lo < hi:
+            return PredictionRegion([Interval(lo, hi, False, False)])
+        t = lo - center
+        inside = a * t * t + b * t + c < 0.0
+        return PredictionRegion([point(lo)]) if inside else PredictionRegion.empty()
     return PredictionRegion(
         [Interval(-np.inf, lo, False, False), Interval(hi, np.inf, False, False)]
     )
@@ -129,17 +132,17 @@ class MvaPredictor(OnlinePredictor):
         n = ctx.n
         gap = (ctx.last[0] - ctx.mean[0], ctx.last[1] - ctx.mean[1])
         cf = (n - 1.0) * (n - 2.0) / n
+        gaps = (cf * gap[0] ** 2, cf * 2.0 * gap[0] * gap[1], cf * gap[1] ** 2)
         regions = []
         for t in t_upper_points([eps / 2.0 for eps in levels], n - 2):
             t2 = t**2
-            regions.append(
-                open_solution_set(
-                    cf * gap[0] ** 2 - t2 * ctx.spread[0],
-                    cf * 2.0 * gap[0] * gap[1] - t2 * ctx.spread[1],
-                    cf * gap[1] ** 2 - t2 * ctx.spread[2],
-                    ctx.center,
-                )
-            )
+            coefs = []
+            for g, s in zip(gaps, ctx.spread):
+                # g - t2*s is zero where it is within the rounding of its two
+                # terms: a scale-free test, as each pair multiplies one power of t
+                coef = g - t2 * s
+                coefs.append(0.0 if abs(coef) <= 8.0 * 2.0**-53 * (abs(g) + t2 * abs(s)) else coef)
+            regions.append(open_solution_set(*coefs, ctx.center))
         return regions
 
     def _pvalue(self, ctx: MvaStepContext, y: float, tau: float) -> float:

@@ -2,11 +2,12 @@
 
 When the candidate response y of the newest observation is left symbolic,
 every residual of the ridge fit is an affine function of y.  This module
-owns the ridge system U'U + aI that iid, iid-gauss and mva solve:
-:func:`ridge_factor` is the one place that forms and factors it,
-:class:`RidgeResidualMap` is the residual projector
-``v -> (I - U (U'U + aI)^{-1} U') v`` built on it, and :func:`ridge_lines`
-gives a step's slope/intercept pairs from the rows.
+owns the ridge system U'U + aI that iid, iid-gauss and mva solve and the
+ridge design U itself: :func:`ridge_factor` is the one place that forms
+and factors the system, :func:`ridge_residuals` applies the residual
+projector ``v -> (I - U (U'U + aI)^{-1} U') v`` on it, :func:`ridge_columns`
+cuts U from a step's full design, and :func:`ridge_lines` gives a step's
+slope/intercept pairs from the rows.
 
 The ridge design U of step n holds the dummy column and, of the K
 explanatory columns, the first ``LEADING_BLOCK`` (or all K, if fewer)
@@ -67,58 +68,55 @@ def ridge_factor(gram: NDArray[np.float64], ridge: float) -> NDArray[np.float64]
     return cholesky_factor(system, "ridge Gram matrix U'U + aI")
 
 
-class RidgeResidualMap:
-    """The residual projector v -> (I - U (U'U + aI)^{-1} U') v of one step.
+def ridge_columns(design: NDArray[np.float64]) -> NDArray[np.float64]:
+    """The ridge design U of a step, a view of its full design [1, X].
 
-    U is the step's ridge design: the dummy ones column plus the
-    :func:`features_used` leading feature columns, history rows first and
-    the new observation's row last.  The caller passes U itself, typically the
-    leading ``features_used + 1`` columns of a
-    :class:`~cpreg.design.DesignRows` view, which stores the dummy column
-    first, together with its Gram matrix U'U, formed from the rows
-    (:func:`ridge_lines`) or read from running moments, so that building
-    the map from moments costs no O(n K^2) product.  Applying it costs
-    O(n K) per column.
+    U is the dummy column and the :func:`features_used` leading feature
+    columns of ``design``, whose last row is the new observation's.
     """
+    n, cols = design.shape
+    return design[:, : features_used(n, cols - 1) + 1]
 
-    def __init__(self, design: NDArray[np.float64], gram: NDArray[np.float64], ridge: float):
-        self._factor = ridge_factor(gram, ridge)
-        self.design = design
-        self.n = design.shape[0]
 
-    def apply(self, v: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Residual projector applied to a vector or a stack of columns."""
-        coef = cholesky_solve(self._factor, self.design.T @ v)
-        return v - self.design @ coef
+def ridge_residuals(
+    u: NDArray[np.float64], gram: NDArray[np.float64], ridge: float, *columns: NDArray[np.float64]
+) -> list[NDArray[np.float64]]:
+    """Each of ``columns`` less its ridge fit on U: v - U (U'U + aI)^{-1} U'v.
 
-    def affine_in_last(self, y_prefix: NDArray[np.float64]) -> AffineResiduals:
-        """Residuals as affine functions of the last row's response.
-
-        ``y_prefix`` holds the first n-1 responses; the n-th is symbolic.
-        """
-        y_prefix = np.asarray(y_prefix, dtype=float)
-        if y_prefix.shape != (self.n - 1,):
-            raise ValueError(
-                f"expected {self.n - 1} known responses, got shape {y_prefix.shape}"
-            )
-        rhs = np.zeros((self.n, 2))
-        rhs[:-1, 0] = y_prefix
-        rhs[-1, 1] = 1.0
-        both = self.apply(rhs)
-        return AffineResiduals(slopes=both[:, 1], intercepts=both[:, 0])
+    ``u`` is a step's ridge design (:func:`ridge_columns`) and ``gram`` its
+    U'U, formed from the rows or read from running moments, which costs no
+    O(n K^2) product.  U'U + aI is factored once for all ``columns``; each,
+    a vector or a stack of columns, is solved on its own, so its bits do not
+    depend on what else is passed.  Each column costs O(n K).
+    """
+    factor = ridge_factor(gram, ridge)
+    return [v - u @ cholesky_solve(factor, u.T @ v) for v in columns]
 
 
 def ridge_lines(
-    design: NDArray[np.float64], y_past: NDArray[np.float64], ridge: float
-) -> tuple[RidgeResidualMap, AffineResiduals]:
-    """The projector of a step's ridge design U, and its residual lines.
+    design: NDArray[np.float64],
+    y_past: NDArray[np.float64],
+    ridge: float,
+    mirror: NDArray[np.float64] | None = None,
+) -> AffineResiduals:
+    """A step's ridge residuals as lines in its last response y.
 
     ``design`` is the step's full design [1, X], the new row last, and
-    ``y_past`` the other rows' responses.  U is its dummy column and the
-    :func:`features_used` leading feature columns, and U'U is formed from
-    the rows.
+    ``y_past`` the other rows' responses, so the response vector is
+    Y = (y_past, y).  U is :func:`ridge_columns` of ``design``, and U'U is
+    formed from the rows.  With ``mirror`` = m, a unit vector, the n lines
+    of the mirror point Y - 2(m'Y)m come first and Y's n lines last; m's
+    residual comes from the same factor, by a solve of its own.
     """
-    n, cols = design.shape
-    u = design[:, : features_used(n, cols - 1) + 1]
-    rmap = RidgeResidualMap(u, u.T @ u, ridge)
-    return rmap, rmap.affine_in_last(y_past)
+    u = ridge_columns(design)
+    rhs = np.zeros((u.shape[0], 2))
+    rhs[:-1, 0] = y_past
+    rhs[-1, 1] = 1.0
+    columns = [rhs] if mirror is None else [rhs, mirror]
+    both, *reflected = ridge_residuals(u, u.T @ u, ridge, *columns)
+    slopes, intercepts = both[:, 1], both[:, 0]
+    if reflected:
+        shift, past = 2.0 * reflected[0], mirror[:-1] @ y_past
+        slopes = np.concatenate((slopes - mirror[-1] * shift, slopes))
+        intercepts = np.concatenate((intercepts - past * shift, intercepts))
+    return AffineResiduals(slopes=slopes, intercepts=intercepts)

@@ -21,7 +21,6 @@ from cpreg import (
     Observation,
     PredictionRegion,
     RandomStream,
-    RidgeResidualMap,
     critical_points,
 )
 from cpreg.linalg import RANK_RTOL, NumericalError
@@ -556,9 +555,27 @@ def ridge_residual_affine(
         x_history = x_history.reshape(len(y_history), -1)
     rows = np.vstack([x_history, x_new[None, :]]) if x_history.shape[0] else x_new[None, :]
     step = rows.shape[0]
-    design = ridge_design(rows, step)
-    rmap = RidgeResidualMap(design, design.T @ design, ridge)
-    return rmap.affine_in_last(np.asarray(y_history, dtype=float))
+    rhs = np.zeros((step, 2))
+    rhs[:-1, 0] = y_history
+    rhs[-1, 1] = 1.0
+    both = ridge_residuals_qr(ridge_design(rows, step), rhs, ridge)
+    return AffineResiduals(slopes=both[:, 1], intercepts=both[:, 0])
+
+
+def ridge_residuals_qr(design: Matrix, columns: Matrix, ridge: float = DEFAULT_RIDGE) -> Matrix:
+    """``columns`` less their ridge fit on ``design`` U, with no normal equations.
+
+    The ridge coefficients minimise |U c - v|^2 + a |c|^2, the least-squares
+    problem of the augmented design [U; sqrt(a) I] against (v, 0), which
+    ``np.linalg.lstsq`` solves from an SVD of that design (LAPACK's gelsd):
+    it never forms U'U + aI, so it loses kappa(U) where the library's
+    Cholesky solve loses kappa(U)^2.
+    """
+    cols = design.shape[1]
+    augmented = np.vstack((design, math.sqrt(ridge) * np.eye(cols)))
+    padded = np.vstack((columns, np.zeros((cols,) + columns.shape[1:])))
+    coef = np.linalg.lstsq(augmented, padded, rcond=None)[0]
+    return columns - design @ coef
 
 
 def slice_geometry(constraints: Matrix, rhs: Vector) -> tuple[Vector, Matrix]:

@@ -24,7 +24,6 @@ PUBLIC = [
     "PValueTrace",
     "PredictionRegion",
     "RandomStream",
-    "RidgeResidualMap",
     "RunConfig",
     "SyntheticSpec",
     "WilksPredictor",

@@ -10,7 +10,6 @@ from scipy.linalg.lapack import dtrcon, dtrtrs
 
 from oracles import least_squares, leverage, residual_variance, ridge_solve, spd_solve
 
-from cpreg import RidgeResidualMap
 from cpreg.linalg import (
     NumericalError,
     cholesky_factor,
@@ -18,6 +17,7 @@ from cpreg.linalg import (
     reciprocal_condition,
     triangular_solve,
 )
+from cpreg.residuals import ridge_residuals
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cpreg"
 
@@ -138,7 +138,7 @@ def test_singular_ridge_gram_is_a_numerical_error():
     # vanishes next to the unit entries: U'U + aI is exactly singular
     with pytest.raises(NumericalError, match=r"^ridge Gram matrix U'U \+ aI of order 2 .* minor of order 2"):
         design = np.ones((3, 2))
-        RidgeResidualMap(design, design.T @ design, 1e-300)
+        ridge_residuals(design, design.T @ design, 1e-300, np.ones(3))
 
 
 def test_triangular_wrappers_are_bitwise_lapack():

@@ -179,6 +179,33 @@ def test_mva_regions_agree_with_pvalues_under_a_response_offset(offset):
             assert all(math.isfinite(ledger.medians(eps)[-1]) for eps in config.epsilons)
 
 
+@pytest.mark.parametrize(
+    "spec, offset",
+    [(SyntheticSpec(k=20, n=120, seed=0), 1e8), (SyntheticSpec(k=2, n=60, seed=3), 1e12)],
+)
+def test_mva_regions_stay_bounded_far_from_the_response_mean(spec, offset):
+    # Each coefficient g - q^2 s of the region's quadratic in t = y - ybar is
+    # zero only within the rounding of its own two terms, so a region far
+    # from ybar keeps its t^2 term and is never a single ray; step 3 at eps
+    # 0.3 is (2.35e8, 7.84e8) at y + 1e8, as a 50-digit evaluation gives
+    stream = [Observation(obs.x, obs.y + offset) for obs in generate(spec)]
+    pred = MvaPredictor()
+    rays = 0
+    for n, obs in enumerate(stream, start=1):
+        ctx = pred.begin_step(obs.x)
+        for eps in (0.3, 0.05, 0.01, 0.005):
+            pieces = pred.raw_region(ctx, eps, 1.0).pieces
+            rays += len(pieces) == 1 and math.isinf(pieces[0].lo) != math.isinf(pieces[0].hi)
+        if n == 3:
+            xs, ys = np.array([o.x for o in stream[:2]]), np.array([o.y for o in stream[:2]])
+            want = mva_endpoints_from_scratch(xs, ys, obs.x, 0.3, offset)
+            ends = [v for p in pred.raw_region(ctx, 0.3, 1.0).pieces for v in (p.lo, p.hi)]
+            got = np.subtract([v for v in ends if math.isfinite(v)], offset)
+            assert got == pytest.approx(np.subtract(want, offset), rel=1e-6)
+        pred.observe(obs)
+    assert rays == 0
+
+
 def test_mva_and_iid_drift_under_a_response_offset_by_design():
     # the penalised dummy column pulls the fitted intercept towards 0, so a
     # large offset leaves every residual carrying part of it

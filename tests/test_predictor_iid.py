@@ -24,11 +24,11 @@ from cpreg import (
     Observation,
     PredictionRegion,
     RandomStream,
-    RidgeResidualMap,
     RunConfig,
     SyntheticSpec,
     critical_points,
     generate,
+    residuals,
     run_online,
 )
 from cpreg.design import DesignState
@@ -406,21 +406,22 @@ def test_sweep_tables_equal_the_dense_oracle_on_small_integer_lines():
 
 
 def test_iid_keeps_only_its_rows(monkeypatch):
-    # no moment fold, no moments, and each step's design U is a view of the
-    # row buffer rather than a stacked copy
+    # no moment fold, no moments, and each step's design U, as
+    # ridge_residuals receives it, is a view of the row buffer rather than
+    # a stacked copy
     folds, designs = [], []
-    fold, init = DesignState.append, RidgeResidualMap.__init__
+    fold, project = DesignState.append, residuals.ridge_residuals
 
     def spy_fold(state, x, y):
         folds.append(state)
         fold(state, x, y)
 
-    def spy_init(rmap, design, gram, ridge):
-        designs.append(design)
-        init(rmap, design, gram, ridge)
+    def spy_project(u, gram, ridge, *columns):
+        designs.append(u)
+        return project(u, gram, ridge, *columns)
 
     monkeypatch.setattr(DesignState, "append", spy_fold)
-    monkeypatch.setattr(RidgeResidualMap, "__init__", spy_init)
+    monkeypatch.setattr(residuals, "ridge_residuals", spy_project)
     k = 20
     stream = generate(SyntheticSpec(k=k, n=40, seed=0))
     pred = IidPredictor()

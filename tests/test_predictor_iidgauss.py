@@ -13,7 +13,6 @@ from cpreg import (
     IidPredictor,
     Observation,
     PredictionRegion,
-    RidgeResidualMap,
     RunConfig,
     SyntheticSpec,
     binomial_band,
@@ -25,7 +24,7 @@ from cpreg.predictors import iid_gauss
 from cpreg.predictors.iid_gauss import null_slot_coordinates
 from cpreg.randomness import RandomStream
 from cpreg.regions import check_nested, super_level_sets
-from cpreg.residuals import DEFAULT_RIDGE
+from cpreg.residuals import DEFAULT_RIDGE, ridge_residuals
 
 import oracles
 from oracles import (
@@ -137,15 +136,16 @@ def test_slice_radius_matches_null_direction_projection():
     rows = np.vstack((xs, x_new))
     u = np.linalg.svd(np.column_stack((np.ones(3), rows)))[0][:, -1]
     design = ridge_design(rows, 3)
-    residuals = RidgeResidualMap(design, design.T @ design, DEFAULT_RIDGE).apply
     c2, center, floor = ctx.rad2
     for y in (-3.0, 0.0, 2.0, 5.5):
         full = np.append(ys, y)
         proj = u @ full
         assert c2 * (y - center) ** 2 + floor == pytest.approx(proj**2, rel=1e-9, abs=1e-12)
         lines = ctx.atoms.residuals.at(y)
-        assert lines[3:] == pytest.approx(residuals(full), rel=1e-12, abs=1e-12)
-        assert lines[:3] == pytest.approx(residuals(full - 2.0 * proj * u), rel=1e-9, abs=1e-12)
+        gram, mirrored = design.T @ design, full - 2.0 * proj * u
+        want, want_mirror = ridge_residuals(design, gram, DEFAULT_RIDGE, full, mirrored)
+        assert lines[3:] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert lines[:3] == pytest.approx(want_mirror, rel=1e-9, abs=1e-12)
 
 
 def test_atomic_steps_are_uninformative_below_the_level_threshold():
@@ -910,9 +910,9 @@ def _assert_matches_slice_geometry(steps, lines=True):
         if not lines:
             continue
         ridged = ridge_design(xs, n)
-        project = RidgeResidualMap(ridged, ridged.T @ ridged, DEFAULT_RIDGE).apply
         at_center, _ = slice_geometry(design, design.T @ np.append(ys, rad2[1]))
-        base, slope = project(at_center)[slots], project(v01)[slots]
+        base, slope = ridge_residuals(ridged, ridged.T @ ridged, DEFAULT_RIDGE, at_center, v01)
+        base, slope = base[slots], slope[slots]
         assert ctx.slot_base == pytest.approx(base, rel=1e-9, abs=1e-9 * np.abs(base).max()), n
         assert ctx.slot_slope == pytest.approx(slope, rel=1e-9, abs=1e-9 * np.abs(slope).max()), n
 

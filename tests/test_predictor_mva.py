@@ -14,6 +14,7 @@ from cpreg import (
     PredictionRegion,
     RunConfig,
     open_solution_set,
+    point,
     run_online,
     t_sf,
 )
@@ -76,6 +77,16 @@ def test_open_solution_set_cases():
     low, high = open_solution_set(-1.0, 2.0, 3.0, -5.0).pieces
     assert (low.lo, low.hi, low.hi_closed) == (-np.inf, -6.0, False)
     assert (high.lo, high.hi, high.lo_closed) == (-2.0, np.inf, False)
+
+
+def test_open_solution_set_roots_that_round_to_one_float():
+    # the roots 1e12 -+ 1e-5 both round to 1e12, where the quadratic is -1e-10
+    assert open_solution_set(1.0, 0.0, -1e-10, 1e12) == PredictionRegion([point(1e12)])
+    # the roots 1e12 + 3e-5 -+ 1e-6 do too, and there it is +9e-10
+    assert open_solution_set(1.0, -6e-5, 8.99e-10, 1e12) == PredictionRegion.empty()
+    # a tiny but nonzero coefficient is a coefficient: no cutoff relative to the others
+    piece, = open_solution_set(1e-20, 0.0, -1.0, 0.0).pieces
+    assert (piece.lo, piece.hi) == (-1e10, 1e10)
 
 
 def test_two_observations_are_not_informative():

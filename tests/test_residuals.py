@@ -5,22 +5,29 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import ridge_design, ridge_residual_affine
+from oracles import ridge_design, ridge_residual_affine, ridge_residuals_qr
 
 from cpreg import (
     AffineResiduals,
     IidGaussPredictor,
     IidPredictor,
     MvaPredictor,
-    RidgeResidualMap,
     RunConfig,
     SyntheticSpec,
     generate,
-    run_online,
+    make_predictor,
 )
 from cpreg.design import DesignRows, DesignState
 from cpreg.linalg import NumericalError, cholesky_factor
-from cpreg.residuals import DEFAULT_RIDGE, LEADING_BLOCK, check_ridge, features_used, ridge_factor
+from cpreg.residuals import (
+    DEFAULT_RIDGE,
+    LEADING_BLOCK,
+    check_ridge,
+    features_used,
+    ridge_factor,
+    ridge_lines,
+    ridge_residuals,
+)
 
 # Intercept-only designs admit exact rational residual coefficients:
 # with m stored responses plus the candidate, the smoother weight is
@@ -84,27 +91,27 @@ def test_affine_at_matches_components():
     assert aff.at(2.0) == pytest.approx([2.0, 2.0])
 
 
-def test_residual_map_linear_action():
-    """The map acts linearly: affine-in-last equals base plus slope action."""
+def test_ridge_lines_act_linearly():
+    """The lines are the projector's action on the stored responses and on e_n."""
     rng = np.random.default_rng(8)
     xs = rng.standard_normal((5, 2))
-    design = ridge_design(xs, 5)
-    rmap = RidgeResidualMap(design, design.T @ design, DEFAULT_RIDGE)
+    design = np.column_stack((np.ones(5), xs))
+    u = ridge_design(xs, 5)
     ys = rng.standard_normal(4)
-    aff = rmap.affine_in_last(ys)
-    base = rmap.apply(np.concatenate((ys, [0.0])))
-    slope = rmap.apply(np.concatenate((np.zeros(4), [1.0])))
+    aff = ridge_lines(design, ys, DEFAULT_RIDGE)
+    base, slope, y7 = ridge_residuals(
+        u, u.T @ u, DEFAULT_RIDGE, np.append(ys, 0.0), np.eye(5)[-1], np.append(ys, 7.0)
+    )
     assert aff.intercepts == pytest.approx(base, abs=1e-12)
     assert aff.slopes == pytest.approx(slope, abs=1e-12)
-    # and the map is idempotent-compatible with superposition
-    y7 = np.concatenate((ys, [7.0]))
-    assert rmap.apply(y7) == pytest.approx(base + 7.0 * slope, rel=1e-10, abs=1e-12)
+    # and the projector is linear, so superposition holds
+    assert y7 == pytest.approx(base + 7.0 * slope, rel=1e-10, abs=1e-12)
 
 
 def test_projector_from_a_moment_gram_matches_the_rows():
-    # iid-gauss reads U'U from running moments; the map it builds must act
-    # as the one that forms U'U from the rows, on the leading block too:
-    # with K >= n the ridge design keeps the first LEADING_BLOCK features
+    # iid-gauss reads U'U from running moments; the projector it applies
+    # must act as the one that forms U'U from the rows, on the leading block
+    # too: with K >= n the ridge design keeps the first LEADING_BLOCK features
     rng = np.random.default_rng(9)
     xs = 3.0 + rng.standard_normal((30, 30))
     state = DesignState()
@@ -116,16 +123,16 @@ def test_projector_from_a_moment_gram_matches_the_rows():
     v = rng.standard_normal((30, 3))
     stacked = ridge_design(xs, 30)
     assert np.array_equal(stacked, design)
-    rows = RidgeResidualMap(stacked, stacked.T @ stacked, DEFAULT_RIDGE).apply(v)
-    from_gram = RidgeResidualMap(design, gram, DEFAULT_RIDGE)
-    assert from_gram.apply(v) == pytest.approx(rows, rel=1e-10, abs=1e-12)
+    rows, = ridge_residuals(stacked, stacked.T @ stacked, DEFAULT_RIDGE, v)
+    from_gram, = ridge_residuals(design, gram, DEFAULT_RIDGE, v)
+    assert from_gram == pytest.approx(rows, rel=1e-10, abs=1e-12)
     with pytest.raises(NumericalError):
-        RidgeResidualMap(design, np.full((11, 11), np.inf), DEFAULT_RIDGE)
+        ridge_residuals(design, np.full((11, 11), np.inf), DEFAULT_RIDGE, v)
 
 
 @pytest.mark.parametrize("k", [2, 20, 100])
 def test_projector_of_a_buffer_view_is_bitwise_the_contiguous_one(k):
-    # the predictors hand RidgeResidualMap a row-strided view of their
+    # the predictors hand ridge_residuals a row-strided view of their
     # buffer; BLAS must give it the same bits as a contiguous copy
     rng = np.random.default_rng(k)
     n = k + 30
@@ -133,20 +140,86 @@ def test_projector_of_a_buffer_view_is_bitwise_the_contiguous_one(k):
     for x in 1.0 + 3.0 * rng.standard_normal((n - 1, k)):
         rows.append(x, 0.0)
     design = rows.with_row(rng.standard_normal(k))
-    ys = rng.standard_normal(n - 1)
     v = rng.standard_normal((n, 4))
     for width in sorted({min(LEADING_BLOCK, k) + 1, k + 1}):
         view = design[:, :width]
         assert view.flags.c_contiguous == (width == k + 1)
         assert np.shares_memory(view, design)
         copy = np.ascontiguousarray(view)
-        strided = RidgeResidualMap(view, view.T @ view, 0.01)
-        contiguous = RidgeResidualMap(copy, copy.T @ copy, 0.01)
-        assert np.array_equal(strided.apply(v), contiguous.apply(v))
-        assert np.array_equal(strided.apply(v[:, 0]), contiguous.apply(v[:, 0]))
-        a, b = strided.affine_in_last(ys), contiguous.affine_in_last(ys)
-        assert np.array_equal(a.slopes, b.slopes)
-        assert np.array_equal(a.intercepts, b.intercepts)
+        strided = ridge_residuals(view, view.T @ view, 0.01, v, v[:, 0])
+        contiguous = ridge_residuals(copy, copy.T @ copy, 0.01, v, v[:, 0])
+        for a, b in zip(strided, contiguous):
+            assert np.array_equal(a, b)
+
+
+def test_each_column_block_is_solved_on_its_own():
+    # a block's residuals do not depend on the blocks passed with it, and the
+    # mirror lines of ridge_lines are those of the reflected response vector
+    rng = np.random.default_rng(11)
+    design = np.column_stack((np.ones(7), rng.standard_normal((7, 2))))
+    ys = rng.standard_normal(6)
+    v = rng.standard_normal((7, 2))
+    mirror = rng.standard_normal(7)
+    mirror /= np.linalg.norm(mirror)
+    gram = design.T @ design
+    alone, = ridge_residuals(design, gram, DEFAULT_RIDGE, v)
+    together, reflected = ridge_residuals(design, gram, DEFAULT_RIDGE, v, mirror)
+    assert np.array_equal(alone, together)
+    lines = ridge_lines(design, ys, DEFAULT_RIDGE, mirror)
+    assert lines.slopes.size == 14
+    observed = ridge_lines(design, ys, DEFAULT_RIDGE)
+    assert np.array_equal(lines.slopes[7:], observed.slopes)
+    assert np.array_equal(lines.intercepts[7:], observed.intercepts)
+    for y in (-2.0, 0.5):
+        full = np.append(ys, y)
+        want, = ridge_residuals(design, gram, DEFAULT_RIDGE, full - 2.0 * (mirror @ full) * mirror)
+        assert lines.at(y)[:7] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def _relative_gap(got: AffineResiduals, want: AffineResiduals) -> float:
+    """Largest difference of slopes and of intercepts, each relative to the largest of ``want``.
+
+    All-zero intercepts (step 1, no stored response) must match exactly.
+    """
+    gaps = []
+    for g, w in ((got.slopes, want.slopes), (got.intercepts, want.intercepts)):
+        scale = float(np.max(np.abs(w)))
+        gaps.append(float(np.max(np.abs(g - w))) / (scale if scale > 0.0 else 1.0))
+    return max(gaps)
+
+
+@pytest.mark.parametrize("k, size", [(20, 120), (2, 210), (3, 60)])
+def test_ridge_lines_agree_with_the_least_squares_oracle(k, size):
+    # iid's lines and those of iid-gauss's exact steps, the mirror point's on
+    # its d = 1 step included, against the augmented least-squares oracle,
+    # which forms no U'U; at a feature offset the Cholesky solve drifts from
+    # it as kappa(U)^2 (ROADMAP item 17), so none is applied here
+    stream = generate(SyntheticSpec(k=k, n=size, seed=0))
+    iid, iid_gauss = IidPredictor(), IidGaussPredictor(mc_samples=10)
+    mirrored = 0
+    for n, obs in enumerate(stream, start=1):
+        rows = np.array([o.x for o in stream[:n]])
+        ys = np.array([o.y for o in stream[: n - 1]])
+        want = ridge_residual_affine(rows[:-1], ys, obs.x)
+        assert _relative_gap(iid.begin_step(obs.x).residuals, want) <= 1e-10, n
+        ctx = iid_gauss.begin_step(obs.x)
+        if ctx.exact:
+            lines = ctx.atoms.residuals
+            observed = AffineResiduals(slopes=lines.slopes[-n:], intercepts=lines.intercepts[-n:])
+            assert _relative_gap(observed, want) <= 1e-10, n
+        if ctx.exact and lines.slopes.size == 2 * n:
+            # the slice's other point Y - 2(u'Y)u, u the null direction of Z'
+            u = np.linalg.svd(np.column_stack((np.ones(n), rows)))[0][:, -1]
+            point = np.zeros((n, 2))
+            point[:-1, 0], point[-1, 1] = ys, 1.0
+            point -= 2.0 * u[:, None] * (u @ point)
+            both = ridge_residuals_qr(ridge_design(rows, n), point)
+            reflected = AffineResiduals(slopes=lines.slopes[:n], intercepts=lines.intercepts[:n])
+            assert _relative_gap(reflected, AffineResiduals(both[:, 1], both[:, 0])) <= 1e-10, n
+            mirrored += 1
+        for pred in (iid, iid_gauss):
+            pred.observe(obs)
+    assert mirrored == 1
 
 
 def test_ridge_factor_leaves_its_argument_unchanged():
@@ -161,8 +234,9 @@ def test_ridge_factor_leaves_its_argument_unchanged():
 
 
 def test_every_ridge_factorisation_goes_through_ridge_factor(monkeypatch):
-    # iid, mva and iid-gauss factor U'U + aI once per informative step, each
-    # time inside ridge_factor, and no other Cholesky call factors it
+    # iid, mva and iid-gauss factor U'U + aI once per informative step, d = 1
+    # steps included, each time inside ridge_factor, and no other Cholesky
+    # call factors it
     inside, ridged, kernel_calls = [False], [], []
     factor_ridge, kernel = ridge_factor, cholesky_factor
 
@@ -184,13 +258,21 @@ def test_every_ridge_factorisation_goes_through_ridge_factor(monkeypatch):
                 monkeypatch.setattr(module, attr, spy)
     stream = generate(SyntheticSpec(k=20, n=120, seed=0))  # the paper-online size
     for kind, informative_from in (("iid", 1), ("mva", 3), ("iid-gauss", 1)):
-        ridged.clear()
-        kernel_calls.clear()
-        run_online(RunConfig(predictor=kind, smoothed=False), stream)
-        assert len(ridged) == 120 - informative_from + 1, kind
-        within = [name for name, nested in kernel_calls if nested]
-        assert within == ["ridge Gram matrix U'U + aI"] * len(ridged), kind
-        assert not any("U'U" in name for name, nested in kernel_calls if not nested), kind
+        pred = make_predictor(RunConfig(predictor=kind, smoothed=False))
+        factored, mirrored = [], []
+        for n, obs in enumerate(stream, start=1):
+            ridged.clear()
+            kernel_calls.clear()
+            ctx = pred.begin_step(obs.x)
+            factored.append(len(ridged))
+            if kind == "iid-gauss" and ctx.exact and ctx.atoms.n == 2 * n:
+                mirrored.append(n)
+            within = [name for name, nested in kernel_calls if nested]
+            assert within == ["ridge Gram matrix U'U + aI"] * len(ridged), (kind, n)
+            assert not any("U'U" in name for name, nested in kernel_calls if not nested), kind
+            pred.observe(obs)
+        assert factored == [0] * (informative_from - 1) + [1] * (121 - informative_from), kind
+        assert mirrored == ([22] if kind == "iid-gauss" else []), kind  # n = K + 2 has d = 1
 
 
 def test_ridge_validation():
