@@ -13,8 +13,11 @@ sha256 digests, every number as ``float.hex``:
 
 A run that raises digests its exception's type and message instead.  The
 streams are K=20 n=120 seeds 0-3, K=2 n=210 seeds 0-3, K=3 n=60 seeds 0-1,
-``tie_heavy_stream()`` and ``integer_stream()``, at eps 0.3/0.05/0.01/0.005,
-seed 3 and 1000 Monte-Carlo draws.
+two offset copies of seed 0 (K=20 n=120 with x + 1e4, K=2 n=210 with
+y + 1e8), ``tie_heavy_stream()`` and ``integer_stream()``, at eps
+0.3/0.05/0.01/0.005, seed 3 and 1000 Monte-Carlo draws.  The offset copies
+put a refactor's bit-identity to the test at scales where a change in the
+order of the arithmetic shows.
 
 The digests depend on the BLAS kernel, so they only compare runs of two
 trees on one host.  ``--save`` writes every run's outputs to a file;
@@ -34,7 +37,14 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
-from cpreg import PREDICTOR_KINDS, RunConfig, SyntheticSpec, generate, run_online  # noqa: E402
+from cpreg import (  # noqa: E402
+    PREDICTOR_KINDS,
+    Observation,
+    RunConfig,
+    SyntheticSpec,
+    generate,
+    run_online,
+)
 from test_predictor_iid import integer_stream, tie_heavy_stream  # noqa: E402
 
 LEVELS = (0.3, 0.05, 0.01, 0.005)
@@ -42,13 +52,23 @@ STREAMS = {
     **{f"k20-n120-s{s}": (20, 120, s) for s in range(4)},
     **{f"k2-n210-s{s}": (2, 210, s) for s in range(4)},
     **{f"k3-n60-s{s}": (3, 60, s) for s in range(2)},
+    # (K, n, seed, x offset, y offset)
+    "k20-n120-s0-x+1e4": (20, 120, 0, 1e4, 0.0),
+    "k2-n210-s0-y+1e8": (2, 210, 0, 0.0, 1e8),
     "tie-heavy": tie_heavy_stream,
     "integer": integer_stream,
 }
 
 
 def _stream(spec):
-    return spec() if callable(spec) else generate(SyntheticSpec(k=spec[0], n=spec[1], seed=spec[2]))
+    if callable(spec):
+        return spec()
+    k, n, seed, *offsets = spec
+    stream = generate(SyntheticSpec(k=k, n=n, seed=seed))
+    if not offsets:
+        return stream
+    dx, dy = offsets
+    return [Observation(obs.x + dx, obs.y + dy) for obs in stream]
 
 
 def _outputs(kind: str, stream, smoothed: bool) -> dict[str, np.ndarray]:

@@ -123,14 +123,16 @@ class DesignState(DesignRows):
         x = self.check_x(x)
         self._reserve(x.size)
         n = self.count + 1
-        delta = np.concatenate((x, (y,))) - self.mean
+        delta = np.empty(x.size + 1)
+        np.subtract(x, self.mean[:-1], out=delta[:-1])
+        delta[-1] = y - self.mean[-1]
         mean = self.mean + delta / n
         # C_n = C_{n-1} + (n-1)/n * delta delta'; scaling delta first keeps C symmetric.
         scaled = delta * math.sqrt((n - 1) / n)
-        comoment = self.comoment + scaled[:, None] * scaled
+        comoment = self.comoment + np.multiply.outer(scaled, scaled)
         # C and n*mean*mean' + C (the moments the Gram is read off) are positive
-        # semi-definite, so their traces bound every entry: one scalar checks all.
-        if not math.isfinite(n * float(mean @ mean) + float(comoment.trace())):
+        # semi-definite, so their diagonals bound every entry: one scalar checks all.
+        if not math.isfinite(n * float(mean @ mean) + sum(comoment.diagonal().tolist())):
             raise NumericalError("design moments have non-finite entries (data too large)")
         self._store(x, y)
         self.mean, self.comoment = mean, comoment
@@ -140,7 +142,8 @@ class DesignState(DesignRows):
 
         It is n w w' + C, w the column means with the dummy's 1 first.
         """
-        w = np.concatenate(([1.0], self.mean[: cols - 1]))
+        w = np.ones(cols)
+        w[1:] = self.mean[: cols - 1]
         gram = w[:, None] * (self.count * w)
         gram[1:, 1:] += self.comoment[: cols - 1, : cols - 1]
         return gram

@@ -20,6 +20,7 @@ real line.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,8 +51,10 @@ def _solve_centred(cxx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if cxx.size == 0:
         return rhs
     factor = cholesky_factor(cxx, "feature co-moment matrix")
-    diag = np.abs(factor.diagonal())
-    if diag.min() < RANK_RTOL * diag.max():
+    # cholesky_factor refuses a non-finite pivot, so the diagonal holds positive
+    # floats, and Python's min and max read them with no NaN to skip.
+    diag = factor.diagonal().tolist()
+    if min(diag) < RANK_RTOL * max(diag):
         raise NumericalError("feature co-moments are numerically singular")
     return cholesky_solve(factor, rhs)
 
@@ -69,16 +72,18 @@ class GaussPredictor(OnlinePredictor):
         if n < self.first_informative_step(k):
             return GaussStepContext(n=n, informative=False)
         mean, com = self.design.mean, self.design.comoment
-        dx = x_new - mean[:k]
-        slope, w = _solve_centred(com[:k, :k], np.column_stack((com[:k, k], dx))).T
+        dx = x_new - mean[:k]  # its own vector: a strided dx in dx @ w moves the last bits
+        rhs = np.empty((k, 2), order="F")  # the layout dpotrs reads
+        rhs[:, 0], rhs[:, 1] = com[:k, k], dx
+        slope, w = _solve_centred(com[:k, :k], rhs).T
         lev = 1.0 / (n - 1) + float(dx @ w)
         rss = float(com[k, k] - com[:k, k] @ slope)
         if rss <= EXACT_FIT_RTOL * com[k, k]:
             rss = 0.0
         df = n - k - 2
-        scale = np.sqrt(rss / df * (1.0 + lev))
+        scale = math.sqrt(rss / df * (1.0 + lev))
         return GaussStepContext(
-            n=n, informative=True, center=float(mean[k] + dx @ slope), scale=float(scale), df=df
+            n=n, informative=True, center=float(mean[k] + dx @ slope), scale=scale, df=df
         )
 
     def first_informative_step(self, k: int) -> int:

@@ -20,6 +20,7 @@ so the statistic is not equivariant under shifts of y, by design.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +104,7 @@ class MvaPredictor(OnlinePredictor):
         # row u, and the stored rows' mean (1, xbar).
         rows = np.ones((3, kd + 1))
         rows[0, 0] = 0.0
-        rows[:, 1:] = state.comoment[:kd, -1], x_new[:kd], state.mean[:kd]
+        rows[0, 1:], rows[1, 1:], rows[2, 1:] = state.comoment[:kd, -1], x_new[:kd], state.mean[:kd]
         gram = state.gram(kd + 1)
         gram += rows[1, :, None] * rows[1]
         # Y = ybar + (d, t) and U e0 = 1, so e(t) = (d, t) - U (z + t w) with
@@ -154,7 +155,7 @@ class MvaPredictor(OnlinePredictor):
         ss = max(ctx.spread[0] * t * t + ctx.spread[1] * t + ctx.spread[2], 0.0)
         if ss == 0.0:
             return 1.0 if gap == 0.0 else 0.0
-        stat = np.sqrt((n - 1.0) * (n - 2.0) / n) * gap / np.sqrt(ss)
+        stat = math.sqrt((n - 1.0) * (n - 2.0) / n) * gap / math.sqrt(ss)
         return 2.0 * t_sf(abs(stat), n - 2)
 
     def observe(self, obs: Observation) -> None:

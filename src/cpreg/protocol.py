@@ -21,6 +21,7 @@ from .ledger import OnlineLedger
 from .randomness import RandomStream, check_integer
 from .residuals import DEFAULT_RIDGE, check_ridge
 from .stream import check_stream
+from .studentt import _special
 from .predictors import (
     GaussPredictor,
     IidGaussPredictor,
@@ -179,7 +180,7 @@ def uniformity_test(trace: PValueTrace, level: float = 0.01) -> UniformityReport
     d_plus = (np.arange(1.0, n + 1) / n - x).max()
     d_minus = (x - np.arange(0.0, n) / n).max()
     statistic = float(max(d_plus, d_minus))
-    pvalue = float(np.clip(stats.kstwo.sf(statistic, n), 0.0, 1.0))
+    pvalue = min(max(float(stats.kstwo.sf(statistic, n)), 0.0), 1.0)
     return UniformityReport(
         statistic=statistic, pvalue=pvalue, level=level, passed=pvalue > level
     )
@@ -235,9 +236,12 @@ class FrequencyReport:
 
 def binomial_band(trials: int, eps: float, level: float = 0.01) -> tuple[int, int]:
     """Central (1 - level) band of error counts under Binomial(trials, eps)."""
-    from scipy import stats  # deferred: only the batteries need scipy.stats
-
-    lower, upper = stats.binom.ppf((level / 2.0, 1.0 - level / 2.0), trials, eps)
+    if trials == 0:
+        return 0, 0  # bdtrik is NaN there
+    special, probs = _special(), (level / 2.0, 1.0 - level / 2.0)
+    count = np.ceil(special.bdtrik(probs, trials, eps))  # binom.ppf's classic recipe
+    below = np.maximum(count - 1.0, 0.0)
+    lower, upper = np.where(special.bdtr(below, trials, eps) >= probs, below, count).tolist()
     return int(lower), int(upper)
 
 

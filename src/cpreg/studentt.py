@@ -6,10 +6,10 @@ package and always return Python ``float`` values.  ``scipy.stats`` is not
 involved, so the predictors' hot path loads none of it.  This is the only
 module that touches ``scipy.special``, and it binds it on the first call
 that needs it, not on import: only the gauss and mva predictors take a t
-tail or quantile.  :func:`t_upper_points` gives the quantiles of all of a
-step's levels from one ``stdtrit`` call; :func:`t_upper_point` is that
-call at one level.  The test suite checks every function against an
-independent quadrature oracle.
+tail or quantile, and the batteries' ``binomial_band`` binomial quantiles.
+:func:`t_upper_points` gives the quantiles of all of a step's levels from
+one ``stdtrit`` call; :func:`t_upper_point` is that call at one level.  The
+test suite checks every function against an independent quadrature oracle.
 """
 
 from __future__ import annotations

@@ -149,6 +149,31 @@ def leverage(design: Matrix, row: Vector) -> float:
     return value
 
 
+def eager_fold(xs: Matrix, ys: Vector):
+    """Per row, the mean, centred co-moments and Gram blocks of the rows so far.
+
+    The Welford update that ``DesignState.append`` makes, written out with
+    stacked arrays, and the Gram U'U = n w w' + C that ``DesignState.gram``
+    reads off it, one block per count of leading columns of U = [1, X].
+    Yields (mean, comoment, grams), grams[cols - 1] the block of ``cols``
+    columns.
+    """
+    k = xs.shape[1]
+    mean, comoment = np.zeros(k + 1), np.zeros((k + 1, k + 1))
+    for n, (x, y) in enumerate(zip(xs, ys), start=1):
+        delta = np.concatenate((x, (y,))) - mean
+        mean = mean + delta / n
+        scaled = delta * math.sqrt((n - 1) / n)
+        comoment = comoment + scaled[:, None] * scaled
+        grams = []
+        for cols in range(1, k + 2):
+            w = np.concatenate(([1.0], mean[: cols - 1]))
+            gram = w[:, None] * (n * w)
+            gram[1:, 1:] += comoment[: cols - 1, : cols - 1]
+            grams.append(gram)
+        yield mean, comoment, grams
+
+
 def stream_arrays(stream: list[Observation]) -> tuple[Matrix, Vector]:
     """Stack a stream into an (n, K) feature matrix and an (n,) response."""
     xs = [obs.x for obs in stream]

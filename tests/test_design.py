@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from cpreg import NumericalError
+from oracles import eager_fold, stream_arrays
+
+from cpreg import NumericalError, SyntheticSpec, generate
 from cpreg.design import INITIAL_CAPACITY, DesignRows, DesignState
 
 
@@ -102,3 +104,25 @@ def test_overflowing_moments_raise_and_keep_the_state():
     assert state.count == 1
     assert state.mean is mean and state.comoment is comoment
     assert np.array_equal(state.x, [[1e150]])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize(
+    ("k", "n", "x_offset", "y_offset"),
+    [(2, 210, 0.0, 0.0), (20, 120, 0.0, 0.0), (20, 120, 1e4, 0.0), (2, 210, 0.0, 1e8)],
+    ids=["k2-n210", "k20-n120", "x+1e4", "y+1e8"],
+)
+def test_moments_and_gram_equal_the_eager_fold_bit_for_bit(k, n, x_offset, y_offset):
+    xs, ys = stream_arrays(generate(SyntheticSpec(k=k, n=n, seed=0)))
+    xs, ys = xs + x_offset, ys + y_offset
+    state = DesignState()
+    for step, (x, y, (mean, comoment, grams)) in enumerate(zip(xs, ys, eager_fold(xs, ys)), 1):
+        state.append(x, y)
+        assert np.array_equal(state.mean, mean), step
+        assert np.array_equal(state.comoment, comoment), step
+        for cols, gram in enumerate(grams, start=1):
+            assert np.array_equal(state.gram(cols), gram), (step, cols)
+    message = r"^design moments have non-finite entries \(data too large\)$"
+    with pytest.raises(NumericalError, match=message):
+        state.append(np.full(k, 1e200), 0.0)
+    assert state.count == n

@@ -326,12 +326,13 @@ def test_uniformity_battery_is_bitwise_scipy_kstest():
 def test_binomial_band_is_the_two_quantiles():
     from scipy import stats
 
-    for trials in (0, 1, 7, 120, 207, 1000):
-        for eps in (0.005, 0.05, 0.5):
-            for level in (0.01, 1e-6):
-                lower = int(stats.binom.ppf(level / 2.0, trials, eps))
-                upper = int(stats.binom.ppf(1.0 - level / 2.0, trials, eps))
-                assert binomial_band(trials, eps, level) == (lower, upper)
+    trials = np.array([*range(301), 500, 1000, 2000, 5000])
+    for eps in (0.5, 0.3, 0.2, 0.1, 0.05, 0.01, 0.005):
+        for level in (0.05, 0.01, 1e-6):
+            lower = stats.binom.ppf(level / 2.0, trials, eps).astype(int).tolist()
+            upper = stats.binom.ppf(1.0 - level / 2.0, trials, eps).astype(int).tolist()
+            band = [binomial_band(n, eps, level) for n in trials.tolist()]
+            assert band == list(zip(lower, upper)), (eps, level)
 
 
 def test_independence_battery():
