@@ -23,8 +23,19 @@ count of greater scores on every gap in O(n log n).  Ties: a line with a
 root in a group ties at its critical point (a double root touches once and
 flips nothing); a line that ties on the left ray, away from every root, is
 +-e_n itself and ties on every gap and at every critical point; the
-observed line ties itself.  ``cpreg.regions.super_level_sets`` turns
-these tables into the region of every level in one pass.
+observed line ties itself.  One sort of the roots, one scatter of their
+group ids and a few bincounts build the table in one pass.
+``cpreg.regions.super_level_sets`` turns it into the region of every level
+in one pass.
+
+The real-line rule.  As the observed line ties itself, every cell has
+p = (greater + tau * ties) / n >= tau / n.  In floats the table's p-value
+is fl(fl(fl(tau * ties) + greater) / n), with ties >= 1 and greater >= 0,
+and rounding is monotone, so it is at least fl(tau / n) on every cell too.
+A level eps < fl(tau / n) therefore keeps the whole line: a region request
+returns the real line there without building the table, and a step where
+every level is below it builds none.  The rule is exact, not a convention:
+it gives what the table would.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ..design import DesignRows
-from ..regions import PredictionRegion, super_level_sets
+from ..regions import PredictionRegion, informative_level_sets
 from ..residuals import DEFAULT_RIDGE, AffineResiduals, check_ridge, ridge_lines
 from ..stream import Observation
 from .base import OnlinePredictor
@@ -49,16 +60,21 @@ MERGE_RTOL = 1e-12  # the tie tolerance of a step, relative to its largest |inte
 def _roots(residuals: AffineResiduals, past=slice(-1)) -> NDArray[np.float64]:
     """Solutions of e_i(y) = e_n(y) (row 0) and -e_n(y) (row 1), i in ``past``; NaN if parallel."""
     b, c = residuals.slopes, residuals.intercepts
-    signs = np.array([[1.0], [-1.0]])
-    denom = b[past] - signs * b[-1]
+    slope, intercept = b[past], c[past]
+    terms = np.empty((2, 2, slope.size))  # numerators and denominators, one row per sign
+    num, denom = terms
+    np.subtract(c[-1], intercept, out=num[0])
+    np.subtract(-c[-1], intercept, out=num[1])
+    np.subtract(slope, b[-1], out=denom[0])
+    np.add(slope, b[-1], out=denom[1])
     roots = np.full(denom.shape, np.nan)
-    np.divide(signs * c[-1] - c[past], denom, out=roots, where=np.abs(denom) >= PARALLEL_TOL)
+    np.divide(num, denom, out=roots, where=np.abs(denom) >= PARALLEL_TOL)
     return roots
 
 
 def critical_points(residuals: AffineResiduals) -> NDArray[np.float64]:
     """Sorted critical points of e_i(y) = +-e_n(y) over i < n, grouped by the tie rule."""
-    return IidStepContext(residuals.slopes.size, residuals).groups()[0]
+    return IidStepContext(residuals.slopes.size, residuals).tables[0]
 
 
 @dataclass
@@ -87,17 +103,6 @@ class IidStepContext:
             ties = int(np.count_nonzero(tied)) + 1
         return (greater + tau * ties) / self.n
 
-    def groups(self) -> tuple[NDArray[np.float64], NDArray[np.int64]]:
-        """The critical points, and each root's index among them (their count for a NaN root)."""
-        flat = _roots(self.residuals).ravel()
-        order = np.argsort(flat)[: flat.size - np.count_nonzero(np.isnan(flat))]  # NaN sorts last
-        ordered = flat[order]
-        first = np.ones(ordered.size, dtype=bool)
-        np.greater(np.diff(ordered), self.tol, out=first[1:])
-        at = np.full(flat.size, np.count_nonzero(first))
-        at[order] = np.cumsum(first) - 1
-        return ordered[first], at.reshape(2, -1)
-
     @cached_property
     def tables(self) -> tuple[NDArray[np.float64], NDArray[np.int64], NDArray[np.int64]]:
         """Critical points, and greater and tied score counts on every piece.
@@ -106,32 +111,53 @@ class IidStepContext:
         ray], or a single entry when there are no critical points.  Built on
         the first region request; a p-value never needs them.
         """
-        crit, at = self.groups()
+        flat = _roots(self.residuals).ravel()
+        order = flat.argsort()  # NaN sorts last
+        count = flat.size - np.count_nonzero(np.isnan(flat))
+        ordered = flat[order[:count]]
+        first = np.empty(count, dtype=bool)
+        first[:1] = True
+        np.greater(ordered[1:] - ordered[:-1], self.tol, out=first[1:])
+        crit = ordered[first]
         m = crit.size
+        # Each root's critical point, m for a NaN root, in one scatter.
+        group = np.empty(flat.size, dtype=np.int64)
+        group[:1] = 0
+        np.add.accumulate(first[1:], dtype=np.int64, out=group[1:count])
+        group[count:] = m
+        at = np.empty_like(group)
+        at[order] = group
+        at = at.reshape(2, -1)
         scores = np.abs(self.residuals.at(crit[0] - 1.0 if m else 0.0))
         own, rest = scores[-1], scores[:-1]
         above, tied = rest > own, rest == own
-        # The critical point of each root's group, m for none; a tied line is
-        # never crossed.  A line is on the far side of its left-ray state
-        # exactly on the gaps lo + 1 .. hi.
-        at[:, tied] = m
-        lo, hi = at.min(axis=0), at.max(axis=0)
-        flips = np.where(above, -1.0, 1.0)
-        change = np.bincount(lo, flips, m + 1) - np.bincount(hi, flips, m + 1)
-        gaps = np.count_nonzero(above) + np.cumsum(np.append(0.0, change[:m])).astype(np.int64)
-        hi[hi == lo] = m  # a double root touches its point once
-
-        def per_point(index):
-            return np.bincount(index, minlength=m + 1)[:m]
-
+        above_count, tied_count = int(np.count_nonzero(above)), int(np.count_nonzero(tied))
+        # A tied line is never crossed.  A line is on the far side of its
+        # left-ray state exactly on the gaps lo + 1 .. hi.
+        np.copyto(at, m, where=tied)
+        bounds = np.empty_like(at)
+        lo, hi = bounds
+        np.minimum(at[0], at[1], out=lo)
+        np.maximum(at[0], at[1], out=hi)
+        flips = 1.0 - 2.0 * above
+        change = np.bincount(lo, flips, m + 1)
+        change -= np.bincount(hi, flips, m + 1)
+        # on every gap, the left ray's count plus the flips summed up to it
         greater = np.empty(2 * m + 1, dtype=np.int64)
-        greater[0::2] = gaps
+        greater[0] = above_count
+        np.add.accumulate(change[:m], dtype=np.int64, out=greater[2::2])
+        greater[2::2] += above_count
+        hi[hi == lo] = m  # a double root touches its point once
         # A line ties at its roots, so there it leaves the greater count of
         # the gap to the left if it is above on that gap: at lo when it
         # starts above, at a second root hi when it starts below.
-        greater[1::2] = gaps[:m] - per_point(lo[above]) - per_point(hi[~above])
-        ties = np.full(2 * m + 1, np.count_nonzero(tied) + 1, dtype=np.int64)
-        ties[1::2] += per_point(lo) + per_point(hi)
+        leaves = np.bincount(np.where(above, lo, hi), minlength=m + 1)
+        np.subtract(greater[0:-1:2], leaves[:m], out=greater[1::2])
+        # at a point, each line with a root there, once however many, besides
+        # the tied lines and the observed one that tie everywhere
+        ties = np.empty(2 * m + 1, dtype=np.int64)
+        ties[0::2] = tied_count + 1
+        np.add(np.bincount(bounds.ravel(), minlength=m + 1)[:m], tied_count + 1, out=ties[1::2])
         return crit, greater, ties
 
 
@@ -149,7 +175,9 @@ class IidPredictor(OnlinePredictor):
     def _raw_regions(
         self, ctx: IidStepContext, levels: list[float], tau: float
     ) -> list[PredictionRegion]:
-        return super_level_sets(*ctx.tables, ctx.n, levels, tau)
+        floor = tau / ctx.n  # every cell's p-value is at least this (the real-line rule)
+        informative = [eps >= floor for eps in levels]
+        return informative_level_sets(levels, informative, lambda: (*ctx.tables, ctx.n), tau)
 
     def _pvalue(self, ctx: IidStepContext, y: float, tau: float) -> float:
         return ctx.pvalue(float(y), tau)

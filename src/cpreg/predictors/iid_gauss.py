@@ -129,7 +129,7 @@ from ..linalg import (
     triangular_solve,
 )
 from ..randomness import RandomStream, check_integer
-from ..regions import PredictionRegion, super_level_sets
+from ..regions import PredictionRegion, informative_level_sets
 from ..residuals import DEFAULT_RIDGE, check_ridge, ridge_columns, ridge_lines, ridge_residuals
 from ..stream import Observation
 from .base import OnlinePredictor
@@ -527,17 +527,16 @@ class IidGaussPredictor(OnlinePredictor):
         # and push a tail p-value to 1/(2n), bounding the region one step
         # before the continuous regime; the advertised threshold is
         # min(ceil(1/eps), k + 3).  The p-value trace is unaffected.
-        informative = [ctx.n >= min(np.ceil(1.0 / eps), ctx.k + 3) for eps in levels]
-        if not any(informative):
-            return [PredictionRegion.real_line() for _ in levels]
+        informative = [ctx.n >= min(math.ceil(1.0 / eps), ctx.k + 3) for eps in levels]
+        return informative_level_sets(levels, informative, lambda: self._table(ctx), tau)
+
+    def _table(self, ctx: IidGaussStepContext) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The step table of ``super_level_sets``, its denominator last."""
         if ctx.exact:
-            table = (*ctx.atoms.tables, ctx.atoms.n)
-        else:  # the observed score is one of mc + 1 and ties itself on every cell
-            events, greater, ties = ctx.crossings
-            table = (events, greater, ties + 1, self.mc_samples + 1)
-        kept = [eps for eps, use in zip(levels, informative) if use]
-        regions = iter(super_level_sets(*table, kept, tau))
-        return [next(regions) if use else PredictionRegion.real_line() for use in informative]
+            return (*ctx.atoms.tables, ctx.atoms.n)
+        # the observed score is one of mc + 1 and ties itself on every cell
+        events, greater, ties = ctx.crossings
+        return events, greater, ties + 1, self.mc_samples + 1
 
     def _pvalue(self, ctx: IidGaussStepContext, y: float, tau: float) -> float:
         if ctx.exact:

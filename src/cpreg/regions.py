@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -197,6 +197,26 @@ def super_level_sets(
         hi = float(points[last // 2]) if last < cells - 1 else INF
         pieces[row].append(Interval(lo, hi, first % 2 == 1, last % 2 == 1))
     return [PredictionRegion(level) for level in pieces]
+
+
+def informative_level_sets(
+    levels: Sequence[float],
+    informative: Sequence[bool],
+    table: Callable[[], tuple[NDArray, NDArray, NDArray, int]],
+    tau: float,
+) -> list[PredictionRegion]:
+    """``super_level_sets`` at the informative levels, the real line at the rest.
+
+    ``table`` returns the step table ``(points, greater, ties, denominator)``
+    of ``super_level_sets``.  It is called once, and only when some level is
+    informative, so a step that keeps the whole line at every level builds
+    no table.
+    """
+    kept = [eps for eps, use in zip(levels, informative) if use]
+    if not kept:
+        return [PredictionRegion.real_line()] * len(levels)
+    regions = iter(super_level_sets(*table(), kept, tau))
+    return [next(regions) if use else PredictionRegion.real_line() for use in informative]
 
 
 def _covers(big: Interval, small: Interval) -> bool:

@@ -342,12 +342,34 @@ def stream_steps(stream):
     ids=["degenerate-point", "tie-heavy", "k3", "k20-leading-block"],
 )
 def test_region_equals_per_probe_oracle(steps):
+    """One level per call, and all levels in one call: there a level below
+    tau/n keeps the real line without the table while the others use it."""
+    levels = (0.3, 0.05, 0.01)
     for pred, ctx in steps():
-        for eps in (0.3, 0.05, 0.01):
-            for tau in (0.0, 0.37, 1.0):
-                got = pred.raw_region(ctx, eps, tau)
+        for tau in (0.0, 0.37, 1.0):
+            together = pred.raw_regions(ctx, levels, tau)
+            for eps, joint in zip(levels, together):
                 want = iid_per_probe_region(ctx, eps, tau)
-                assert got == want, (ctx.n, eps, tau)
+                assert joint == want, (ctx.n, eps, tau)
+                assert pred.raw_region(ctx, eps, tau) == want, (ctx.n, eps, tau)
+
+
+def test_region_builds_no_table_where_every_level_keeps_the_line():
+    """p >= tau/n on every cell, so where tau/n exceeds every level the step
+    never builds its table; at tau/n = eps (n = 20, eps = 0.05) it must."""
+    levels = (0.3, 0.05, 0.01)
+    built = []
+    for pred, ctx in stream_steps(generate(SyntheticSpec(k=20, n=20, seed=5))):
+        regions = pred.raw_regions(ctx, levels, 1.0)
+        built.append("tables" in vars(ctx))  # the cached_property's slot
+        if ctx.n <= 3:  # 1/n > 0.3
+            assert regions == [PredictionRegion.real_line()] * 3
+        elif ctx.n == 20:
+            assert 1.0 / ctx.n == 0.05
+            region = pred.raw_region(ctx, 0.05, 1.0)
+            assert region == iid_per_probe_region(ctx, 0.05, 1.0)
+            assert region != PredictionRegion.real_line()
+    assert built == [n > 3 for n in range(1, 21)]
 
 
 def assert_dense_tables(ctx):
